@@ -17,9 +17,11 @@ adding processors never perturbs existing streams.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InconsistentState, NonNeighborSend, OversizedPayload, RoundCapExceeded
 from .model import PlayerId, PreferenceProfile, man, woman
@@ -49,6 +51,11 @@ class Message(NamedTuple):
 def payload_bits(msg: Message) -> int:
     extra = msg.payload.bit_length() if msg.payload is not None else 0
     return KIND_BITS + extra
+
+
+# bare messages are immutable, so one instance per kind serves every send
+_BARE = {kind: Message(kind) for kind in MsgKind}
+_KIND_NAMES = {kind: kind.name for kind in MsgKind}
 
 
 @dataclass
@@ -87,13 +94,14 @@ class Topology:
 
     @classmethod
     def from_profile(cls, profile: PreferenceProfile) -> "Topology":
-        nodes = tuple(man(i) for i in range(profile.n)) + tuple(woman(i) for i in range(profile.n))
+        men = tuple(man(i) for i in range(profile.n))
+        women = tuple(woman(i) for i in range(profile.n))
         nbrs: dict[PlayerId, tuple[PlayerId, ...]] = {}
-        for i, lst in enumerate(profile.men_prefs):
-            nbrs[man(i)] = tuple(woman(j) for j in sorted(lst))
-        for i, lst in enumerate(profile.women_prefs):
-            nbrs[woman(i)] = tuple(man(j) for j in sorted(lst))
-        return cls(nodes=nodes, neighbors=nbrs)
+        for m, lst in zip(men, profile.men_prefs):
+            nbrs[m] = tuple([women[j] for j in sorted(lst)])
+        for w, lst in zip(women, profile.women_prefs):
+            nbrs[w] = tuple([men[j] for j in sorted(lst)])
+        return cls(nodes=men + women, neighbors=nbrs)
 
     @classmethod
     def from_bipartite(cls, adjacency: Mapping[PlayerId, Iterable[PlayerId]]) -> "Topology":
@@ -115,8 +123,8 @@ class ProcessorContext:
     """Engine-facing view of one processor during a round.
 
     A step function may read ``self_id``, ``neighbors``, ``inbox`` and its
-    own protocol state, and send via :meth:`send`. The rng stream is a pure
-    function of (engine seed, player id).
+    own protocol state, and send via :meth:`send` or :meth:`send_many`. The
+    rng stream is a pure function of (engine seed, player id).
     """
 
     __slots__ = ("self_id", "neighbors", "inbox", "_neighbor_set", "_engine", "_rng", "_seed")
@@ -126,7 +134,8 @@ class ProcessorContext:
         self.neighbors = neighbors
         self._neighbor_set = frozenset(neighbors)
         self.inbox: list[tuple[PlayerId, Message]] = []
-        self._engine = engine
+        # a proxy, not a reference: no cycle keeps a finished engine alive until the next gc pass
+        self._engine = weakref.proxy(engine)
         self._rng: random.Random | None = None
         self._seed = seed
 
@@ -137,16 +146,25 @@ class ProcessorContext:
         return self._rng
 
     def send(self, to: PlayerId, kind: MsgKind, payload: int | None = None) -> None:
-        if to not in self._neighbor_set:
+        self.send_many((to,), kind, payload)
+
+    def send_many(self, targets: Sequence[PlayerId], kind: MsgKind, payload: int | None = None) -> None:
+        """Send the same message to each target, in order; same as one ``send`` per target."""
+        if not targets:
+            return
+        if not self._neighbor_set.issuperset(targets):
+            to = next(t for t in targets if t not in self._neighbor_set)
             raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {to}")
-        msg = Message(kind, payload)
-        self._engine._stage(self.self_id, to, msg)
+        msg = _BARE[kind] if payload is None else Message(kind, payload)
+        self._engine._stage(self.self_id, targets, msg)
 
     def inbox_of_kind(self, kind: MsgKind) -> list[PlayerId]:
         return [sender for sender, msg in self.inbox if msg.kind is kind]
 
 
 StepFn = Callable[[ProcessorContext], None]
+
+_by_sender = itemgetter(0)
 
 
 class Engine:
@@ -175,6 +193,8 @@ class Engine:
         self.payload_budget = payload_budget
         self.trace = RoundTrace()
         self.message_log = message_log
+        # log names, looked up once per player instead of once per record
+        self._names = {v: repr(v) for v in topology.nodes} if message_log is not None else {}
         self.contexts: dict[PlayerId, ProcessorContext] = {
             v: ProcessorContext(v, topology.neighbors.get(v, ()), self, seed) for v in topology.nodes
         }
@@ -186,36 +206,38 @@ class Engine:
 
     # -- message plumbing -------------------------------------------------
 
-    def _stage(self, sender: PlayerId, to: PlayerId, msg: Message) -> None:
+    def _stage(self, sender: PlayerId, targets: Sequence[PlayerId], msg: Message) -> None:
+        """Stage ``msg`` from ``sender`` to every target; checks run once per call."""
         if not self._in_round:
             raise InconsistentState("send outside of a round")
         bits = payload_bits(msg)
         if bits > self.payload_budget:
             raise OversizedPayload(
-                f"{sender} -> {to}: payload of {bits} bits exceeds budget of {self.payload_budget}"
+                f"{sender} -> {targets[0]}: payload of {bits} bits exceeds budget of {self.payload_budget}"
             )
-        self._staged.setdefault(to, []).append((sender, msg))
-        self._staged_count += 1
+        entry = (sender, msg)
+        staged = self._staged
+        for to in targets:
+            box = staged.get(to)
+            if box is None:
+                staged[to] = [entry]
+            else:
+                box.append(entry)
+        self._staged_count += len(targets)
         if bits > self.trace.max_payload_bits:
             self.trace.max_payload_bits = bits
         if self.message_log is not None:
-            self.message_log.append(
-                {
-                    "round": self.trace.rounds + 1,
-                    "from": repr(sender),
-                    "to": repr(to),
-                    "kind": msg.kind.name,
-                    "payload_bits": bits,
-                }
+            names = self._names
+            rnd, frm, kind = self.trace.rounds + 1, names[sender], _KIND_NAMES[msg.kind]
+            self.message_log.extend(
+                {"round": rnd, "from": frm, "to": names[to], "kind": kind, "payload_bits": bits}
+                for to in targets
             )
 
     @property
     def in_flight(self) -> int:
         """Messages delivered but not yet consumed by a round."""
         return sum(len(v) for v in self._pending.values())
-
-    def pending_receivers(self) -> list[PlayerId]:
-        return list(self._pending)
 
     def peek_pending(self) -> Iterable[tuple[PlayerId, PlayerId, Message]]:
         """Read-only view of undelivered traffic: (receiver, sender, message).
@@ -252,7 +274,7 @@ class Engine:
             ctx = self.contexts[v]
             delivered = self._pending.pop(v, None)
             if delivered is not None:
-                delivered.sort(key=lambda e: e[0])
+                delivered.sort(key=_by_sender)
                 ctx.inbox = delivered
             else:
                 ctx.inbox = []

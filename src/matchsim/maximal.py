@@ -290,15 +290,13 @@ class _StandaloneRun:
         node = self.nodes[ctx.self_id]
         partner = node.resolve_choices(ctx.inbox_of_kind(MsgKind.MM_CHOOSE))
         if partner is not None:
-            for u in sorted(node.residual):
-                ctx.send(u, MsgKind.MM_MATCHED)
+            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
 
     def step_resolve_mutual(self, ctx: ProcessorContext) -> None:
         node = self.nodes[ctx.self_id]
         partner = node.resolve_mutual(ctx.inbox_of_kind(MsgKind.MM_POINT))
         if partner is not None:
-            for u in sorted(node.residual):
-                ctx.send(u, MsgKind.MM_MATCHED)
+            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
 
     def run_randomized(self, iterations: int) -> None:
         for it in range(iterations):

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -152,18 +151,14 @@ class QuantizedPrefs:
         if k < 1:
             raise ValueError(f"quantile count must be >= 1, got {k}")
         self.k = k
-        self.deg = len(ordered_partners)
-        # rank r (1-based) -> quantile index in 1..k
-        self.quantile_of: tuple[int, ...] = tuple(
-            math.ceil(r * k / self.deg) for r in range(1, self.deg + 1)
-        )
-        self.rank_of: dict[int, int] = {p: r + 1 for r, p in enumerate(ordered_partners)}
+        self.deg = deg = len(ordered_partners)
+        # rank r (1-based) -> quantile index ceil(r * k / deg) in 1..k, in integers
+        self.quantile_of: tuple[int, ...] = tuple(-(-r * k // deg) for r in range(1, deg + 1))
+        self.rank_of: dict[int, int] = dict(zip(ordered_partners, range(1, deg + 1)))
         self.buckets: list[list[int]] = [[] for _ in range(k)]
-        self._bucket_of: dict[int, int] = {}
-        for r, p in enumerate(ordered_partners):
-            q = self.quantile_of[r]
+        for p, q in zip(ordered_partners, self.quantile_of):
             self.buckets[q - 1].append(p)
-            self._bucket_of[p] = q
+        self._bucket_of: dict[int, int] = dict(zip(ordered_partners, self.quantile_of))
         self.remaining: set[int] = set(ordered_partners)
 
     def quantile(self, partner: int) -> int:
@@ -181,10 +176,17 @@ class QuantizedPrefs:
         return [] if i is None else list(self.buckets[i - 1])
 
     def remove(self, partner: int) -> None:
-        if partner not in self.remaining:
-            raise KeyError(f"partner {partner} already removed")
-        self.remaining.discard(partner)
-        self.buckets[self._bucket_of[partner] - 1].remove(partner)
+        self.remove_many((partner,))
+
+    def remove_many(self, partners: Sequence[int]) -> None:
+        """Drop distinct remaining partners; checks and set update run once per call."""
+        gone = set(partners)
+        if len(gone) < len(partners) or not gone <= self.remaining:
+            raise KeyError(f"partners {list(partners)} repeat one or include one already removed")
+        self.remaining -= gone
+        buckets, bucket_of = self.buckets, self._bucket_of
+        for p in partners:
+            buckets[bucket_of[p] - 1].remove(p)
 
     def at_or_worse(self, quantile_index: int) -> list[int]:
         """Remaining partners whose quantile index is >= the given one, in rank order."""

@@ -263,20 +263,26 @@ class QuantileProtocol:
     # step functions (strictly local: own state + inbox only)
 
     def _settle_man(self, st: ManState, ctx: ProcessorContext) -> None:
-        """Process rejections delivered since the man's last step."""
+        """Process rejections delivered since the man's last step, all at once."""
+        if not ctx.inbox:
+            return
+        rejected = []
         for sender, msg in ctx.inbox:
             if msg.kind is not MsgKind.REJECT:
                 raise InconsistentState(f"{ctx.self_id} received {msg.kind.name} while settling")
-            w_idx = sender.index
-            if w_idx not in st.quantized.remaining:
-                raise InconsistentState(f"{ctx.self_id} rejected twice by {sender}")
-            was_good = st.p is not None
-            st.quantized.remove(w_idx)
-            st.A.discard(w_idx)
-            if st.p == w_idx:
-                st.p = None
-            now_good = st.p is not None or not st.quantized.remaining
-            self.good_count += int(now_good) - int(was_good)
+            rejected.append(sender.index)
+        try:
+            st.quantized.remove_many(rejected)
+        except KeyError as exc:
+            raise InconsistentState(f"{ctx.self_id} rejected twice: {exc}") from exc
+        st.A.difference_update(rejected)
+        # equals summing the change per rejection: only the last one can leave
+        # a man with neither a partner nor anyone left to reject him
+        was_good = st.p is not None
+        if was_good and st.p in rejected:
+            st.p = None
+        now_good = st.p is not None or not st.quantized.remaining
+        self.good_count += int(now_good) - int(was_good)
 
     def _close_quantile_match_for(self, idx: int, st: ManState) -> None:
         """Checks due when a quantile match ends (run post-settle)."""
@@ -310,8 +316,8 @@ class QuantileProtocol:
                     st.A = set(bucket)
                     st.a_entry = frozenset(bucket)
         if st.A:
-            for w_idx in sorted(st.A):
-                ctx.send(self._woman_ids[w_idx], MsgKind.PROPOSE)
+            women = self._woman_ids
+            ctx.send_many([women[w_idx] for w_idx in sorted(st.A)], MsgKind.PROPOSE)
 
     def _step_accept(self, ctx: ProcessorContext) -> None:
         pid = ctx.self_id
@@ -340,8 +346,8 @@ class QuantileProtocol:
         accepted = sorted(m for m in proposers if st.quantized.quantile(m) == best)
         st.g0 = set(accepted)
         self._participants.append(pid)
-        for m_idx in accepted:
-            ctx.send(self._man_ids[m_idx], MsgKind.ACCEPT)
+        men = self._man_ids
+        ctx.send_many([men[m_idx] for m_idx in accepted], MsgKind.ACCEPT)
 
     def _step_mm_point(self, ctx: ProcessorContext, randomized: bool) -> None:
         pid = ctx.self_id
@@ -407,8 +413,7 @@ class QuantileProtocol:
         partner = node.resolve_choices(senders) if randomized else node.resolve_mutual(senders)
         if partner is not None:
             st.p0 = partner.index
-            for u in sorted(node.residual):
-                ctx.send(u, MsgKind.MM_MATCHED)
+            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
 
     def _step_reject(self, ctx: ProcessorContext) -> None:
         pid = ctx.self_id
@@ -428,6 +433,7 @@ class QuantileProtocol:
         # the subroutine failed to upgrade simply keeps her current partner
         removed_now = residual_here and self.mm_spec.removes_unmatched() and st.p is None
         if pid.side is Side.WOMAN:
+            men = self._man_ids
             if st.p0 is not None:
                 q0 = st.quantized.quantile(st.p0)
                 if st.p is not None:
@@ -439,17 +445,13 @@ class QuantileProtocol:
                             structural=True,
                         )
                 targets = [m for m in st.quantized.at_or_worse(q0) if m != st.p0]
-                for m_idx in targets:
-                    ctx.send(self._man_ids[m_idx], MsgKind.REJECT)
-                for m_idx in targets:
-                    st.quantized.remove(m_idx)
+                ctx.send_many([men[m_idx] for m_idx in targets], MsgKind.REJECT)
+                st.quantized.remove_many(targets)
                 st.p = st.p0
             elif removed_now:
                 targets = sorted(st.quantized.remaining)
-                for m_idx in targets:
-                    ctx.send(self._man_ids[m_idx], MsgKind.REJECT)
-                for m_idx in targets:
-                    st.quantized.remove(m_idx)
+                ctx.send_many([men[m_idx] for m_idx in targets], MsgKind.REJECT)
+                st.quantized.remove_many(targets)
                 st.removed = True
         else:
             mst: ManState = st

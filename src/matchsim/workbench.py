@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .analysis import VerificationReport, verify_run
-from .errors import DegenerateInstance, InvalidProfile, MatchsimError, RoundCapExceeded
+from .errors import DegenerateInstance, InvalidMatching, InvalidProfile, MatchsimError, RoundCapExceeded
 from .model import Matching, PreferenceProfile
 from .protocols import AlgorithmSpec, RunResult, run_algorithm
 
@@ -202,6 +202,8 @@ def load_instance(path: str | Path) -> PreferenceProfile:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InvalidProfile(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidProfile(f"{path}: expected a JSON object")
     for key in ("n", "men", "women"):
         if key not in obj:
             raise InvalidProfile(f"{path}: missing key {key!r}")
@@ -211,7 +213,7 @@ def load_instance(path: str | Path) -> PreferenceProfile:
             men_prefs=tuple(tuple(int(x) for x in lst) for lst in obj["men"]),
             women_prefs=tuple(tuple(int(x) for x in lst) for lst in obj["women"]),
         )
-    except InvalidProfile as exc:
+    except (TypeError, ValueError) as exc:  # InvalidProfile is a ValueError too
         raise InvalidProfile(f"{path}: {exc}") from exc
 
 
@@ -224,14 +226,23 @@ def save_matching(matching: Matching, path: str | Path) -> None:
 
 
 def load_matching(path: str | Path) -> Matching:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Matching.of((int(m), int(w)) for m, w in obj["pairs"])
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidMatching(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "pairs" not in obj:
+        raise InvalidMatching(f"{path}: missing key 'pairs'")
+    try:
+        return Matching.of((int(m), int(w)) for m, w in obj["pairs"])
+    except (TypeError, ValueError) as exc:  # InvalidMatching is a ValueError too
+        raise InvalidMatching(f"{path}: {exc}") from exc
 
 
 def write_message_log(entries: Iterable[dict], path: str | Path) -> None:
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
-            fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+            fh.write(encode(entry) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,120 @@
+"""Determinism corpus: small runs whose outputs must stay byte-identical.
+
+Each cell is (family, n, algorithm, --mm override, seed, fast_forward). For
+every cell ``corpus.json`` holds the sha256 of the sorted matching pairs, of
+``trace.as_dict()`` and of the NDJSON message log as ``write_message_log``
+writes it. A refactor that changes any simulated output fails here in
+seconds. A change that means to alter outputs re-records the file and says
+why:
+
+    PYTHONPATH=src python tests/test_corpus.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+from matchsim import (
+    AlgorithmSpec,
+    GeneratorSpec,
+    MatchingSubroutineSpec,
+    generate,
+    run_algorithm,
+)
+from matchsim.protocols import QuantileProtocol
+from matchsim.workbench import write_message_log
+
+CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
+
+
+class Cell(NamedTuple):
+    family: str
+    n: int
+    algorithm: str
+    mm: str | None
+    seed: int
+    fast_forward: bool = True
+
+    @property
+    def name(self) -> str:
+        mm = f"/{self.mm}" if self.mm else ""
+        ff = "" if self.fast_forward else "/step-all"
+        return f"{self.family}:n{self.n}:{self.algorithm}{mm}:s{self.seed}{ff}"
+
+
+CELLS = (
+    Cell("complete", 16, "gs", None, 0),
+    Cell("random:0.5", 24, "gs", None, 1),
+    Cell("complete", 32, "asm:0.5", None, 2),
+    Cell("complete", 32, "asm:1", "rand:1", 3),
+    Cell("random:0.5", 48, "asm:1", "amm:1,0.99", 1),
+    Cell("random:0.3", 48, "randasm:0.5,0.1", None, 5),
+    Cell("bounded:4", 64, "randasm:0.5,0.1", None, 6),
+    Cell("bounded:3", 32, "randasm:0.5,0.1", "amm:0.1,0.1", 7),
+    Cell("aregular:2,4", 32, "aregasm:0.5,0.1,2", None, 8),
+    Cell("complete", 6, "asm:1", None, 9, fast_forward=False),
+    Cell("random:0.6", 6, "randasm:1,0.1", "rand:3", 10, fast_forward=False),
+    Cell("aregular:2,2", 6, "aregasm:1,0.5,2", None, 11, fast_forward=False),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _canonical(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def run_cell(cell: Cell) -> dict[str, str]:
+    """Run one cell and return the digests of its matching, trace and message log."""
+    profile = generate(GeneratorSpec.parse(cell.family, n=cell.n, seed=cell.seed))
+    mm = MatchingSubroutineSpec.parse(cell.mm) if cell.mm else None
+    spec = AlgorithmSpec.parse(cell.algorithm, mm=mm)
+    log: list = []
+    init = QuantileProtocol.__init__
+    if not cell.fast_forward:
+        # every public entry point builds its protocol with fast_forward on
+        QuantileProtocol.__init__ = lambda self, *a, **kw: init(self, *a, **{**kw, "fast_forward": False})
+    try:
+        result = run_algorithm(profile, spec, seed=cell.seed, message_log=log)
+    finally:
+        QuantileProtocol.__init__ = init
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.ndjson"
+        write_message_log(log, path)
+        log_bytes = path.read_bytes()
+    return {
+        "matching": _sha256(_canonical(result.matching.sorted_pairs())),
+        "trace": _sha256(_canonical(result.trace.as_dict())),
+        "log": _sha256(log_bytes),
+    }
+
+
+def _load_corpus() -> dict:
+    return json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+
+
+def test_corpus_lists_every_cell_once():
+    assert len({c.name for c in CELLS}) == len(CELLS)
+    assert sorted(_load_corpus()) == sorted(c.name for c in CELLS)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: c.name)
+def test_outputs_match_corpus(cell):
+    assert run_cell(cell) == _load_corpus()[cell.name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --record")
+    corpus = {cell.name: run_cell(cell) for cell in CELLS}
+    CORPUS_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(corpus)} cells in {CORPUS_PATH}")

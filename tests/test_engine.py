@@ -198,3 +198,91 @@ def test_actor_restriction_never_drops_messages():
     # W0 is not in the actor list but holds pending traffic: stepped anyway
     eng.run_round(lambda ctx: received.extend(ctx.inbox), actors=[])
     assert [s for s, _ in received] == [man(0)]
+
+
+def _complete_engine(n=3, **kw):
+    prof = PreferenceProfile.from_lists([list(range(n))] * n, [list(range(n))] * n)
+    return Engine(Topology.from_profile(prof), seed=0, **kw)
+
+
+def test_send_many_equals_a_send_loop():
+    runs = []
+    for batched in (False, True):
+        log = []
+        eng = _complete_engine(message_log=log)
+
+        def step(ctx):
+            if ctx.self_id == woman(1):
+                targets = [man(2), man(0)]
+                if batched:
+                    ctx.send_many(targets, MsgKind.REJECT)
+                    ctx.send_many(targets, MsgKind.CONTROL, payload=5)
+                else:
+                    for to in targets:
+                        ctx.send(to, MsgKind.REJECT)
+                    for to in targets:
+                        ctx.send(to, MsgKind.CONTROL, payload=5)
+            elif ctx.self_id == woman(0):
+                ctx.send(man(2), MsgKind.REJECT)
+
+        eng.run_round(step, "reject")
+        inboxes = {}
+        eng.run_round(lambda ctx: inboxes.update({ctx.self_id: list(ctx.inbox)}), "flush")
+        runs.append((inboxes, log, eng.trace.as_dict()))
+    assert runs[0] == runs[1]
+    inboxes, log, trace = runs[1]
+    assert inboxes[man(2)] == [
+        (woman(0), Message(MsgKind.REJECT)),
+        (woman(1), Message(MsgKind.REJECT)),
+        (woman(1), Message(MsgKind.CONTROL, 5)),
+    ]
+    assert [(e["from"], e["to"]) for e in log] == [
+        ("W0", "M2"), ("W1", "M2"), ("W1", "M0"), ("W1", "M2"), ("W1", "M0")
+    ]
+    assert trace["messages_by_phase"] == {"reject": 5}
+    assert trace["max_payload_bits"] == payload_bits(Message(MsgKind.CONTROL, 5))
+
+
+def test_send_many_rejects_any_non_neighbor():
+    prof = PreferenceProfile.from_lists([[0], [1]], [[0], [1]])
+    eng = Engine(Topology.from_profile(prof), seed=0)
+
+    def step(ctx):
+        if ctx.self_id == woman(0):
+            ctx.send_many([man(0), man(1)], MsgKind.REJECT)
+
+    with pytest.raises(NonNeighborSend, match="M1"):
+        eng.run_round(step)
+
+
+def test_send_many_outside_round_rejected():
+    eng = _complete_engine()
+    with pytest.raises(InconsistentState):
+        eng.contexts[woman(0)].send_many([man(0), man(1)], MsgKind.REJECT)
+
+
+def test_send_many_oversized_payload_aborts():
+    eng = _complete_engine()
+
+    def step(ctx):
+        if ctx.self_id == woman(0):
+            ctx.send_many([man(0), man(1)], MsgKind.CONTROL, payload=1 << eng.payload_budget)
+
+    with pytest.raises(OversizedPayload):
+        eng.run_round(step)
+
+
+def test_send_many_to_no_one_changes_nothing():
+    log = []
+    eng = _complete_engine(message_log=log)
+    eng.contexts[woman(0)].send_many([], MsgKind.REJECT)  # outside a round, and still no error
+    eng.run_round(lambda ctx: ctx.send_many([], MsgKind.CONTROL, payload=1 << eng.payload_budget))
+    assert log == [] and eng.in_flight == 0
+    assert eng.trace.as_dict() == {
+        "rounds": 1,
+        "messages_sent": 0,
+        "max_payload_bits": 0,
+        "phase_breakdown": {"round": 1},
+        "messages_by_phase": {},
+        "extras": {},
+    }

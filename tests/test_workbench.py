@@ -9,6 +9,7 @@ from matchsim import (
     DegenerateInstance,
     ExperimentConfig,
     GeneratorSpec,
+    InvalidMatching,
     InvalidProfile,
     Matching,
     PreferenceProfile,
@@ -238,6 +239,26 @@ def test_cli_reports_errors(tmp_path, capsys):
     rc = main(["run", "--alg", "asm:0.5", "--seeds", "0..1", "-o", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instance, matching, error",
+    [
+        ({"n": 1, "men": [[0]], "women": [[0]]}, {"matches": [[0, 0]]}, InvalidMatching),
+        ({"n": 1, "men": [0], "women": [[0]]}, {"pairs": [[0, 0]]}, InvalidProfile),
+    ],
+    ids=["matching-without-pairs", "preference-list-is-int"],
+)
+def test_cli_verify_rejects_malformed_files(tmp_path, capsys, instance, matching, error):
+    inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
+    inst.write_text(json.dumps(instance))
+    mfile.write_text(json.dumps(matching))
+    with pytest.raises(error):
+        load_matching(mfile) if error is InvalidMatching else load_instance(inst)
+    rc = main(["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_subroutine_override(tmp_path):
