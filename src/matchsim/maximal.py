@@ -338,6 +338,23 @@ def matching_round(
     return MatchingRoundResult(matching=matching, reduced=reduced, trace=run.engine.trace)
 
 
+def _randomized_iterations(
+    subgraph: Mapping[PlayerId, Iterable[PlayerId]], s: int, seed: int
+) -> SubroutineResult:
+    """Run s randomized matching iterations and report any violating vertices."""
+    graph = _normalize_graph(subgraph)
+    run = _StandaloneRun(graph, seed)
+    run.run_randomized(s)
+    violators = _violating_vertices(graph, run.nodes)
+    return SubroutineResult(
+        matching=_matching_from_nodes(run.nodes),
+        residual_vertices=violators,
+        maximal=not violators,
+        iterations=s,
+        trace=run.engine.trace,
+    )
+
+
 def randomized_maximal_matching(
     subgraph: Mapping[PlayerId, Iterable[PlayerId]], s: int, seed: int = 0
 ) -> SubroutineResult:
@@ -349,18 +366,7 @@ def randomized_maximal_matching(
     """
     if s < 1:
         raise ValueError("need s >= 1")
-    graph = _normalize_graph(subgraph)
-    run = _StandaloneRun(graph, seed)
-    run.run_randomized(s)
-    matching = _matching_from_nodes(run.nodes)
-    violators = _violating_vertices(graph, run.nodes)
-    return SubroutineResult(
-        matching=matching,
-        residual_vertices=violators,
-        maximal=not violators,
-        iterations=s,
-        trace=run.engine.trace,
-    )
+    return _randomized_iterations(subgraph, s, seed)
 
 
 def almost_maximal_matching(
@@ -372,19 +378,7 @@ def almost_maximal_matching(
 ) -> SubroutineResult:
     """Run just enough iterations that at most an eta-fraction of vertices is
     left violating maximality, with probability at least 1 - delta."""
-    s = iterations_for_almost_maximal(eta, delta, shrink_c)
-    graph = _normalize_graph(subgraph)
-    run = _StandaloneRun(graph, seed)
-    run.run_randomized(s)
-    matching = _matching_from_nodes(run.nodes)
-    violators = _violating_vertices(graph, run.nodes)
-    return SubroutineResult(
-        matching=matching,
-        residual_vertices=violators,
-        maximal=not violators,
-        iterations=s,
-        trace=run.engine.trace,
-    )
+    return _randomized_iterations(subgraph, iterations_for_almost_maximal(eta, delta, shrink_c), seed)
 
 
 def deterministic_maximal_matching(

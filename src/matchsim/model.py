@@ -140,40 +140,48 @@ class QuantizedPrefs:
 
     Bucket assignment follows ``q(r) = ceil(r * k / deg)`` for 1-based rank r,
     which keeps bucket sizes within one of ``deg / k`` and leaves some buckets
-    empty when ``deg < k``. The structure is removal-only: partners can be
-    dropped but never re-added, and the rank/quantile lookup tables describe
-    the original list.
+    empty when ``deg < k``. Bucket i is the rank slice
+    ``order[(i - 1) * deg // k : i * deg // k]``, so only the remaining set and
+    cursors at the first and last remaining positions are kept. The structure
+    is removal-only, and ``rank_of``/``quantile`` describe the original list.
     """
 
-    __slots__ = ("k", "deg", "rank_of", "quantile_of", "buckets", "remaining", "_bucket_of")
+    __slots__ = ("k", "deg", "order", "rank_of", "remaining", "_first", "_last")
 
     def __init__(self, ordered_partners: Sequence[int], k: int):
         if k < 1:
             raise ValueError(f"quantile count must be >= 1, got {k}")
         self.k = k
-        self.deg = deg = len(ordered_partners)
-        # rank r (1-based) -> quantile index ceil(r * k / deg) in 1..k, in integers
-        self.quantile_of: tuple[int, ...] = tuple(-(-r * k // deg) for r in range(1, deg + 1))
-        self.rank_of: dict[int, int] = dict(zip(ordered_partners, range(1, deg + 1)))
-        self.buckets: list[list[int]] = [[] for _ in range(k)]
-        for p, q in zip(ordered_partners, self.quantile_of):
-            self.buckets[q - 1].append(p)
-        self._bucket_of: dict[int, int] = dict(zip(ordered_partners, self.quantile_of))
-        self.remaining: set[int] = set(ordered_partners)
+        self.order: tuple[int, ...] = tuple(ordered_partners)
+        self.deg = deg = len(self.order)
+        self.rank_of: dict[int, int] = dict(zip(self.order, range(1, deg + 1)))
+        self.remaining: set[int] = set(self.order)
+        # the cursors only move inward, O(deg) over a whole run
+        self._first, self._last = 0, deg - 1
+
+    @property
+    def quantile_of(self) -> tuple[int, ...]:
+        return tuple(map(self.quantile, self.order))
+
+    @property
+    def buckets(self) -> list[list[int]]:
+        k, deg = self.k, self.deg
+        return [self._remaining_in(i * deg // k, (i + 1) * deg // k) for i in range(k)]
+
+    def _remaining_in(self, lo: int, hi: int) -> list[int]:
+        rem = self.remaining
+        return [p for p in self.order[lo:hi] if p in rem]
 
     def quantile(self, partner: int) -> int:
         """Quantile index (1-based) of a partner from the original list."""
-        return self._bucket_of[partner]
+        return -(-self.rank_of[partner] * self.k // self.deg)
 
     def best_nonempty_index(self) -> int | None:
-        for i, b in enumerate(self.buckets):
-            if b:
-                return i + 1
-        return None
+        return None if self._first > self._last else -(-(self._first + 1) * self.k // self.deg)
 
     def best_nonempty_bucket(self) -> list[int]:
         i = self.best_nonempty_index()
-        return [] if i is None else list(self.buckets[i - 1])
+        return [] if i is None else self._remaining_in(self._first, i * self.deg // self.k)
 
     def remove(self, partner: int) -> None:
         self.remove_many((partner,))
@@ -181,19 +189,20 @@ class QuantizedPrefs:
     def remove_many(self, partners: Sequence[int]) -> None:
         """Drop distinct remaining partners; checks and set update run once per call."""
         gone = set(partners)
-        if len(gone) < len(partners) or not gone <= self.remaining:
+        rem = self.remaining
+        if len(gone) < len(partners) or not gone <= rem:
             raise KeyError(f"partners {list(partners)} repeat one or include one already removed")
-        self.remaining -= gone
-        buckets, bucket_of = self.buckets, self._bucket_of
-        for p in partners:
-            buckets[bucket_of[p] - 1].remove(p)
+        rem -= gone
+        order, first, last = self.order, self._first, self._last
+        while first <= last and order[first] not in rem:
+            first += 1
+        while last >= first and order[last] not in rem:
+            last -= 1
+        self._first, self._last = first, last
 
     def at_or_worse(self, quantile_index: int) -> list[int]:
         """Remaining partners whose quantile index is >= the given one, in rank order."""
-        out: list[int] = []
-        for b in self.buckets[quantile_index - 1 :]:
-            out.extend(b)
-        return out
+        return self._remaining_in(max((quantile_index - 1) * self.deg // self.k, self._first), self._last + 1)
 
     def __len__(self) -> int:
         return len(self.remaining)

@@ -872,6 +872,12 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.name not in ("gs", "asm", "randasm", "aregasm"):
             raise ValueError(f"unknown algorithm {self.name!r}")
+        if self.eps is not None and not (0 < self.eps <= 1):
+            raise ValueError(f"eps must be in (0, 1], got {self.eps:g}")
+        if self.delta_fail is not None and not (0 < self.delta_fail < 1):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta_fail:g}")
+        if self.alpha is not None and self.alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {self.alpha:g}")
 
     @classmethod
     def parse(cls, text: str, mm: MatchingSubroutineSpec | None = None) -> "AlgorithmSpec":

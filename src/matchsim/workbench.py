@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,17 +82,6 @@ class GeneratorSpec:
         if self.family == "bounded":
             return f"bounded:{self.d}"
         return f"aregular:{self.alpha:g},{self.base_degree}"
-
-    def with_seed(self, seed: int) -> "GeneratorSpec":
-        return GeneratorSpec(
-            family=self.family,
-            n=self.n,
-            seed=seed,
-            p=self.p,
-            d=self.d,
-            alpha=self.alpha,
-            base_degree=self.base_degree,
-        )
 
 
 def _shuffled_orders(rng: random.Random, adjacency: list[set[int]]) -> tuple[tuple[int, ...], ...]:
@@ -239,10 +228,14 @@ def load_matching(path: str | Path) -> Matching:
 
 
 def write_message_log(entries: Iterable[dict], path: str | Path) -> None:
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    """Write records of the engine's shape as NDJSON: ints and names that need no
+    escaping, so each line equals ``json.dumps(record, separators=(",", ":"))``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(encode(entry) + "\n")
+        fh.writelines(
+            f'{{"round":{e["round"]},"from":"{e["from"]}","to":"{e["to"]}",'
+            f'"kind":"{e["kind"]}","payload_bits":{e["payload_bits"]}}}\n'
+            for e in entries
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         profile = (
             fixed_profile
             if fixed_profile is not None
-            else generate(config.generator.with_seed(seed))
+            else generate(replace(config.generator, seed=seed))
         )
         status = "ok"
         result: RunResult | None = None

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim import (
     InvalidMatching,
@@ -90,6 +92,90 @@ def test_quantize_removal_only():
     assert q.best_nonempty_index() == 1
     q.remove(5)
     assert q.best_nonempty_index() == 2
+
+
+class _ReferenceQuantized:
+    """Naive list-of-buckets model of QuantizedPrefs, for the property test."""
+
+    def __init__(self, order, k):
+        deg = len(order)
+        self.k = k
+        self.quantile_of = {}
+        self.buckets = [[] for _ in range(k)]
+        for r, p in enumerate(order, start=1):
+            q = next(q for q in range(1, k + 1) if q * deg >= r * k)
+            self.quantile_of[p] = q
+            self.buckets[q - 1].append(p)
+
+    def remove_many(self, partners):
+        if len(set(partners)) < len(partners) or any(p not in self.buckets[self.quantile_of[p] - 1] for p in partners):
+            raise KeyError(partners)
+        for p in partners:
+            self.buckets[self.quantile_of[p] - 1].remove(p)
+
+    def best_nonempty_index(self):
+        return next((i + 1 for i, b in enumerate(self.buckets) if b), None)
+
+    def at_or_worse(self, q):
+        return [p for b in self.buckets[q - 1 :] for p in b]
+
+
+@st.composite
+def _quantize_case(draw):
+    shape = draw(st.sampled_from(["deg=0", "deg<k", "k=deg", "k=1", "any"]))
+    if shape == "deg=0":
+        deg, k = 0, draw(st.integers(1, 6))
+    elif shape == "deg<k":
+        deg = draw(st.integers(1, 10))
+        k = draw(st.integers(deg + 1, 3 * deg + 1))
+    elif shape == "k=deg":
+        deg = draw(st.integers(1, 16))
+        k = deg
+    elif shape == "k=1":
+        deg, k = draw(st.integers(1, 16)), 1
+    else:
+        deg, k = draw(st.integers(1, 24)), draw(st.integers(1, 12))
+    order = draw(st.permutations([100 + i for i in range(deg)]))
+    batches = (
+        draw(st.lists(st.lists(st.sampled_from(order), max_size=4), max_size=3 * deg))
+        if deg
+        else []
+    )
+    return order, k, batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quantize_case())
+def test_quantize_matches_reference_under_removals(case):
+    order, k, batches = case
+    q = quantize(tuple(order), k)
+    ref = _ReferenceQuantized(order, k)
+
+    def agree():
+        best = ref.best_nonempty_index()
+        assert q.best_nonempty_index() == best
+        assert q.best_nonempty_bucket() == ([] if best is None else ref.buckets[best - 1])
+        for i in range(1, k + 1):
+            assert q.at_or_worse(i) == ref.at_or_worse(i)
+        for p in order:
+            assert q.quantile(p) == ref.quantile_of[p]
+        assert len(q) == sum(len(b) for b in ref.buckets)
+
+    agree()
+    for batch in batches:
+        try:
+            ref.remove_many(batch)
+        except KeyError:
+            with pytest.raises(KeyError):
+                q.remove_many(batch)
+        else:
+            q.remove_many(batch)
+        agree()
+    for p in order:
+        if p not in q.remaining:
+            with pytest.raises(KeyError):
+                q.remove(p)
+    agree()
 
 
 def _profile_2x2():

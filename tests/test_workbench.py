@@ -23,7 +23,9 @@ from matchsim import (
     save_matching,
 )
 from matchsim.cli import main, parse_seeds
-from matchsim.workbench import CSV_COLUMNS
+from matchsim.engine import Engine, MsgKind, Topology
+from matchsim.model import Side, man, woman
+from matchsim.workbench import CSV_COLUMNS, write_message_log
 
 
 def test_complete_family_degrees():
@@ -233,6 +235,42 @@ def test_cli_bench(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_message_log_lines_equal_json_dumps(tmp_path):
+    n = 12
+    prof = PreferenceProfile.from_lists([list(range(n))] * n, [list(range(n))] * n)
+    log: list = []
+    eng = Engine(Topology.from_profile(prof), seed=0, message_log=log)
+
+    def step(ctx):
+        r = eng.trace.rounds
+        if ctx.self_id.side is Side.MAN:
+            ctx.send_many([woman((ctx.self_id.index + r + j) % n) for j in range(2)], MsgKind.PROPOSE)
+        elif r >= 9 and ctx.self_id.index == 11:
+            ctx.send(man(10), MsgKind.CONTROL, payload=5)
+
+    for _ in range(12):
+        eng.run_round(step)
+    assert max(e["round"] for e in log) >= 10
+    assert any(e["kind"] == "CONTROL" and e["payload_bits"] > 3 for e in log)
+    assert any(e["from"] == "W11" and e["to"] == "M10" for e in log)
+    path = tmp_path / "log.ndjson"
+    write_message_log(log, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps(e, separators=(",", ":")) for e in log]
+
+
+def test_cli_rejects_invalid_algorithm_parameter_up_front(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    base = ["run", "--family", "complete", "--n", "8", "--seeds", "0..2", "-o", str(out)]
+    for alg in ("asm:2", "randasm:0.5,1", "aregasm:0.5,0.1,0.5"):
+        rc = main(base + ["--alg", alg])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error") == 1
+        assert not out.exists()
 
 
 def test_cli_reports_errors(tmp_path, capsys):
