@@ -28,35 +28,31 @@ CLAIM_BAD_FRACTION = "lemma45"  # per-rung bad fraction among active men <= delt
 CLAIM_BAD_MEN_LOCAL = "lemma47"  # a bad man's tight blocking partners sit on his remaining list
 
 
+def _current_rank(ranks, partner_of: dict[int, int], prefs, v: int) -> int:
+    """Rank of v's assigned partner in v's list, with unmatched at deg + 1."""
+    p = partner_of.get(v)
+    return len(prefs[v]) + 1 if p is None else ranks[v][p]
+
+
 def _partner_ranks(profile: PreferenceProfile, matching: Matching):
     """Per-player rank of the assigned partner, with unmatched at deg + 1."""
-    man_rank = profile._man_rank
-    woman_rank = profile._woman_rank
-    mp = matching.man_partner
-    wp = matching.woman_partner
-    man_cur = [
-        man_rank[m][mp[m]] if m in mp else len(profile.men_prefs[m]) + 1 for m in range(profile.n)
-    ]
-    woman_cur = [
-        woman_rank[w][wp[w]] if w in wp else len(profile.women_prefs[w]) + 1 for w in range(profile.n)
-    ]
+    man_ranks, mp, men = profile._man_rank, matching.man_partner, profile.men_prefs
+    woman_ranks, wp, women = profile._woman_rank, matching.woman_partner, profile.women_prefs
+    man_cur = [_current_rank(man_ranks, mp, men, m) for m in range(profile.n)]
+    woman_cur = [_current_rank(woman_ranks, wp, women, w) for w in range(profile.n)]
     return man_cur, woman_cur
 
 
 def blocking_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple[int, int]]:
     """All edges (m, w) outside the matching that both endpoints prefer to
-    their assigned partners. Exact enumeration over the edge set."""
+    their assigned partners. Each man's list is read only above his partner."""
     matching.validate_for(profile)
     man_cur, woman_cur = _partner_ranks(profile, matching)
-    man_rank = profile._man_rank
     woman_rank = profile._woman_rank
-    in_m = matching.pairs
     out = []
     for m_idx, lst in enumerate(profile.men_prefs):
-        for r, w_idx in enumerate(lst):
-            if (m_idx, w_idx) in in_m:
-                continue
-            if r + 1 < man_cur[m_idx] and woman_rank[w_idx][m_idx] < woman_cur[w_idx]:
+        for w_idx in lst[: man_cur[m_idx] - 1]:
+            if woman_rank[w_idx][m_idx] < woman_cur[w_idx]:
                 out.append((m_idx, w_idx))
     return out
 
@@ -73,30 +69,33 @@ def is_eps_blocking(
     m_idx, w_idx = edge
     if not profile.is_edge(m_idx, w_idx):
         raise InvalidMatching(f"({m_idx}, {w_idx}) is not an edge of the instance")
-    man_cur, woman_cur = _partner_ranks(profile, matching)
-    gap_m = man_cur[m_idx] - profile._man_rank[m_idx][w_idx]
-    gap_w = woman_cur[w_idx] - profile._woman_rank[w_idx][m_idx]
-    return gap_m >= eps * len(profile.men_prefs[m_idx]) and gap_w >= eps * len(
-        profile.women_prefs[w_idx]
-    )
+    men, women = profile.men_prefs, profile.women_prefs
+    man_ranks, woman_ranks = profile._man_rank, profile._woman_rank
+    gap_m = _current_rank(man_ranks, matching.man_partner, men, m_idx) - man_ranks[m_idx][w_idx]
+    gap_w = _current_rank(woman_ranks, matching.woman_partner, women, w_idx) - woman_ranks[w_idx][m_idx]
+    return gap_m >= eps * len(men[m_idx]) and gap_w >= eps * len(women[w_idx])
 
 
 def eps_blocking_pairs(
     profile: PreferenceProfile, matching: Matching, eps: float
 ) -> list[tuple[int, int]]:
-    """All edges satisfying the eps-blocking inequalities at threshold eps."""
+    """All edges satisfying the eps-blocking inequalities at threshold eps.
+
+    A gap is an integer, so ``gap >= eps * deg`` holds exactly when
+    ``gap >= ceil(eps * deg)``: each man reads only the head of his list that
+    clears that cutoff, and each woman's cutoff is one precomputed rank.
+    """
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    eps = min(max(eps, -1.0), 2.0)  # every gap lies in [1 - deg, deg], so the pairs are the same
     matching.validate_for(profile)
     man_cur, woman_cur = _partner_ranks(profile, matching)
-    man_rank = profile._man_rank
     woman_rank = profile._woman_rank
+    woman_limit = [cur - math.ceil(eps * len(lst)) for cur, lst in zip(woman_cur, profile.women_prefs)]
     out = []
     for m_idx, lst in enumerate(profile.men_prefs):
-        deg_m = len(lst)
-        need_m = eps * deg_m
-        for r, w_idx in enumerate(lst):
-            if man_cur[m_idx] - (r + 1) < need_m:
-                continue
-            if woman_cur[w_idx] - woman_rank[w_idx][m_idx] >= eps * len(profile.women_prefs[w_idx]):
+        for w_idx in lst[: max(0, man_cur[m_idx] - math.ceil(eps * len(lst)))]:
+            if woman_rank[w_idx][m_idx] <= woman_limit[w_idx]:
                 out.append((m_idx, w_idx))
     return out
 
@@ -284,11 +283,10 @@ def verify_run(
         bounds[CLAIM_BAD_FRACTION] = BoundCheck(
             bound=0, observed=len(failing_rungs), passed=not failing_rungs
         )
-        local_violations = 0
-        for m_idx in bad:
-            partners = {w for mm, w in tight if mm == m_idx}
-            if not partners <= set(run.men[m_idx].remaining):
-                local_violations += 1
+        tight_partners: dict[int, set[int]] = {}
+        for m_idx, w_idx in tight_bad:
+            tight_partners.setdefault(m_idx, set()).add(w_idx)
+        local_violations = sum(not ws.issubset(run.men[m].remaining) for m, ws in tight_partners.items())
         bounds[CLAIM_BAD_MEN_LOCAL] = BoundCheck(
             bound=0, observed=local_violations, passed=local_violations == 0
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import blocking_pairs, eps_blocking_pairs
@@ -41,16 +42,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def _algorithm_from_args(args) -> AlgorithmSpec:
-    mm = MatchingSubroutineSpec.parse(args.mm) if getattr(args, "mm", None) else None
-    spec = AlgorithmSpec.parse(args.alg, mm=mm)
-    # bare names pick parameters up from flags
-    if spec.name != "gs" and spec.eps is None:
-        if args.eps is None:
-            raise ValueError("this algorithm needs --eps or a full descriptor")
-        spec = AlgorithmSpec(
-            name=spec.name, eps=args.eps, delta_fail=args.delta, alpha=args.alpha, mm=mm
-        )
-    return spec
+    mm = MatchingSubroutineSpec.parse(args.mm) if args.mm else None
+    return AlgorithmSpec.parse(args.alg, mm=mm)
 
 
 def cmd_generate(args) -> int:
@@ -89,6 +82,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--threshold", args.threshold)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     profile = load_instance(args.instance)
     matching = load_matching(args.matching)
     blocking = blocking_pairs(profile, matching)
@@ -151,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--instance", help="instance file (alternative to --family/--n)")
     p_run.add_argument("--family", help="generator family descriptor")
     p_run.add_argument("--n", type=int)
-    p_run.add_argument("--eps", type=float)
-    p_run.add_argument("--delta", type=float)
-    p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--mm", help="subroutine override: det | rand:S | amm:ETA,DELTA")
     p_run.add_argument("--seeds", required=True, help="a..b inclusive, or comma list")
     p_run.add_argument("--round-cap", type=int)
@@ -173,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--alg", required=True)
     p_bench.add_argument("--n-list", required=True, help="comma-separated sizes")
     p_bench.add_argument("--family", default="complete")
-    p_bench.add_argument("--eps", type=float)
-    p_bench.add_argument("--delta", type=float)
-    p_bench.add_argument("--alpha", type=float)
     p_bench.add_argument("--mm")
     p_bench.add_argument("--seeds", default="0..0")
     p_bench.add_argument("--round-cap", type=int)

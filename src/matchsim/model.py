@@ -59,33 +59,47 @@ class PreferenceProfile:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidProfile(f"n must be >= 1, got {self.n}")
-        for name, prefs in (("men", self.men_prefs), ("women", self.women_prefs)):
+        if not self._passes_fast_checks():
+            self._raise_first_violation()
+
+    def _passes_fast_checks(self) -> bool:
+        """True exactly when the profile is valid. When men's lists are in range without
+        repeats, men's edges lie among women's and the degree sums are equal, the edge
+        sets are equal, so women's lists are in range without repeats too."""
+        n, men, women = self.n, self.men_prefs, self.women_prefs
+        if len(men) != n or len(women) != n or self.num_edges != sum(map(len, women)):
+            return False
+        if list(map(len, map(set(range(n)).intersection, men))) != list(map(len, men)):
+            return False
+        women_sets = list(map(set, women))
+        for m_idx, lst in enumerate(men):
+            for w_idx in lst:
+                if m_idx not in women_sets[w_idx]:
+                    return False
+        return True
+
+    def _raise_first_violation(self) -> None:
+        """Walk every entry in order and raise InvalidProfile at the first violation."""
+        sides = (("man", "men", self.men_prefs), ("woman", "women", self.women_prefs))
+        for side, plural, prefs in sides:
             if len(prefs) != self.n:
-                raise InvalidProfile(f"expected {self.n} {name} preference lists, got {len(prefs)}")
+                raise InvalidProfile(f"expected {self.n} {plural} preference lists, got {len(prefs)}")
             for i, lst in enumerate(prefs):
                 seen = set()
                 for j in lst:
                     if not (0 <= j < self.n):
-                        raise InvalidProfile(f"{name[:-1]} {i} ranks out-of-range partner {j}")
+                        raise InvalidProfile(f"{side} {i} ranks out-of-range partner {j}")
                     if j in seen:
-                        raise InvalidProfile(f"{name[:-1]} {i} ranks partner {j} twice")
+                        raise InvalidProfile(f"{side} {i} ranks partner {j} twice")
                     seen.add(j)
-        women_sets = [set(lst) for lst in self.women_prefs]
-        men_sets = [set(lst) for lst in self.men_prefs]
-        for m_idx, lst in enumerate(self.men_prefs):
-            for w_idx in lst:
-                if m_idx not in women_sets[w_idx]:
-                    raise InvalidProfile(
-                        f"asymmetric pair: man {m_idx} lists woman {w_idx} "
-                        f"but woman {w_idx} does not list man {m_idx}"
-                    )
-        for w_idx, lst in enumerate(self.women_prefs):
-            for m_idx in lst:
-                if w_idx not in men_sets[m_idx]:
-                    raise InvalidProfile(
-                        f"asymmetric pair: woman {w_idx} lists man {m_idx} "
-                        f"but man {m_idx} does not list woman {w_idx}"
-                    )
+        sets = {side: [set(lst) for lst in prefs] for side, _, prefs in sides}
+        for (side, _, prefs), (other, _, _) in zip(sides, reversed(sides)):
+            for i, lst in enumerate(prefs):
+                for j in lst:
+                    if i not in sets[other][j]:
+                        raise InvalidProfile(
+                            f"asymmetric pair: {side} {i} lists {other} {j} but {other} {j} does not list {side} {i}"
+                        )
 
     @classmethod
     def from_lists(cls, men_prefs: Sequence[Sequence[int]], women_prefs: Sequence[Sequence[int]]) -> "PreferenceProfile":
@@ -98,11 +112,11 @@ class PreferenceProfile:
 
     @cached_property
     def _man_rank(self) -> tuple[dict[int, int], ...]:
-        return tuple({p: r + 1 for r, p in enumerate(lst)} for lst in self.men_prefs)
+        return tuple(dict(zip(lst, range(1, len(lst) + 1))) for lst in self.men_prefs)
 
     @cached_property
     def _woman_rank(self) -> tuple[dict[int, int], ...]:
-        return tuple({p: r + 1 for r, p in enumerate(lst)} for lst in self.women_prefs)
+        return tuple(dict(zip(lst, range(1, len(lst) + 1))) for lst in self.women_prefs)
 
     def prefs_of(self, v: PlayerId) -> tuple[int, ...]:
         return (self.men_prefs if v.side is Side.MAN else self.women_prefs)[v.index]
@@ -112,7 +126,7 @@ class PreferenceProfile:
 
     @cached_property
     def num_edges(self) -> int:
-        return sum(len(lst) for lst in self.men_prefs)
+        return sum(map(len, self.men_prefs))
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """All (man, woman) index pairs of the communication graph."""

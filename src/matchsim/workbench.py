@@ -199,8 +199,8 @@ def load_instance(path: str | Path) -> PreferenceProfile:
     try:
         return PreferenceProfile(
             n=int(obj["n"]),
-            men_prefs=tuple(tuple(int(x) for x in lst) for lst in obj["men"]),
-            women_prefs=tuple(tuple(int(x) for x in lst) for lst in obj["women"]),
+            men_prefs=tuple(tuple(map(int, lst)) for lst in obj["men"]),
+            women_prefs=tuple(tuple(map(int, lst)) for lst in obj["women"]),
         )
     except (TypeError, ValueError) as exc:  # InvalidProfile is a ValueError too
         raise InvalidProfile(f"{path}: {exc}") from exc

@@ -4,6 +4,8 @@ maximality, the centralized oracle, and statistics helpers."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim import (
     InvalidMatching,
@@ -230,6 +232,63 @@ def test_counter_agrees_with_brute_force_sample():
             [list(l) for l in prof.men_prefs], [list(l) for l in prof.women_prefs], m.pairs
         )
         assert count_blocking_pairs(prof, m) == expect
+
+
+def _definition_gains(prof, matching):
+    """(m, w, m's gain, w's gain) for every edge, where a gain is the current
+    partner's rank (deg + 1 when unmatched) minus the other endpoint's rank."""
+    mp = dict(matching.pairs)
+    wp = {w: m for m, w in matching.pairs}
+
+    def gain(lst, partner, other):
+        cur = len(lst) + 1 if partner is None else lst.index(partner) + 1
+        return cur - (lst.index(other) + 1)
+
+    for m, lst in enumerate(prof.men_prefs):
+        for w in lst:
+            yield m, w, gain(lst, mp.get(m), w), gain(prof.women_prefs[w], wp.get(w), m)
+
+
+@st.composite
+def _profile_and_matching(draw):
+    """A small symmetric profile (isolated players allowed) and a random partial matching on it."""
+    n = draw(st.integers(1, 6))
+    edges = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))))
+    men = [draw(st.permutations([w for m2, w in edges if m2 == m])) for m in range(n)]
+    women = [draw(st.permutations([m for m, w2 in edges if w2 == w])) for w in range(n)]
+    used_m, used_w, pairs = set(), set(), []
+    for m, w in draw(st.permutations(edges)):
+        if m not in used_m and w not in used_w and draw(st.booleans()):
+            pairs.append((m, w))
+            used_m.add(m)
+            used_w.add(w)
+    extra = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return PreferenceProfile(n, tuple(map(tuple, men)), tuple(map(tuple, women))), Matching.of(pairs), extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_and_matching())
+def test_blocking_scans_equal_the_definition(case):
+    prof, m, extra = case
+    gains = list(_definition_gains(prof, m))
+    assert blocking_pairs(prof, m) == [(i, j) for i, j, gi, gj in gains if gi > 0 and gj > 0]
+    degrees = {len(lst) for lst in prof.men_prefs + prof.women_prefs} - {0}
+    # 0, 1, the tight thresholds 2/k, every eps with an integer eps * deg, and one arbitrary value
+    thresholds = [0.0, 1.0, *(2 / k for k in range(1, 13)), *(a / d for d in degrees for a in range(-d, d + 2)), extra]
+    for eps in thresholds:
+        expected = [
+            (i, j) for i, j, gi, gj in gains
+            if gi >= eps * len(prof.men_prefs[i]) and gj >= eps * len(prof.women_prefs[j])
+        ]
+        assert eps_blocking_pairs(prof, m, eps) == expected
+        assert [e for e in prof.edges() if is_eps_blocking(prof, m, e, eps)] == expected
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+def test_eps_blocking_rejects_non_finite_threshold(eps):
+    prof, m = _eps_fixture()
+    with pytest.raises(ValueError, match="finite"):
+        eps_blocking_pairs(prof, m, eps)
 
 
 def test_oracle_stable_and_man_optimal_exhaustively():

@@ -2,8 +2,8 @@
 
 Each cell is (family, n, algorithm, --mm override, seed, fast_forward). For
 every cell ``corpus.json`` holds the sha256 of the sorted matching pairs, of
-``trace.as_dict()`` and of the NDJSON message log as ``write_message_log``
-writes it. A refactor that changes any simulated output fails here in
+``trace.as_dict()``, of the NDJSON message log as ``write_message_log``
+writes it and of the verifier's report, ``verify_run(...).to_json()``. A refactor that changes any simulated output fails here in
 seconds. A change that means to alter outputs re-records the file and says
 why:
 
@@ -28,6 +28,7 @@ from matchsim import (
     generate,
     run_algorithm,
 )
+from matchsim.analysis import verify_run
 from matchsim.protocols import QuantileProtocol
 from matchsim.workbench import write_message_log
 
@@ -74,7 +75,7 @@ def _canonical(obj) -> bytes:
 
 
 def run_cell(cell: Cell) -> dict[str, str]:
-    """Run one cell and return the digests of its matching, trace and message log."""
+    """Run one cell and return the digests of its matching, trace, message log and report."""
     profile = generate(GeneratorSpec.parse(cell.family, n=cell.n, seed=cell.seed))
     mm = MatchingSubroutineSpec.parse(cell.mm) if cell.mm else None
     spec = AlgorithmSpec.parse(cell.algorithm, mm=mm)
@@ -95,6 +96,7 @@ def run_cell(cell: Cell) -> dict[str, str]:
         "matching": _sha256(_canonical(result.matching.sorted_pairs())),
         "trace": _sha256(_canonical(result.trace.as_dict())),
         "log": _sha256(log_bytes),
+        "verify": _sha256(verify_run(profile, result).to_json().encode("utf-8")),
     }
 
 

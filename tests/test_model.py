@@ -216,6 +216,81 @@ def test_profile_validation_errors():
         PreferenceProfile(n=0, men_prefs=(), women_prefs=())
 
 
+@pytest.mark.parametrize(
+    "men, women, message",
+    [
+        ([[0, 0]], [[0]], "man 0 ranks partner 0 twice"),
+        ([[0]], [[0, 0]], "woman 0 ranks partner 0 twice"),
+        ([[3]], [[0]], "man 0 ranks out-of-range partner 3"),
+        ([[], [], [], []], [[], [], [], [9]], "woman 3 ranks out-of-range partner 9"),
+        ([[0], []], [[0, 1], []], "asymmetric pair: woman 0 lists man 1 but man 1 does not list woman 0"),
+        ([[1], []], [[], []], "asymmetric pair: man 0 lists woman 1 but woman 1 does not list man 0"),
+    ],
+)
+def test_profile_validation_messages_name_the_side(men, women, message):
+    with pytest.raises(InvalidProfile) as exc:
+        PreferenceProfile.from_lists(men, women)
+    assert str(exc.value) == message
+
+
+def _first_violation(n, men, women):
+    """The first broken invariant an entry-by-entry walk meets, or None for a valid profile."""
+    for side, plural, prefs in (("man", "men", men), ("woman", "women", women)):
+        if len(prefs) != n:
+            return f"expected {n} {plural} preference lists, got {len(prefs)}"
+        for i, lst in enumerate(prefs):
+            for pos, j in enumerate(lst):
+                if not 0 <= j < n:
+                    return f"{side} {i} ranks out-of-range partner {j}"
+                if j in lst[:pos]:
+                    return f"{side} {i} ranks partner {j} twice"
+    for side, other, lists, other_lists in (("man", "woman", men, women), ("woman", "man", women, men)):
+        for i, lst in enumerate(lists):
+            for j in lst:
+                if i not in other_lists[j]:
+                    return f"asymmetric pair: {side} {i} lists {other} {j} but {other} {j} does not list {side} {i}"
+    return None
+
+
+@st.composite
+def _profile_lists(draw):
+    """A symmetric profile, often with one entry added, dropped, repeated or pushed out of range."""
+    n = draw(st.integers(1, 5))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    men = [draw(st.permutations([w for w in range(n) if (m, w) in edges])) for m in range(n)]
+    women = [draw(st.permutations([m for m in range(n) if (m, w) in edges])) for w in range(n)]
+    sides = (men, women)
+    for _ in range(draw(st.integers(0, 2))):
+        prefs = sides[draw(st.integers(0, 1))]
+        kind = draw(st.sampled_from(["add", "drop", "repeat", "out-of-range", "list-count"]))
+        lst = prefs[draw(st.integers(0, len(prefs) - 1))]
+        if kind == "add":
+            lst.insert(draw(st.integers(0, len(lst))), draw(st.integers(0, n - 1)))
+        elif kind == "drop" and lst:
+            del lst[draw(st.integers(0, len(lst) - 1))]
+        elif kind == "repeat" and lst:
+            lst.insert(draw(st.integers(0, len(lst))), draw(st.sampled_from(lst)))
+        elif kind == "out-of-range":
+            lst.insert(draw(st.integers(0, len(lst))), draw(st.sampled_from([-2, -1, n, n + 3])))
+        elif kind == "list-count":
+            prefs.pop() if len(prefs) > 1 and draw(st.booleans()) else prefs.append([])
+    return n, men, women
+
+
+@settings(max_examples=400, deadline=None)
+@given(_profile_lists())
+def test_profile_validation_matches_entrywise_reference(case):
+    n, men, women = case
+    expected = _first_violation(n, men, women)
+    build = lambda: PreferenceProfile(n, tuple(map(tuple, men)), tuple(map(tuple, women)))
+    if expected is None:
+        assert build().num_edges == sum(map(len, men))
+    else:
+        with pytest.raises(InvalidProfile) as exc:
+            build()
+        assert str(exc.value) == expected
+
+
 def test_degree_sums_match_edge_count():
     rng = random.Random(3)
     for _ in range(50):

@@ -273,6 +273,39 @@ def test_cli_rejects_invalid_algorithm_parameter_up_front(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--delta", "--alpha"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_cli_run_and_bench_take_parameters_only_from_the_descriptor(tmp_path, capsys, command, flag):
+    out = tmp_path / "x.csv"
+    sizes = ["--family", "complete", "--n", "8", "--seeds", "0"] if command == "run" else ["--n-list", "8"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alg", "asm:0.5", *sizes, flag, "0.5", "-o", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_bare_algorithm_name(tmp_path, capsys):
+    rc = main(["run", "--alg", "asm", "--family", "complete", "--n", "8", "--seeds", "0",
+               "-o", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cannot parse algorithm descriptor 'asm'\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--threshold", "nan"), ("--threshold", "-inf")]
+)
+def test_cli_verify_rejects_non_finite_parameters_up_front(tmp_path, capsys, flag, value):
+    # the files do not exist: the check runs before either is read
+    params = {"--eps": "0.25", "--threshold": "0.125", flag: value}
+    argv = ["verify", "--instance", str(tmp_path / "i.json"), "--matching", str(tmp_path / "m.json")]
+    rc = main(argv + [f"{name}={text}" for name, text in params.items()])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be a finite number, got {float(value)}\n"
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     rc = main(["run", "--alg", "asm:0.5", "--seeds", "0..1", "-o", str(tmp_path / "x.csv")])
     assert rc == 2
