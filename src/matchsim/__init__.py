@@ -33,6 +33,7 @@ from .maximal import (
     MatchingRoundResult,
     MatchingSubroutineSpec,
     MmNode,
+    MmPhase,
     SubroutineResult,
     almost_maximal_matching,
     deterministic_maximal_matching,

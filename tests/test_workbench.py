@@ -12,6 +12,7 @@ from matchsim import (
     InvalidMatching,
     InvalidProfile,
     Matching,
+    MatchingSubroutineSpec,
     PreferenceProfile,
     generate,
     instance_to_json,
@@ -351,6 +352,26 @@ def test_cli_subroutine_override(tmp_path):
         ]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize("alg", ["gs", "aregasm:0.5,0.1,2"])
+def test_algorithm_spec_rejects_subroutine_override_for_gs_and_aregasm(alg):
+    rand = MatchingSubroutineSpec.randomized(3)
+    with pytest.raises(ValueError, match="asm and randasm only"):
+        AlgorithmSpec.parse(alg, mm=rand)
+    for name in ("asm:0.5", "randasm:0.5,0.1"):
+        assert AlgorithmSpec.parse(name, mm=rand).mm == rand
+
+
+@pytest.mark.parametrize("alg", ["gs", "aregasm:0.5,0.1,1"])
+def test_cli_rejects_subroutine_override_for_gs_and_aregasm(tmp_path, capsys, alg):
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--alg", alg, "--mm", "rand:3", "--family", "complete", "--n", "8",
+               "--seeds", "0", "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "asm and randasm only" in err
+    assert not out.exists()
 
 
 def test_cli_exit_code_reflects_failed_rows(tmp_path):
