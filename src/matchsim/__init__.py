@@ -16,7 +16,7 @@ from .analysis import (
     rate_within_claim,
     verify_run,
 )
-from .engine import Engine, Message, MsgKind, ProcessorContext, RoundTrace, Topology, payload_bits
+from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology, payload_bits
 from .errors import (
     DegenerateInstance,
     InconsistentState,

@@ -7,6 +7,10 @@ computation, then stages outgoing messages. Staged messages are validated
 ends. Messages are short: a 3-bit kind token plus an optional integer
 payload, checked against a budget of ``c * ceil(log2(processors))`` bits.
 
+Processors are ints: with n players per side, man i is processor i and woman
+j is processor n + j. A step addresses partners by their index on the other
+side, as the preference lists do; adjacency is the profile's own lists.
+
 The engine is a sequential simulator of a parallel network: processors step
 in deterministic id order within a round, and the inbox/outbox separation
 guarantees no behavior can depend on that order. Per-processor RNG streams
@@ -18,13 +22,15 @@ from __future__ import annotations
 
 import random
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from enum import IntEnum
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentState, NonNeighborSend, OversizedPayload, RoundCapExceeded
-from .model import PlayerId, PreferenceProfile, man, woman
+from .model import PlayerId, PreferenceProfile, Side
 
 
 class MsgKind(IntEnum):
@@ -43,19 +49,20 @@ class MsgKind(IntEnum):
 KIND_BITS = 3
 
 
-class Message(NamedTuple):
-    kind: MsgKind
-    payload: int | None = None
+def payload_bits(payload: int | None) -> int:
+    """Size of a message: the kind token plus the payload's bit length."""
+    return KIND_BITS if payload is None else KIND_BITS + payload.bit_length()
 
 
-def payload_bits(msg: Message) -> int:
-    extra = msg.payload.bit_length() if msg.payload is not None else 0
-    return KIND_BITS + extra
-
-
-# bare messages are immutable, so one instance per kind serves every send
-_BARE = {kind: Message(kind) for kind in MsgKind}
 _KIND_NAMES = {kind: kind.name for kind in MsgKind}
+
+
+# kind -> receiver id -> inbox entries, each level created on first use
+_mailbags = partial(defaultdict, partial(defaultdict, list))
+
+
+# the inbox of a processor that received nothing; read-only, so one serves all
+_NO_MAIL: Mapping[MsgKind, list] = MappingProxyType({})
 
 
 @dataclass
@@ -87,81 +94,101 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class Topology:
-    """Communication graph handed to the engine: nodes plus sorted adjacency."""
+    """Communication graph handed to the engine: a profile's acceptability lists."""
 
-    nodes: tuple[PlayerId, ...]
-    neighbors: Mapping[PlayerId, tuple[PlayerId, ...]]
+    profile: PreferenceProfile
 
     @classmethod
     def from_profile(cls, profile: PreferenceProfile) -> "Topology":
-        men = tuple(man(i) for i in range(profile.n))
-        women = tuple(woman(i) for i in range(profile.n))
-        nbrs: dict[PlayerId, tuple[PlayerId, ...]] = {}
-        for m, lst in zip(men, profile.men_prefs):
-            nbrs[m] = tuple([women[j] for j in sorted(lst)])
-        for w, lst in zip(women, profile.women_prefs):
-            nbrs[w] = tuple([men[j] for j in sorted(lst)])
-        return cls(nodes=men + women, neighbors=nbrs)
+        return cls(profile)
 
     @classmethod
     def from_bipartite(cls, adjacency: Mapping[PlayerId, Iterable[PlayerId]]) -> "Topology":
-        nodes = tuple(sorted(adjacency))
-        nbrs = {v: tuple(sorted(adjacency[v])) for v in nodes}
+        """The graph as a profile of sorted lists, n one more than the largest index."""
+        nbrs = {v: sorted(adjacency[v]) for v in adjacency}
         for v, vs in nbrs.items():
             for u in vs:
-                if u.side == v.side:
-                    raise InconsistentState(f"edge ({v}, {u}) does not cross sides")
-                if v not in nbrs.get(u, ()):
-                    raise InconsistentState(f"adjacency is not symmetric at ({v}, {u})")
-        return cls(nodes=nodes, neighbors=nbrs)
+                if u.side == v.side or v not in nbrs.get(u, ()):
+                    raise InconsistentState(f"edge ({v}, {u}) does not cross sides or is not listed at both ends")
+        n = 1 + max((v.index for v in nbrs), default=0)
+        lists: tuple[list, list] = ([[] for _ in range(n)], [[] for _ in range(n)])
+        for v, vs in nbrs.items():
+            lists[v.side][v.index] = [u.index for u in vs]
+        return cls(PreferenceProfile.from_lists(*lists))
+
+    def id_of(self, v: PlayerId) -> int:
+        """Player (side, i) is processor ``side * n + i``."""
+        return v.side * self.profile.n + v.index
 
     def num_processors(self) -> int:
-        return len(self.nodes)
+        return 2 * self.profile.n
 
 
 class ProcessorContext:
     """Engine-facing view of one processor during a round.
 
-    A step function may read ``self_id``, ``neighbors``, ``inbox`` and its
-    own protocol state, and send via :meth:`send` or :meth:`send_many`. The
-    rng stream is a pure function of (engine seed, player id).
+    ``id`` is the processor number, ``side`` and ``index`` the player it
+    runs, and ``neighbors`` its preference list: partner indices on the
+    other side, best first. ``inbox`` maps each kind received this round to
+    its senders' indices in ascending order, one entry per message; a
+    message that carried a payload arrives as a ``(sender, payload)`` pair.
+    A step sends via :meth:`send` or :meth:`send_many`, addressing partners
+    by index. The rng stream is a pure function of (engine seed, player id).
     """
 
-    __slots__ = ("self_id", "neighbors", "inbox", "_neighbor_set", "_engine", "_rng", "_seed")
+    __slots__ = ("id", "side", "index", "neighbors", "inbox", "_ranks", "_peer_base", "_engine", "_rng", "_seed")
 
-    def __init__(self, self_id: PlayerId, neighbors: tuple[PlayerId, ...], engine: "Engine", seed: int):
-        self.self_id = self_id
-        self.neighbors = neighbors
-        self._neighbor_set = frozenset(neighbors)
-        self.inbox: list[tuple[PlayerId, Message]] = []
+    def __init__(self, side: Side, index: int, n: int, profile: PreferenceProfile, engine: "Engine", seed: int):
+        self.side = side
+        self.index = index
+        self.id = side * n + index
+        self._peer_base = 0 if side else n  # the id of the partner with index 0
+        self.neighbors = (profile.men_prefs, profile.women_prefs)[side][index]
+        self._ranks = (profile._man_rank, profile._woman_rank)[side][index]
+        self.inbox: Mapping[MsgKind, list] = _NO_MAIL
         # a proxy, not a reference: no cycle keeps a finished engine alive until the next gc pass
         self._engine = weakref.proxy(engine)
         self._rng: random.Random | None = None
         self._seed = seed
 
     @property
+    def self_id(self) -> PlayerId:
+        return PlayerId(self.side, self.index)
+
+    def peer(self, index: int) -> PlayerId:
+        """The partner a step addresses as ``index``."""
+        return PlayerId(Side(1 - self.side), index)
+
+    @property
     def rng(self) -> random.Random:
         if self._rng is None:
-            self._rng = random.Random(f"{self._seed}:{int(self.self_id.side)}:{self.self_id.index}")
+            self._rng = random.Random(f"{self._seed}:{int(self.side)}:{self.index}")
         return self._rng
 
-    def send(self, to: PlayerId, kind: MsgKind, payload: int | None = None) -> None:
+    def take(self, kind: MsgKind) -> list:
+        """The inbox entries of ``kind`` (a new empty list if none); any other kind is an error."""
+        inbox = self.inbox
+        got = inbox.get(kind)
+        if len(inbox) > (got is not None):
+            other = next(k for k in inbox if k is not kind)
+            raise InconsistentState(f"{self.self_id} received {other.name} where only {kind.name} is expected")
+        return [] if got is None else got
+
+    def send(self, to: int, kind: MsgKind, payload: int | None = None) -> None:
         self.send_many((to,), kind, payload)
 
-    def send_many(self, targets: Sequence[PlayerId], kind: MsgKind, payload: int | None = None) -> None:
+    def send_many(self, targets: Sequence[int], kind: MsgKind, payload: int | None = None) -> None:
         """Send the same message to each target, in order; same as one ``send`` per target."""
         if not targets:
             return
-        if not self._neighbor_set.issuperset(targets):
-            to = next(t for t in targets if t not in self._neighbor_set)
-            raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {to}")
-        msg = _BARE[kind] if payload is None else Message(kind, payload)
-        self._engine._stage(self.self_id, targets, msg)
+        ranks = self._ranks
+        if not all(map(ranks.__contains__, targets)):
+            to = next(t for t in targets if t not in ranks)
+            raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {self.peer(to)}")
+        self._engine._stage(self, targets, kind, payload)
 
 
 StepFn = Callable[[ProcessorContext], None]
-
-_by_sender = itemgetter(0)
 
 
 class Engine:
@@ -184,66 +211,60 @@ class Engine:
         self.topology = topology
         self.seed = seed
         self.round_cap = round_cap
-        p = topology.num_processors()
+        profile = topology.profile
+        n = profile.n
         if payload_budget is None:
-            payload_budget = payload_constant * max(1, (max(p, 1) - 1).bit_length())
+            payload_budget = payload_constant * max(1, (topology.num_processors() - 1).bit_length())
         self.payload_budget = payload_budget
         self.trace = RoundTrace()
         self.message_log = message_log
-        # log names, looked up once per player instead of once per record
-        self._names = {v: repr(v) for v in topology.nodes} if message_log is not None else {}
-        self.contexts: dict[PlayerId, ProcessorContext] = {
-            v: ProcessorContext(v, topology.neighbors.get(v, ()), self, seed) for v in topology.nodes
-        }
-        # messages delivered at the end of the last round, keyed by receiver
-        self._pending: dict[PlayerId, list[tuple[PlayerId, Message]]] = {}
-        self._staged: dict[PlayerId, list[tuple[PlayerId, Message]]] = {}
+        # log names per side, computed once per player instead of once per record
+        if message_log is not None:
+            self._names = ([f"M{i}" for i in range(n)], [f"W{i}" for i in range(n)])
+        # indexed by processor id
+        self.contexts: list[ProcessorContext] = [
+            ProcessorContext(side, i, n, profile, self, seed) for side in Side for i in range(n)
+        ]
+        # delivered at the end of the last round, and staged in this one
+        self._pending: dict[MsgKind, dict[int, list]] = _mailbags()
+        self._staged: dict[MsgKind, dict[int, list]] = _mailbags()
         self._staged_count = 0
         self._in_round = False
 
     # -- message plumbing -------------------------------------------------
 
-    def _stage(self, sender: PlayerId, targets: Sequence[PlayerId], msg: Message) -> None:
-        """Stage ``msg`` from ``sender`` to every target; checks run once per call."""
+    def _stage(self, sender: ProcessorContext, targets: Sequence[int], kind: MsgKind, payload: int | None) -> None:
+        """Stage one message from ``sender`` to every target index; checks run once per call."""
         if not self._in_round:
             raise InconsistentState("send outside of a round")
-        bits = payload_bits(msg)
+        bits = payload_bits(payload)
         if bits > self.payload_budget:
             raise OversizedPayload(
-                f"{sender} -> {targets[0]}: payload of {bits} bits exceeds budget of {self.payload_budget}"
+                f"{sender.self_id} -> {sender.peer(targets[0])}: payload of {bits} bits exceeds budget of {self.payload_budget}"
             )
-        entry = (sender, msg)
-        staged = self._staged
-        for to in targets:
-            box = staged.get(to)
-            if box is None:
-                staged[to] = [entry]
-            else:
-                box.append(entry)
+        entry = sender.index if payload is None else (sender.index, payload)
+        boxes, base = self._staged[kind], sender._peer_base
+        for to in [base + t for t in targets] if base else targets:
+            boxes[to].append(entry)
         self._staged_count += len(targets)
         if bits > self.trace.max_payload_bits:
             self.trace.max_payload_bits = bits
         if self.message_log is not None:
-            names = self._names
-            rnd, frm, kind = self.trace.rounds + 1, names[sender], _KIND_NAMES[msg.kind]
+            rnd, frm, kname = self.trace.rounds + 1, self._names[sender.side][sender.index], _KIND_NAMES[kind]
+            names = self._names[1 - sender.side]
             self.message_log.extend(
-                {"round": rnd, "from": frm, "to": names[to], "kind": kind, "payload_bits": bits}
+                {"round": rnd, "from": frm, "to": names[to], "kind": kname, "payload_bits": bits}
                 for to in targets
             )
 
     @property
     def in_flight(self) -> int:
         """Messages delivered but not yet consumed by a round."""
-        return sum(len(v) for v in self._pending.values())
+        return sum(len(box) for boxes in self._pending.values() for box in boxes.values())
 
-    def peek_pending(self) -> Iterable[tuple[PlayerId, PlayerId, Message]]:
-        """Read-only view of undelivered traffic: (receiver, sender, message).
-
-        Verifier instrumentation only; protocols never look at this.
-        """
-        for to, entries in self._pending.items():
-            for sender, msg in entries:
-                yield to, sender, msg
+    def peek_pending(self, kind: MsgKind) -> dict[int, list]:
+        """A copy of the undelivered ``kind`` traffic, receiver id -> inbox entries; for instrumentation only."""
+        return dict(self._pending.get(kind, {}))
 
     def _check_cap(self, new_rounds: int) -> None:
         if self.round_cap is not None and self.trace.rounds + new_rounds > self.round_cap:
@@ -251,40 +272,44 @@ class Engine:
 
     # -- round execution ---------------------------------------------------
 
-    def run_round(self, step_fn: StepFn, label: str = "round", actors: Iterable[PlayerId] | None = None) -> int:
+    def run_round(self, step_fn: StepFn, label: str = "round", actors: Iterable[int] | None = None) -> int:
         """Execute one synchronous round; returns the number of messages sent.
 
-        ``actors`` optionally restricts which processors are stepped. Any
+        ``actors`` optionally restricts which processor ids are stepped. Any
         processor holding undelivered messages is always stepped, so
         restricting to known senders is a pure optimization: a processor
         outside the set would observe an empty inbox and send nothing.
+        Processors step in id order, so every inbox list is in sender order.
         """
         self._check_cap(1)
+        pending = self._pending
         if actors is None:
-            to_step = list(self.topology.nodes)
+            to_step = range(len(self.contexts))
         else:
             combined = set(actors)
-            combined.update(self._pending.keys())
+            for boxes in pending.values():
+                combined.update(boxes)
             to_step = sorted(combined)
+        contexts, kinds = self.contexts, list(pending.items())
         self._in_round = True
         for v in to_step:
-            ctx = self.contexts[v]
-            delivered = self._pending.pop(v, None)
-            if delivered is not None:
-                delivered.sort(key=_by_sender)
-                ctx.inbox = delivered
-            else:
-                ctx.inbox = []
+            ctx = contexts[v]
+            for kind, boxes in kinds:
+                got = boxes.pop(v, None)
+                if got is not None:
+                    if ctx.inbox is _NO_MAIL:
+                        ctx.inbox = {}
+                    ctx.inbox[kind] = got
             step_fn(ctx)
-            ctx.inbox = []
+            ctx.inbox = _NO_MAIL
         self._in_round = False
-        if self._pending:
-            # processors outside the actor set would have dropped messages
-            leftover = next(iter(self._pending))
-            raise InconsistentState(f"undelivered messages for unstepped processor {leftover}")
+        for boxes in pending.values():
+            if boxes:
+                # processors outside the actor set would have dropped messages
+                raise InconsistentState(f"undelivered messages for unstepped processor {next(iter(boxes))}")
         sent = self._staged_count
         self._pending = self._staged
-        self._staged = {}
+        self._staged = _mailbags()
         self._staged_count = 0
         self.trace.messages_sent += sent
         if sent:

@@ -14,9 +14,11 @@ Three flavors sit behind one spec type, selectable per run:
 Each randomized iteration costs 4 engine rounds (3 message rounds plus a
 resolution round in which matched vertices announce themselves). One
 ``MmPhase`` holds the per-vertex steps and the driver for all three flavors.
-The functions in this module run it standalone on an arbitrary bipartite
-graph through the round engine; the proposal protocol runs it as a phase of
-its own schedule. Its randomized iterations are fast-forwarded by the same
+Inside a phase, vertices are engine processor ids and neighbours are
+partner indices on the other side, as the engine addresses them. The
+functions in this module run it standalone on an arbitrary bipartite graph
+of ``PlayerId``s; the proposal protocol runs it as a phase of its own
+schedule. Its randomized iterations are fast-forwarded by the same
 ``Engine.repeat`` that drives the protocol's schedule.
 """
 
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Mapping
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
 from .errors import InconsistentState
-from .model import Matching, PlayerId, Side
+from .model import Matching, PlayerId, Side, woman
 
 DEFAULT_SHRINK_C = 0.95
 
@@ -125,24 +127,25 @@ class MatchingSubroutineSpec:
 class MmNode:
     """Per-vertex scratch state for one invocation of the matching subroutine.
 
-    ``residual`` is the vertex's current view of unmatched neighbors; it only
-    shrinks, via announcements from neighbors that got matched.
+    ``residual`` is the vertex's current view of unmatched neighbors, by
+    index on the other side; it only shrinks, via announcements from
+    neighbors that got matched.
     """
 
     __slots__ = ("residual", "matched", "pointing", "kept_in", "chosen")
 
-    def __init__(self, neighbors: Iterable[PlayerId]):
-        self.residual: set[PlayerId] = set(neighbors)
-        self.matched: PlayerId | None = None
-        self.pointing: PlayerId | None = None
-        self.kept_in: PlayerId | None = None
-        self.chosen: PlayerId | None = None
+    def __init__(self, neighbors: Iterable[int]):
+        self.residual: set[int] = set(neighbors)
+        self.matched: int | None = None
+        self.pointing: int | None = None
+        self.kept_in: int | None = None
+        self.chosen: int | None = None
 
     @property
     def live(self) -> bool:
         return self.matched is None and bool(self.residual)
 
-    def prune(self, announcers: Iterable[PlayerId]) -> None:
+    def prune(self, announcers: Iterable[int]) -> None:
         self.residual.difference_update(announcers)
 
     def begin_iteration(self) -> None:
@@ -152,13 +155,13 @@ class MmNode:
 
     # -- randomized flavor -------------------------------------------------
 
-    def point_random(self, rng) -> PlayerId | None:
+    def point_random(self, rng) -> int | None:
         if not self.live:
             return None
         self.pointing = rng.choice(sorted(self.residual))
         return self.pointing
 
-    def keep_random(self, pointers: list[PlayerId], rng) -> PlayerId | None:
+    def keep_random(self, pointers: list[int], rng) -> int | None:
         for p in pointers:
             if p not in self.residual:
                 raise InconsistentState(f"pointer from {p} outside residual neighborhood")
@@ -167,7 +170,7 @@ class MmNode:
         self.kept_in = rng.choice(sorted(pointers))
         return self.kept_in
 
-    def choose_random(self, keepers: list[PlayerId], rng) -> PlayerId | None:
+    def choose_random(self, keepers: list[int], rng) -> int | None:
         for kp in keepers:
             if kp != self.pointing:
                 raise InconsistentState(f"keep message from {kp}, but this vertex pointed at {self.pointing}")
@@ -181,7 +184,7 @@ class MmNode:
         self.chosen = rng.choice(sorted(candidates))
         return self.chosen
 
-    def resolve_choices(self, choosers: list[PlayerId]) -> PlayerId | None:
+    def resolve_choices(self, choosers: list[int]) -> int | None:
         if self.chosen is not None and self.chosen in choosers:
             self.matched = self.chosen
             return self.matched
@@ -189,13 +192,13 @@ class MmNode:
 
     # -- deterministic greedy flavor ----------------------------------------
 
-    def point_lowest(self) -> PlayerId | None:
+    def point_lowest(self) -> int | None:
         if not self.live:
             return None
         self.pointing = min(self.residual)
         return self.pointing
 
-    def resolve_mutual(self, pointers: list[PlayerId]) -> PlayerId | None:
+    def resolve_mutual(self, pointers: list[int]) -> int | None:
         for p in pointers:
             if p not in self.residual:
                 raise InconsistentState(f"pointer from {p} outside residual neighborhood")
@@ -208,19 +211,19 @@ class MmNode:
 class MmPhase:
     """One invocation of the subroutine, run as a phase of engine rounds.
 
-    ``nodes`` maps every vertex taking part to its :class:`MmNode`. The four
-    steps (point, keep, choose, resolve) read only their own node and inbox;
-    :meth:`run` drives them. ``join``, when set, is called with the context
-    and the senders of the ACCEPTs a vertex receives in the first point
-    round, and returns that vertex's node: this is how the proposal protocol
-    brings its men in.
+    ``nodes`` maps the processor id of every vertex taking part to its
+    :class:`MmNode`. The four steps (point, keep, choose, resolve) read only
+    their own node and inbox; :meth:`run` drives them. ``join``, when set,
+    is called with the context and the senders of the ACCEPTs a vertex
+    receives in the first point round, and returns that vertex's node: this
+    is how the proposal protocol brings its men in.
     """
 
     def __init__(
         self,
         spec: MatchingSubroutineSpec,
-        nodes: dict[PlayerId, MmNode] | None = None,
-        join: Callable[[ProcessorContext, list[PlayerId]], MmNode] | None = None,
+        nodes: dict[int, MmNode] | None = None,
+        join: Callable[[ProcessorContext, list[int]], MmNode] | None = None,
     ):
         self.iterations = spec.fixed_iterations()  # None: the greedy, run to quiescence
         self.nodes = {} if nodes is None else nodes
@@ -229,7 +232,7 @@ class MmPhase:
     def any_live(self) -> bool:
         return any(node.live for node in self.nodes.values())
 
-    def _live(self) -> list[PlayerId]:
+    def _live(self) -> list[int]:
         # recomputed every round: men join during the first point round
         return [v for v, node in self.nodes.items() if node.live]
 
@@ -252,34 +255,27 @@ class MmPhase:
         engine.repeat(self.iterations, (("mm", 4),), iteration, quiet)
         return self.iterations
 
-    def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode | None, list[PlayerId]]:
+    def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode | None, list[int]]:
         """This vertex's node and the senders in its inbox, all of which must be of ``kind``."""
-        senders = []
-        for sender, msg in ctx.inbox:
-            if msg.kind is not kind:
-                raise InconsistentState(f"{ctx.self_id} received unexpected {msg.kind.name}")
-            senders.append(sender)
-        node = self.nodes.get(ctx.self_id)
+        senders = ctx.take(kind)
+        node = self.nodes.get(ctx.id)
         if node is None and senders:
             raise InconsistentState(f"{ctx.self_id} got {kind.name} outside the subroutine")
         return node, senders
 
     def point(self, ctx: ProcessorContext) -> None:
-        pid = ctx.self_id
-        announcers, accepts = [], []
-        for sender, msg in ctx.inbox:
-            if msg.kind is MsgKind.MM_MATCHED:
-                announcers.append(sender)
-            elif msg.kind is MsgKind.ACCEPT and self.join is not None:
-                accepts.append(sender)
-            else:
-                raise InconsistentState(f"{pid} received unexpected {msg.kind.name}")
+        inbox = ctx.inbox
+        for kind in inbox:
+            if kind is not MsgKind.MM_MATCHED and (kind is not MsgKind.ACCEPT or self.join is None):
+                raise InconsistentState(f"{ctx.self_id} received unexpected {kind.name}")
+        accepts = inbox.get(MsgKind.ACCEPT)
         if accepts:
-            self.nodes[pid] = self.join(ctx, accepts)
-        node = self.nodes.get(pid)
+            self.nodes[ctx.id] = self.join(ctx, accepts)
+        node = self.nodes.get(ctx.id)
+        announcers = inbox.get(MsgKind.MM_MATCHED, ())
         if node is None:
             if announcers:
-                raise InconsistentState(f"{pid} got MM_MATCHED outside the subroutine")
+                raise InconsistentState(f"{ctx.self_id} got MM_MATCHED outside the subroutine")
             return
         node.prune(announcers)
         node.begin_iteration()
@@ -314,19 +310,19 @@ class MmPhase:
 # ---------------------------------------------------------------------------
 
 
-def _matching_from_nodes(nodes: dict[PlayerId, MmNode]) -> Matching:
+def _matching_from_partners(partner: dict[PlayerId, int | None]) -> Matching:
     pairs = set()
-    for v, node in nodes.items():
-        if node.matched is not None and v.side is Side.MAN:
-            if nodes[node.matched].matched != v:
-                raise InconsistentState(f"asymmetric match between {v} and {node.matched}")
-            pairs.add((v.index, node.matched.index))
+    for v, p in partner.items():
+        if p is not None and v.side is Side.MAN:
+            if partner[woman(p)] != v.index:
+                raise InconsistentState(f"asymmetric match between {v} and {woman(p)}")
+            pairs.add((v.index, p))
     return Matching.of(pairs)
 
 
-def _violating_vertices(graph: Mapping[PlayerId, frozenset[PlayerId]], nodes: dict[PlayerId, MmNode]) -> frozenset[PlayerId]:
+def _violating_vertices(graph: Mapping[PlayerId, frozenset[PlayerId]], partner: dict[PlayerId, int | None]) -> frozenset[PlayerId]:
     """Vertices that are unmatched and still have an unmatched neighbor."""
-    unmatched = {v for v in graph if nodes[v].matched is None}
+    unmatched = {v for v in graph if partner[v] is None}
     return frozenset(v for v in unmatched if any(u in unmatched for u in graph[v]))
 
 
@@ -347,14 +343,17 @@ class SubroutineResult:
 
 
 def _run_standalone(subgraph: Mapping[PlayerId, Iterable[PlayerId]], spec: MatchingSubroutineSpec, seed: int):
-    """Run one subroutine phase over a graph of its own; returns (graph, nodes, iterations, trace)."""
+    """Run one subroutine phase over a graph of its own; returns (graph, partner, iterations, trace),
+    where ``partner`` maps each vertex to its match's index, or None."""
     full = {v: frozenset(nbrs) for v, nbrs in subgraph.items()}
     graph = {v: nbrs for v, nbrs in full.items() if nbrs}  # isolated vertices take no part
     # the topology checks that every edge crosses sides and is listed at both ends
-    engine = Engine(Topology.from_bipartite(graph), seed=seed)
-    phase = MmPhase(spec, {v: MmNode(nbrs) for v, nbrs in graph.items()})
+    topology = Topology.from_bipartite(graph)
+    engine = Engine(topology, seed=seed)
+    phase = MmPhase(spec, {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in graph.items()})
     iterations = phase.run(engine)
-    return graph, phase.nodes, iterations, engine.trace
+    partner = {v: phase.nodes[topology.id_of(v)].matched for v in graph}
+    return graph, partner, iterations, engine.trace
 
 
 def matching_round(
@@ -362,24 +361,24 @@ def matching_round(
 ) -> MatchingRoundResult:
     """One randomized matching iteration; returns the matching found and the
     reduced graph (matched vertices and newly isolated vertices removed)."""
-    graph, nodes, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(1), seed)
-    unmatched = {v for v in graph if nodes[v].matched is None}
+    graph, partner, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(1), seed)
+    unmatched = {v for v in graph if partner[v] is None}
     reduced = {
         v: frozenset(u for u in graph[v] if u in unmatched)
         for v in unmatched
     }
     reduced = {v: nbrs for v, nbrs in reduced.items() if nbrs}
-    return MatchingRoundResult(matching=_matching_from_nodes(nodes), reduced=reduced, trace=trace)
+    return MatchingRoundResult(matching=_matching_from_partners(partner), reduced=reduced, trace=trace)
 
 
 def _randomized_iterations(
     subgraph: Mapping[PlayerId, Iterable[PlayerId]], s: int, seed: int
 ) -> SubroutineResult:
     """Run s randomized matching iterations and report any violating vertices."""
-    graph, nodes, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(s), seed)
-    violators = _violating_vertices(graph, nodes)
+    graph, partner, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(s), seed)
+    violators = _violating_vertices(graph, partner)
     return SubroutineResult(
-        matching=_matching_from_nodes(nodes),
+        matching=_matching_from_partners(partner),
         residual_vertices=violators,
         maximal=not violators,
         iterations=s,
@@ -417,12 +416,12 @@ def deterministic_maximal_matching(
     subgraph: Mapping[PlayerId, Iterable[PlayerId]]
 ) -> SubroutineResult:
     """Lowest-id mutual-pointer greedy, iterated to quiescence. Always maximal."""
-    graph, nodes, iterations, trace = _run_standalone(subgraph, MatchingSubroutineSpec.deterministic(), 0)
-    violators = _violating_vertices(graph, nodes)
+    graph, partner, iterations, trace = _run_standalone(subgraph, MatchingSubroutineSpec.deterministic(), 0)
+    violators = _violating_vertices(graph, partner)
     if violators:
         raise InconsistentState(f"greedy subroutine left violators: {sorted(violators)}")
     return SubroutineResult(
-        matching=_matching_from_nodes(nodes),
+        matching=_matching_from_partners(partner),
         residual_vertices=violators,
         maximal=True,
         iterations=iterations,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidMatching, InvalidProfile
 
@@ -158,17 +158,21 @@ class QuantizedPrefs:
     ``order[(i - 1) * deg // k : i * deg // k]``, so only the remaining set and
     cursors at the first and last remaining positions are kept. The structure
     is removal-only, and ``rank_of``/``quantile`` describe the original list.
+    ``rank_of`` may be passed in (a profile's cached rank table for this list)
+    and is only read.
     """
 
     __slots__ = ("k", "deg", "order", "rank_of", "remaining", "_first", "_last")
 
-    def __init__(self, ordered_partners: Sequence[int], k: int):
+    def __init__(self, ordered_partners: Sequence[int], k: int, rank_of: Mapping[int, int] | None = None):
         if k < 1:
             raise ValueError(f"quantile count must be >= 1, got {k}")
         self.k = k
         self.order: tuple[int, ...] = tuple(ordered_partners)
         self.deg = deg = len(self.order)
-        self.rank_of: dict[int, int] = dict(zip(self.order, range(1, deg + 1)))
+        if rank_of is None:
+            rank_of = dict(zip(self.order, range(1, deg + 1)))
+        self.rank_of: Mapping[int, int] = rank_of
         self.remaining: set[int] = set(self.order)
         # the cursors only move inward, O(deg) over a whole run
         self._first, self._last = 0, deg - 1
@@ -201,12 +205,17 @@ class QuantizedPrefs:
         self.remove_many((partner,))
 
     def remove_many(self, partners: Sequence[int]) -> None:
-        """Drop distinct remaining partners; checks and set update run once per call."""
-        gone = set(partners)
+        """Drop distinct remaining partners; checks and set update run once per call.
+        On a KeyError nothing is removed."""
         rem = self.remaining
-        if len(gone) < len(partners) or not gone <= rem:
-            raise KeyError(f"partners {list(partners)} repeat one or include one already removed")
-        rem -= gone
+        size = len(rem)
+        if not rem.issuperset(partners):
+            raise KeyError(f"partners {list(partners)} include one already removed")
+        rem.difference_update(partners)
+        if size - len(rem) != len(partners):
+            # every partner was remaining, so adding them all back restores the set
+            rem.update(partners)
+            raise KeyError(f"partners {list(partners)} repeat one")
         order, first, last = self.order, self._first, self._last
         while first <= last and order[first] not in rem:
             first += 1
@@ -222,9 +231,9 @@ class QuantizedPrefs:
         return len(self.remaining)
 
 
-def quantize(prefs_of_player: Sequence[int], k: int) -> QuantizedPrefs:
+def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Mapping[int, int] | None = None) -> QuantizedPrefs:
     """Split an ordered partner list into k quantile buckets (empty list allowed)."""
-    return QuantizedPrefs(prefs_of_player, k)
+    return QuantizedPrefs(prefs_of_player, k, rank_of)
 
 
 @dataclass(frozen=True)

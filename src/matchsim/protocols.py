@@ -50,16 +50,7 @@ from .errors import (
     RoundCapExceeded,
 )
 from .maximal import DEFAULT_SHRINK_C, MatchingSubroutineSpec, MmNode, MmPhase
-from .model import (
-    Matching,
-    PlayerId,
-    PreferenceProfile,
-    QuantizedPrefs,
-    Side,
-    man,
-    quantize,
-    woman,
-)
+from .model import Matching, PreferenceProfile, QuantizedPrefs, Side, quantize
 
 
 @dataclass(frozen=True)
@@ -212,16 +203,12 @@ class QuantileProtocol:
         # counters and outcomes must be identical either way (tested)
         self.fast_forward = fast_forward
 
-        n = profile.n
-        self._man_ids = [man(i) for i in range(n)]
-        self._woman_ids = [woman(i) for i in range(n)]
-        if mode == "serial":
-            self.men = [ManState(quantize(lst, max(1, len(lst)))) for lst in profile.men_prefs]
-            self.women = [WomanState(quantize(lst, max(1, len(lst)))) for lst in profile.women_prefs]
-        else:
-            k = params.k
-            self.men = [ManState(quantize(lst, k)) for lst in profile.men_prefs]
-            self.women = [WomanState(quantize(lst, k)) for lst in profile.women_prefs]
+        def quantized(prefs, ranks):  # each list shares the profile's cached rank table
+            return [quantize(lst, max(1, len(lst)) if mode == "serial" else params.k, r) for lst, r in zip(prefs, ranks)]
+
+        # men are processors 0..n-1, so a man's index is also his engine id
+        self.men = list(map(ManState, quantized(profile.men_prefs, profile._man_rank)))
+        self.women = list(map(WomanState, quantized(profile.women_prefs, profile._woman_rank)))
 
         # the (label, rounds) one proposal round runs; a greedy subroutine
         # runs no rounds when it is skipped, a fixed schedule 4 per iteration
@@ -231,7 +218,7 @@ class QuantileProtocol:
 
         self.good_count = sum(1 for st in self.men if not st.quantized.remaining)
         self._last_good_count = self.good_count
-        self._frozen_active: list[int] = list(range(n))
+        self._frozen_active: list[int] = list(range(profile.n))
 
         self.pr_count = 0
         self.qm_count = 0
@@ -256,16 +243,13 @@ class QuantileProtocol:
         """Process rejections delivered since the man's last step, all at once."""
         if not ctx.inbox:
             return
-        rejected = []
-        for sender, msg in ctx.inbox:
-            if msg.kind is not MsgKind.REJECT:
-                raise InconsistentState(f"{ctx.self_id} received {msg.kind.name} while settling")
-            rejected.append(sender.index)
+        rejected = ctx.take(MsgKind.REJECT)
         try:
             st.quantized.remove_many(rejected)
         except KeyError as exc:
             raise InconsistentState(f"{ctx.self_id} rejected twice: {exc}") from exc
-        st.A.difference_update(rejected)
+        if st.A:
+            st.A.difference_update(rejected)
         # equals summing the change per rejection: only the last one can leave
         # a man with neither a partner nor anyone left to reject him
         was_good = st.p is not None
@@ -289,69 +273,62 @@ class QuantileProtocol:
             st.a_entry = None
 
     def _step_propose(self, ctx: ProcessorContext, qm_start: bool, outer_index: int | None) -> None:
-        pid = ctx.self_id
-        if pid.side is Side.WOMAN:
+        if ctx.side is Side.WOMAN:
             if ctx.inbox:
-                raise InconsistentState(f"{pid} received messages in a propose round")
+                raise InconsistentState(f"{ctx.self_id} received messages in a propose round")
             return
-        st = self.men[pid.index]
+        st = self.men[ctx.index]
         self._settle_man(st, ctx)
         if outer_index is not None:
             st.active = len(st.quantized.remaining) >= (1 << outer_index)
         if qm_start:
-            self._close_quantile_match_for(pid.index, st)
+            self._close_quantile_match_for(ctx.index, st)
             if st.active and not st.removed and st.p is None:
                 bucket = st.quantized.best_nonempty_bucket()
                 if bucket:
                     st.A = set(bucket)
                     st.a_entry = frozenset(bucket)
         if st.A:
-            women = self._woman_ids
-            ctx.send_many([women[w_idx] for w_idx in sorted(st.A)], MsgKind.PROPOSE)
+            ctx.send_many(sorted(st.A), MsgKind.PROPOSE)
 
     def _step_accept(self, ctx: ProcessorContext, phase: MmPhase) -> None:
-        pid = ctx.self_id
-        if pid.side is Side.MAN:
+        if ctx.side is Side.MAN:
             if ctx.inbox:
-                raise InconsistentState(f"{pid} received messages in an accept round")
+                raise InconsistentState(f"{ctx.self_id} received messages in an accept round")
             return
-        st = self.women[pid.index]
-        proposers: list[int] = []
-        for sender, msg in ctx.inbox:
-            if msg.kind is not MsgKind.PROPOSE:
-                raise InconsistentState(f"{pid} received {msg.kind.name} in an accept round")
-            if sender.index not in st.quantized.remaining:
-                raise InconsistentState(f"{pid} got a proposal from pruned {sender}")
-            proposers.append(sender.index)
+        st = self.women[ctx.index]
+        # in sender order, so the accepted men come out sorted
+        proposers = ctx.take(MsgKind.PROPOSE)
         if not proposers:
             return
+        if not st.quantized.remaining.issuperset(proposers):
+            pruned = next(m for m in proposers if m not in st.quantized.remaining)
+            raise InconsistentState(f"{ctx.self_id} got a proposal from pruned {ctx.peer(pruned)}")
         if st.removed:
-            raise InconsistentState(f"removed {pid} received a proposal")
-        best = min(st.quantized.quantile(m) for m in proposers)
-        if st.p is not None and best >= st.quantized.quantile(st.p):
+            raise InconsistentState(f"removed {ctx.self_id} received a proposal")
+        quantile = st.quantized.quantile
+        best = min(map(quantile, proposers))
+        if st.p is not None and best >= quantile(st.p):
             self._violate(
-                f"woman {pid.index} saw best proposing quantile {best}, no better than her partner's",
+                f"woman {ctx.index} saw best proposing quantile {best}, no better than her partner's",
                 structural=True,
             )
-        men = self._man_ids
-        accepted = [men[m_idx] for m_idx in sorted(m for m in proposers if st.quantized.quantile(m) == best)]
-        phase.nodes[pid] = MmNode(accepted)
+        accepted = [m for m in proposers if quantile(m) == best]
+        phase.nodes[ctx.id] = MmNode(accepted)
         ctx.send_many(accepted, MsgKind.ACCEPT)
 
-    def _join_man(self, ctx: ProcessorContext, accepts: list[PlayerId]) -> MmNode:
+    def _join_man(self, ctx: ProcessorContext, accepts: list[int]) -> MmNode:
         """The subroutine's hook: the ACCEPTs a man receives become his node."""
-        pid = ctx.self_id
-        if pid.side is not Side.MAN:
-            raise InconsistentState(f"{pid} received ACCEPT")
-        proposed_to = self.men[pid.index].A
+        if ctx.side is not Side.MAN:
+            raise InconsistentState(f"{ctx.self_id} received ACCEPT")
+        proposed_to = self.men[ctx.index].A
         for sender in accepts:
-            if sender.index not in proposed_to:
-                raise InconsistentState(f"{pid} got ACCEPT from {sender} for an unsent proposal")
+            if sender not in proposed_to:
+                raise InconsistentState(f"{ctx.self_id} got ACCEPT from {ctx.peer(sender)} for an unsent proposal")
         return MmNode(accepts)
 
     def _step_reject(self, ctx: ProcessorContext, phase: MmPhase) -> None:
-        pid = ctx.self_id
-        st = self.men[pid.index] if pid.side is Side.MAN else self.women[pid.index]
+        st = self.men[ctx.index] if ctx.side is Side.MAN else self.women[ctx.index]
         node, announcers = phase.receive(ctx, MsgKind.MM_MATCHED)
         partner = None
         residual_here = False
@@ -360,35 +337,33 @@ class QuantileProtocol:
             partner = node.matched
             residual_here = partner is None and bool(node.residual)
         if residual_here and self.mm_spec.flavor == "det":
-            raise InconsistentState(f"greedy subroutine left {pid} with residual neighbors")
+            raise InconsistentState(f"greedy subroutine left {ctx.self_id} with residual neighbors")
         # only players with no partner at all leave the game; a matched woman
         # the subroutine failed to upgrade simply keeps her current partner
         removed_now = residual_here and self.mm_spec.removes_unmatched() and st.p is None
-        if pid.side is Side.WOMAN:
-            men = self._man_ids
+        if ctx.side is Side.WOMAN:
             if partner is not None:
-                p0 = partner.index
-                q0 = st.quantized.quantile(p0)
+                q0 = st.quantized.quantile(partner)
                 if st.p is not None:
-                    if st.p == p0:
-                        raise InconsistentState(f"woman {pid.index} re-matched to her current partner")
+                    if st.p == partner:
+                        raise InconsistentState(f"woman {ctx.index} re-matched to her current partner")
                     if q0 >= st.quantized.quantile(st.p):
                         self._violate(
-                            f"woman {pid.index} partner quantile did not strictly improve",
+                            f"woman {ctx.index} partner quantile did not strictly improve",
                             structural=True,
                         )
-                targets = [m for m in st.quantized.at_or_worse(q0) if m != p0]
-                ctx.send_many([men[m_idx] for m_idx in targets], MsgKind.REJECT)
+                targets = [m for m in st.quantized.at_or_worse(q0) if m != partner]
+                ctx.send_many(targets, MsgKind.REJECT)
                 st.quantized.remove_many(targets)
-                st.p = p0
+                st.p = partner
             elif removed_now:
                 targets = sorted(st.quantized.remaining)
-                ctx.send_many([men[m_idx] for m_idx in targets], MsgKind.REJECT)
+                ctx.send_many(targets, MsgKind.REJECT)
                 st.quantized.remove_many(targets)
                 st.removed = True
         elif partner is not None:
             was_good = st.p is not None or not st.quantized.remaining
-            st.p = partner.index
+            st.p = partner
             st.A = set()
             self.good_count += 1 - int(was_good)
         elif removed_now:
@@ -396,8 +371,8 @@ class QuantileProtocol:
             st.A = set()
 
     def _step_flush(self, ctx: ProcessorContext) -> None:
-        if ctx.self_id.side is Side.MAN:
-            self._settle_man(self.men[ctx.self_id.index], ctx)
+        if ctx.side is Side.MAN:
+            self._settle_man(self.men[ctx.index], ctx)
         elif ctx.inbox:
             raise InconsistentState(f"{ctx.self_id} had messages at flush")
 
@@ -413,14 +388,13 @@ class QuantileProtocol:
             for st in self.men
         )
 
-    def _propose_actors(self, qm_start: bool, outer_index: int | None) -> list[PlayerId]:
+    def _propose_actors(self, qm_start: bool, outer_index: int | None) -> Iterable[int]:
         if outer_index is not None:
-            return list(self._man_ids)
-        out = []
-        for i, st in enumerate(self.men):
-            if st.A or (qm_start and (st.a_entry is not None or (not st.removed and st.p is None and st.quantized.remaining))):
-                out.append(self._man_ids[i])
-        return out
+            return range(len(self.men))
+        return [
+            i for i, st in enumerate(self.men)
+            if st.A or (qm_start and (st.a_entry is not None or (not st.removed and st.p is None and st.quantized.remaining)))
+        ]
 
     def _after_qm_boundary(self) -> None:
         if self.good_count < self._last_good_count:
@@ -491,14 +465,12 @@ class QuantileProtocol:
     def _settled_bad_men(self, eng: Engine, candidates: Iterable[int]) -> int:
         """Count bad men among candidates as of the settled state, i.e. with
         in-flight rejections applied. Read-only instrumentation."""
-        pending: dict[int, set[int]] = {}
-        for to, sender, msg in eng.peek_pending():
-            if msg.kind is MsgKind.REJECT and to.side is Side.MAN:
-                pending.setdefault(to.index, set()).add(sender.index)
+        # only men receive REJECT, and a man's engine id is his index
+        pending = eng.peek_pending(MsgKind.REJECT)
         bad = 0
         for m_idx in candidates:
             st = self.men[m_idx]
-            gone = pending.get(m_idx, ())
+            gone = set(pending.get(m_idx, ()))
             partner = st.p
             if partner is not None and partner in gone:
                 partner = None
@@ -614,6 +586,10 @@ def men_degree_ratio(profile: PreferenceProfile) -> float:
     return hi / lo
 
 
+# the parameters each descriptor must carry
+_REQUIRED = {"gs": (), "asm": ("eps",), "randasm": ("eps", "delta_fail"), "aregasm": ("eps", "delta_fail", "alpha")}
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Parsed form of CLI algorithm descriptors.
@@ -629,8 +605,11 @@ class AlgorithmSpec:
     mm: MatchingSubroutineSpec | None = None
 
     def __post_init__(self):
-        if self.name not in ("gs", "asm", "randasm", "aregasm"):
+        if self.name not in _REQUIRED:
             raise ValueError(f"unknown algorithm {self.name!r}")
+        missing = [param for param in _REQUIRED[self.name] if getattr(self, param) is None]
+        if missing:
+            raise ValueError(f"{self.name} needs {', '.join(missing)}")
         if self.eps is not None and not (0 < self.eps <= 1):
             raise ValueError(f"eps must be in (0, 1], got {self.eps:g}")
         if self.delta_fail is not None and not (0 < self.delta_fail < 1):

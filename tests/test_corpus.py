@@ -1,7 +1,9 @@
 """Determinism corpus: small runs whose outputs must stay byte-identical.
 
-Each cell is (family, n, algorithm, --mm override, seed, fast_forward). For
-every cell ``corpus.json`` holds the sha256 of the sorted matching pairs, of
+Each cell is (family, n, algorithm, --mm override, seed, fast_forward,
+round_cap). A cell with a round cap must hit it, and its digests are those of
+the partial result that ``RoundCapExceeded`` carries. For every cell
+``corpus.json`` holds the sha256 of the sorted matching pairs, of
 ``trace.as_dict()``, of the NDJSON message log as ``write_message_log``
 writes it and of the verifier's report, ``verify_run(...).to_json()``. A refactor that changes any simulated output fails here in
 seconds. A change that means to alter outputs re-records the file and says
@@ -23,6 +25,7 @@ import pytest
 
 from matchsim import (
     AlgorithmSpec,
+    RoundCapExceeded,
     GeneratorSpec,
     MatchingSubroutineSpec,
     generate,
@@ -42,12 +45,14 @@ class Cell(NamedTuple):
     mm: str | None
     seed: int
     fast_forward: bool = True
+    round_cap: int | None = None
 
     @property
     def name(self) -> str:
         mm = f"/{self.mm}" if self.mm else ""
         ff = "" if self.fast_forward else "/step-all"
-        return f"{self.family}:n{self.n}:{self.algorithm}{mm}:s{self.seed}{ff}"
+        cap = "" if self.round_cap is None else f"/cap{self.round_cap}"
+        return f"{self.family}:n{self.n}:{self.algorithm}{mm}:s{self.seed}{ff}{cap}"
 
 
 CELLS = (
@@ -67,6 +72,21 @@ CELLS = (
     Cell("random:0.5", 24, "randasm:0.5,0.1", "det", 13),
     Cell("complete", 8, "gs", None, 14, fast_forward=False),
     Cell("random:0.6", 6, "asm:1", "amm:1,0.99", 15, fast_forward=False),
+    Cell("complete", 128, "asm:0.5", None, 16),
+    Cell("complete", 96, "asm:1", "rand:2", 17),
+    Cell("bounded:6", 128, "randasm:0.5,0.1", None, 18),
+    Cell("bounded:8", 128, "randasm:0.5,0.1", "amm:0.1,0.1", 19),
+    Cell("random:0.3", 48, "gs", None, 20),
+    Cell("random:0.5", 128, "gs", None, 21),
+    Cell("bounded:4", 64, "gs", None, 22),
+    Cell("bounded:2", 32, "gs", None, 23, fast_forward=False),
+    Cell("aregular:2,2", 16, "aregasm:1,0.5,2", None, 24, fast_forward=False),
+    Cell("aregular:2,4", 24, "aregasm:1,0.5,2", None, 25, fast_forward=False),
+    Cell("aregular:2,8", 128, "aregasm:0.5,0.1,2", None, 26),
+    Cell("complete", 16, "asm:0.5", None, 27, round_cap=300),
+    Cell("complete", 12, "gs", None, 28, round_cap=40),
+    Cell("bounded:4", 32, "randasm:0.5,0.1", None, 29, round_cap=500),
+    Cell("random:0.5", 12, "asm:1", "rand:2", 30, fast_forward=False, round_cap=150),
 )
 
 
@@ -89,7 +109,13 @@ def run_cell(cell: Cell) -> dict[str, str]:
         # every public entry point builds its protocol with fast_forward on
         QuantileProtocol.__init__ = lambda self, *a, **kw: init(self, *a, **{**kw, "fast_forward": False})
     try:
-        result = run_algorithm(profile, spec, seed=cell.seed, message_log=log)
+        result = run_algorithm(profile, spec, seed=cell.seed, round_cap=cell.round_cap, message_log=log)
+        if cell.round_cap is not None:
+            raise AssertionError(f"{cell.name} finished within its round cap")
+    except RoundCapExceeded as exc:
+        if cell.round_cap is None:
+            raise
+        result = exc.partial
     finally:
         QuantileProtocol.__init__ = init
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,20 +1,21 @@
 """Round engine contract: delivery timing, accounting, errors, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim import (
     InconsistentState,
-    Message,
     MsgKind,
     NonNeighborSend,
     OversizedPayload,
     PreferenceProfile,
     RoundCapExceeded,
-    man,
     payload_bits,
-    woman,
 )
 from matchsim.engine import Engine, Topology
+
+# processor ids: with n players per side, man i is i and woman j is n + j
 
 
 def _pair_engine(**kw):
@@ -27,22 +28,22 @@ def test_single_propose_delivered_next_round():
     seen = {}
 
     def round_one(ctx):
-        seen[ctx.self_id] = list(ctx.inbox)
-        if ctx.self_id == man(0):
-            ctx.send(woman(0), MsgKind.PROPOSE)
+        seen[ctx.id] = dict(ctx.inbox)
+        if ctx.id == 0:
+            ctx.send(0, MsgKind.PROPOSE)
 
     sent = eng.run_round(round_one)
     # the send is staged, not visible within the same round
     assert sent == 1
-    assert seen[woman(0)] == []
+    assert seen[1] == {}
     assert eng.trace.rounds == 1
 
     def round_two(ctx):
-        seen[ctx.self_id] = list(ctx.inbox)
+        seen[ctx.id] = dict(ctx.inbox)
 
     eng.run_round(round_two)
-    assert seen[woman(0)] == [(man(0), Message(MsgKind.PROPOSE))]
-    assert seen[man(0)] == []
+    assert seen[1] == {MsgKind.PROPOSE: [0]}
+    assert seen[0] == {}
     assert eng.trace.rounds == 2
     assert eng.trace.messages_sent == 1
 
@@ -58,8 +59,8 @@ def test_oversized_payload_aborts():
     eng = _pair_engine(seed=0)
 
     def step(ctx):
-        if ctx.self_id == man(0):
-            ctx.send(woman(0), MsgKind.CONTROL, payload=1 << eng.payload_budget)
+        if ctx.id == 0:
+            ctx.send(0, MsgKind.CONTROL, payload=1 << eng.payload_budget)
 
     with pytest.raises(OversizedPayload):
         eng.run_round(step)
@@ -68,7 +69,7 @@ def test_oversized_payload_aborts():
 def test_payload_budget_floor_admits_kind_token():
     # even a single-edge instance can carry the 3-bit kind token
     eng = _pair_engine(seed=0)
-    assert eng.payload_budget >= payload_bits(Message(MsgKind.PROPOSE))
+    assert eng.payload_budget >= payload_bits(None)
 
 
 def test_non_neighbor_send_rejected():
@@ -76,8 +77,8 @@ def test_non_neighbor_send_rejected():
     eng = Engine(Topology.from_profile(prof), seed=0)
 
     def step(ctx):
-        if ctx.self_id == man(0):
-            ctx.send(woman(0), MsgKind.PROPOSE)
+        if ctx.id == 0:
+            ctx.send(0, MsgKind.PROPOSE)
 
     with pytest.raises(NonNeighborSend):
         eng.run_round(step)
@@ -85,9 +86,9 @@ def test_non_neighbor_send_rejected():
 
 def test_send_outside_round_rejected():
     eng = _pair_engine(seed=0)
-    ctx = eng.contexts[man(0)]
+    ctx = eng.contexts[0]
     with pytest.raises(InconsistentState):
-        ctx.send(woman(0), MsgKind.PROPOSE)
+        ctx.send(0, MsgKind.PROPOSE)
 
 
 def test_round_cap_enforced():
@@ -102,8 +103,8 @@ def test_skip_rounds_requires_empty_network():
     eng = _pair_engine(seed=0)
 
     def step(ctx):
-        if ctx.self_id == man(0):
-            ctx.send(woman(0), MsgKind.PROPOSE)
+        if ctx.id == 0:
+            ctx.send(0, MsgKind.PROPOSE)
 
     eng.run_round(step)
     with pytest.raises(InconsistentState):
@@ -118,13 +119,13 @@ def test_rng_streams_are_stable_per_player():
     a = _pair_engine(seed=99)
     b = _pair_engine(seed=99)
     c = _pair_engine(seed=100)
-    draws_a = [a.contexts[man(0)].rng.random() for _ in range(3)]
-    draws_b = [b.contexts[man(0)].rng.random() for _ in range(3)]
-    draws_c = [c.contexts[man(0)].rng.random() for _ in range(3)]
+    draws_a = [a.contexts[0].rng.random() for _ in range(3)]
+    draws_b = [b.contexts[0].rng.random() for _ in range(3)]
+    draws_c = [c.contexts[0].rng.random() for _ in range(3)]
     assert draws_a == draws_b
     assert draws_a != draws_c
     # different players, different streams
-    assert a.contexts[man(0)].rng.random() != a.contexts[woman(0)].rng.random()
+    assert a.contexts[0].rng.random() != a.contexts[1].rng.random()
 
 
 def test_inbox_sorted_by_sender():
@@ -132,13 +133,13 @@ def test_inbox_sorted_by_sender():
     eng = Engine(Topology.from_profile(prof), seed=0)
 
     def send_all(ctx):
-        if ctx.self_id.side.name == "MAN":
-            ctx.send(woman(0), MsgKind.PROPOSE)
+        if ctx.side.name == "MAN":
+            ctx.send(0, MsgKind.PROPOSE)
 
     eng.run_round(send_all)
     got = {}
-    eng.run_round(lambda ctx: got.update({ctx.self_id: [s for s, _ in ctx.inbox]}))
-    assert got[woman(0)] == [man(0), man(1), man(2)]
+    eng.run_round(lambda ctx: got.update({ctx.id: ctx.inbox.get(MsgKind.PROPOSE, [])}))
+    assert got[3] == [0, 1, 2]
 
 
 def test_message_log_records_traffic():
@@ -147,8 +148,8 @@ def test_message_log_records_traffic():
     eng = Engine(Topology.from_profile(prof), seed=0, message_log=log)
 
     def step(ctx):
-        if ctx.self_id == man(0):
-            ctx.send(woman(0), MsgKind.PROPOSE)
+        if ctx.id == 0:
+            ctx.send(0, MsgKind.PROPOSE)
 
     eng.run_round(step)
     assert log == [
@@ -164,24 +165,25 @@ def test_information_travels_one_hop_per_round():
     women = [[i - 1, i] if i > 0 else [i] for i in range(n)]
     prof = PreferenceProfile.from_lists(men, women)
     eng = Engine(Topology.from_profile(prof), seed=0)
-    value = {v: (int(v.side) * n + v.index) for v in eng.topology.nodes}
+    nodes = range(eng.topology.num_processors())
+    value = {v: v for v in nodes}
     heard = dict(value)
 
     def step(ctx):
-        for _, msg in ctx.inbox:
-            heard[ctx.self_id] = max(heard[ctx.self_id], msg.payload)
+        for _, payload in ctx.inbox.get(MsgKind.CONTROL, ()):
+            heard[ctx.id] = max(heard[ctx.id], payload)
         for u in ctx.neighbors:
-            ctx.send(u, MsgKind.CONTROL, payload=heard[ctx.self_id])
+            ctx.send(u, MsgKind.CONTROL, payload=heard[ctx.id])
 
     # the edge set forms the path W0-M0-W1-M1-...-W5-M5
     def dist(a, b):
-        pos = lambda v: 2 * v.index + (1 if v.side.name == "MAN" else 0)
+        pos = lambda v: 2 * (v % n) + (1 if v < n else 0)
         return abs(pos(a) - pos(b))
 
     for t in range(1, 8):
         eng.run_round(step)
-        for v in eng.topology.nodes:
-            expect = max(value[u] for u in eng.topology.nodes if dist(u, v) <= t - 1)
+        for v in nodes:
+            expect = max(value[u] for u in nodes if dist(u, v) <= t - 1)
             assert heard[v] == expect, (v, t)
 
 
@@ -190,14 +192,14 @@ def test_actor_restriction_never_drops_messages():
     eng = Engine(Topology.from_profile(prof), seed=0)
 
     def step(ctx):
-        if ctx.self_id == man(0):
-            ctx.send(woman(0), MsgKind.PROPOSE)
+        if ctx.id == 0:
+            ctx.send(0, MsgKind.PROPOSE)
 
-    eng.run_round(step, actors=[man(0)])
+    eng.run_round(step, actors=[0])
     received = []
     # W0 is not in the actor list but holds pending traffic: stepped anyway
-    eng.run_round(lambda ctx: received.extend(ctx.inbox), actors=[])
-    assert [s for s, _ in received] == [man(0)]
+    eng.run_round(lambda ctx: received.extend(ctx.inbox.get(MsgKind.PROPOSE, [])), actors=[])
+    assert received == [0]
 
 
 def _complete_engine(n=3, **kw):
@@ -212,8 +214,8 @@ def test_send_many_equals_a_send_loop():
         eng = _complete_engine(message_log=log)
 
         def step(ctx):
-            if ctx.self_id == woman(1):
-                targets = [man(2), man(0)]
+            if ctx.id == 4:  # W1
+                targets = [2, 0]
                 if batched:
                     ctx.send_many(targets, MsgKind.REJECT)
                     ctx.send_many(targets, MsgKind.CONTROL, payload=5)
@@ -222,25 +224,21 @@ def test_send_many_equals_a_send_loop():
                         ctx.send(to, MsgKind.REJECT)
                     for to in targets:
                         ctx.send(to, MsgKind.CONTROL, payload=5)
-            elif ctx.self_id == woman(0):
-                ctx.send(man(2), MsgKind.REJECT)
+            elif ctx.id == 3:  # W0
+                ctx.send(2, MsgKind.REJECT)
 
         eng.run_round(step, "reject")
         inboxes = {}
-        eng.run_round(lambda ctx: inboxes.update({ctx.self_id: list(ctx.inbox)}), "flush")
+        eng.run_round(lambda ctx: inboxes.update({ctx.id: dict(ctx.inbox)}), "flush")
         runs.append((inboxes, log, eng.trace.as_dict()))
     assert runs[0] == runs[1]
     inboxes, log, trace = runs[1]
-    assert inboxes[man(2)] == [
-        (woman(0), Message(MsgKind.REJECT)),
-        (woman(1), Message(MsgKind.REJECT)),
-        (woman(1), Message(MsgKind.CONTROL, 5)),
-    ]
+    assert inboxes[2] == {MsgKind.REJECT: [0, 1], MsgKind.CONTROL: [(1, 5)]}
     assert [(e["from"], e["to"]) for e in log] == [
         ("W0", "M2"), ("W1", "M2"), ("W1", "M0"), ("W1", "M2"), ("W1", "M0")
     ]
     assert trace["messages_by_phase"] == {"reject": 5}
-    assert trace["max_payload_bits"] == payload_bits(Message(MsgKind.CONTROL, 5))
+    assert trace["max_payload_bits"] == payload_bits(5)
 
 
 def test_send_many_rejects_any_non_neighbor():
@@ -248,8 +246,8 @@ def test_send_many_rejects_any_non_neighbor():
     eng = Engine(Topology.from_profile(prof), seed=0)
 
     def step(ctx):
-        if ctx.self_id == woman(0):
-            ctx.send_many([man(0), man(1)], MsgKind.REJECT)
+        if ctx.id == 2:  # W0
+            ctx.send_many([0, 1], MsgKind.REJECT)
 
     with pytest.raises(NonNeighborSend, match="M1"):
         eng.run_round(step)
@@ -258,15 +256,15 @@ def test_send_many_rejects_any_non_neighbor():
 def test_send_many_outside_round_rejected():
     eng = _complete_engine()
     with pytest.raises(InconsistentState):
-        eng.contexts[woman(0)].send_many([man(0), man(1)], MsgKind.REJECT)
+        eng.contexts[3].send_many([0, 1], MsgKind.REJECT)
 
 
 def test_send_many_oversized_payload_aborts():
     eng = _complete_engine()
 
     def step(ctx):
-        if ctx.self_id == woman(0):
-            ctx.send_many([man(0), man(1)], MsgKind.CONTROL, payload=1 << eng.payload_budget)
+        if ctx.id == 3:
+            ctx.send_many([0, 1], MsgKind.CONTROL, payload=1 << eng.payload_budget)
 
     with pytest.raises(OversizedPayload):
         eng.run_round(step)
@@ -275,7 +273,7 @@ def test_send_many_oversized_payload_aborts():
 def test_send_many_to_no_one_changes_nothing():
     log = []
     eng = _complete_engine(message_log=log)
-    eng.contexts[woman(0)].send_many([], MsgKind.REJECT)  # outside a round, and still no error
+    eng.contexts[3].send_many([], MsgKind.REJECT)  # outside a round, and still no error
     eng.run_round(lambda ctx: ctx.send_many([], MsgKind.CONTROL, payload=1 << eng.payload_budget))
     assert log == [] and eng.in_flight == 0
     assert eng.trace.as_dict() == {
@@ -286,3 +284,140 @@ def test_send_many_to_no_one_changes_nothing():
         "messages_by_phase": {},
         "extras": {},
     }
+
+
+# ---------------------------------------------------------------------------
+# The delivery contract against a plain reference model
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceNetwork:
+    """The engine's contract written out plainly: every message is a
+    (receiver, sender, kind, payload) tuple, and an inbox is the stable sort of
+    the receiver's messages by sender, split by kind."""
+
+    def __init__(self, profile: PreferenceProfile, log: list):
+        self.n = n = profile.n
+        self.adjacent = [set(lst) for lst in profile.men_prefs] + [set(lst) for lst in profile.women_prefs]
+        self.budget = 4 * max(1, (2 * n - 1).bit_length())
+        self.pending: list[tuple] = []
+        self.log = log
+        self.trace = {"rounds": 0, "messages_sent": 0, "max_payload_bits": 0,
+                      "phase_breakdown": {}, "messages_by_phase": {}, "extras": {}}
+
+    def name(self, v: int) -> str:
+        return f"M{v}" if v < self.n else f"W{v - self.n}"
+
+    def send(self, sender: int, targets: list[int], kind: MsgKind, payload, staged: list | None) -> None:
+        if not targets:
+            return
+        peer_base = self.n if sender < self.n else 0
+        if any(t not in self.adjacent[sender] for t in targets):
+            raise NonNeighborSend
+        if staged is None:
+            raise InconsistentState
+        bits = 3 + (0 if payload is None else payload.bit_length())
+        if bits > self.budget:
+            raise OversizedPayload
+        self.trace["max_payload_bits"] = max(self.trace["max_payload_bits"], bits)
+        for t in targets:
+            staged.append((peer_base + t, sender % self.n, kind, payload))
+            self.log.append({"round": self.trace["rounds"] + 1, "from": self.name(sender),
+                             "to": self.name(peer_base + t), "kind": kind.name, "payload_bits": bits})
+
+    def run_round(self, ops, label: str, actors, inboxes: dict) -> int:
+        receivers = {to for to, *_ in self.pending}
+        to_step = range(2 * self.n) if actors is None else sorted(set(actors) | receivers)
+        staged: list[tuple] = []
+        for v in to_step:
+            mine = sorted((m for m in self.pending if m[0] == v), key=lambda m: m[1])
+            inbox: dict = {}
+            for _, sender, kind, payload in mine:
+                inbox.setdefault(kind, []).append(sender if payload is None else (sender, payload))
+            inboxes[v] = inbox
+            for targets, kind, payload, single in ops.get(v, ()):
+                for batch in ([t] for t in targets) if single else [targets]:
+                    self.send(v, batch, kind, payload, staged)
+        self.pending = staged
+        self.trace["rounds"] += 1
+        self.trace["messages_sent"] += len(staged)
+        self.trace["phase_breakdown"][label] = self.trace["phase_breakdown"].get(label, 0) + 1
+        if staged:
+            self.trace["messages_by_phase"][label] = self.trace["messages_by_phase"].get(label, 0) + len(staged)
+        return len(staged)
+
+
+@st.composite
+def _network_script(draw):
+    n = draw(st.integers(1, 4))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    men = [draw(st.permutations(sorted(w for m, w in edges if m == i))) for i in range(n)]
+    women = [draw(st.permutations(sorted(m for m, w in edges if w == j))) for j in range(n)]
+    profile = PreferenceProfile.from_lists(men, women)
+    budget = 4 * max(1, (2 * n - 1).bit_length())
+
+    def send(v):
+        neighbours = (men + women)[v]
+        # mostly valid sends; now and then a non-neighbour, and index n is never one
+        stray = not neighbours or draw(st.integers(0, 9)) == 0
+        return st.tuples(
+            st.lists(st.integers(0, n) if stray else st.sampled_from(neighbours), max_size=4),
+            st.sampled_from(list(MsgKind)),
+            st.none() | st.integers(0, 7) | st.integers(0, (1 << (budget - 2)) - 1),  # a few exceed the budget
+            st.booleans(),  # one send per target instead of one send_many
+        )
+
+    def ops():
+        senders = draw(st.sets(st.integers(0, 2 * n - 1), max_size=2 * n))
+        return {v: draw(st.lists(send(v), max_size=2)) for v in senders}
+
+    rounds = [
+        (ops(), draw(st.sampled_from(["a", "b"])), draw(st.none() | st.lists(st.integers(0, 2 * n - 1), max_size=3)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    outsider = draw(st.integers(0, 2 * n - 1))
+    return profile, rounds, (outsider, draw(send(outsider)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_network_script())
+def test_engine_matches_reference_network(script):
+    profile, rounds, (outsider, outside_send) = script
+    log, ref_log = [], []
+    eng = Engine(Topology.from_profile(profile), seed=0, message_log=log)
+    ref = _ReferenceNetwork(profile, ref_log)
+
+    def outcome(fn):
+        try:
+            return fn(), None
+        except (NonNeighborSend, OversizedPayload, InconsistentState) as exc:
+            return None, type(exc)
+
+    for ops, label, actors in rounds:
+        got, want = {}, {}
+
+        def step(ctx):
+            got[ctx.id] = {kind: list(entries) for kind, entries in ctx.inbox.items()}
+            for targets, kind, payload, single in ops.get(ctx.id, ()):
+                if single:
+                    for t in targets:
+                        ctx.send(t, kind, payload)
+                else:
+                    ctx.send_many(targets, kind, payload)
+
+        result = outcome(lambda: eng.run_round(step, label, actors))
+        assert result == outcome(lambda: ref.run_round(ops, label, actors, want))
+        assert got == want
+        assert log == ref_log
+        if result[1] is not None:
+            return
+        assert eng.in_flight == len(ref.pending)
+        assert eng.trace.as_dict() == ref.trace
+
+    targets, kind, payload, single = outside_send
+    sends = [[t] for t in targets] if single else [targets]
+    ctx = eng.contexts[outsider]
+    engine_error = outcome(lambda: [ctx.send_many(batch, kind, payload) for batch in sends])[1]
+    reference_error = outcome(lambda: [ref.send(outsider, batch, kind, payload, None) for batch in sends])[1]
+    assert engine_error == reference_error
+    assert eng.trace.as_dict() == ref.trace and log == ref_log

@@ -298,8 +298,10 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
     graph = {v: nbrs for v, nbrs in adj.items() if nbrs}
 
     def run(fast):
-        phase = MmPhase(MatchingSubroutineSpec.randomized(s), {v: MmNode(nbrs) for v, nbrs in graph.items()})
-        engine = Engine(Topology.from_bipartite(graph), seed=seed)
+        topology = Topology.from_bipartite(graph)
+        nodes = {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in graph.items()}
+        phase = MmPhase(MatchingSubroutineSpec.randomized(s), nodes)
+        engine = Engine(topology, seed=seed)
         phase.run(engine, fast_forward=fast)
         return {v: node.matched for v, node in phase.nodes.items()}, engine.trace.as_dict()
 

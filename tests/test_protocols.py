@@ -420,3 +420,55 @@ def test_locality_across_components(runner):
     assert near(r1) == near(r2)
     assert r1.men[:4] == r2.men[:4]
     assert r1.women[:4] == r2.women[:4]
+
+
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (("asm",), "eps"),
+        (("randasm", 0.5), "delta_fail"),
+        (("randasm",), "eps, delta_fail"),
+        (("aregasm", 0.5, 0.1), "alpha"),
+        (("aregasm", None, 0.1, 2.0), "eps"),
+    ],
+)
+def test_algorithm_spec_rejects_missing_parameters(args, missing):
+    # without this check describe() fails later with a TypeError
+    with pytest.raises(ValueError, match=f"{args[0]} needs {missing}$"):
+        AlgorithmSpec(*args)
+
+
+_DESCRIPTORS = [
+    ("gs", None), ("asm:1", None), ("asm:0.5", None), ("asm:1", "rand:2"), ("asm:1", "amm:0.5,0.5"),
+    ("asm:0.5", "det"), ("randasm:1,0.2", None), ("randasm:0.5,0.1", "det"), ("randasm:1,0.2", "amm:0.5,0.5"),
+    ("aregasm:1,0.5,2", None), ("aregasm:1,0.5,8", None),
+]
+
+
+@st.composite
+def _sparse_profile(draw):
+    """Up to 8 players a side; any player may be isolated, so lists may be empty."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    men = [draw(st.permutations(sorted(w for m, w in edges if m == i))) for i in range(n)]
+    women = [draw(st.permutations(sorted(m for m, w in edges if w == j))) for j in range(n)]
+    return PreferenceProfile.from_lists(men, women)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_profile(), st.sampled_from(_DESCRIPTORS), st.integers(0, 2**16))
+def test_every_descriptor_is_sound_on_small_profiles(prof, descriptor, seed):
+    text, mm = descriptor
+    spec = AlgorithmSpec.parse(text, mm=MatchingSubroutineSpec.parse(mm) if mm else None)
+    if spec.name == "aregasm" and men_degree_ratio(prof) > spec.alpha:
+        with pytest.raises(NotAlmostRegular):
+            run_algorithm(prof, spec, seed=seed)
+        return
+    res = run_algorithm(prof, spec, seed=seed)
+    res.matching.validate_for(prof)
+    if spec.deterministic:
+        assert res.violations == ()
+        rep = verify_run(prof, res)
+        assert rep.all_passed(), rep.to_json()
+    if spec.name == "gs":
+        assert res.matching == gale_shapley_oracle(prof)

@@ -25,7 +25,7 @@ from matchsim import (
 )
 from matchsim.cli import main, parse_seeds
 from matchsim.engine import Engine, MsgKind, Topology
-from matchsim.model import Side, man, woman
+from matchsim.model import Side
 from matchsim.workbench import CSV_COLUMNS, write_message_log
 
 
@@ -246,10 +246,10 @@ def test_message_log_lines_equal_json_dumps(tmp_path):
 
     def step(ctx):
         r = eng.trace.rounds
-        if ctx.self_id.side is Side.MAN:
-            ctx.send_many([woman((ctx.self_id.index + r + j) % n) for j in range(2)], MsgKind.PROPOSE)
-        elif r >= 9 and ctx.self_id.index == 11:
-            ctx.send(man(10), MsgKind.CONTROL, payload=5)
+        if ctx.side is Side.MAN:
+            ctx.send_many([(ctx.index + r + j) % n for j in range(2)], MsgKind.PROPOSE)
+        elif r >= 9 and ctx.index == 11:
+            ctx.send(10, MsgKind.CONTROL, payload=5)
 
     for _ in range(12):
         eng.run_round(step)
