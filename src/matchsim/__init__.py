@@ -30,17 +30,13 @@ from .errors import (
     RoundCapExceeded,
 )
 from .maximal import (
-    MatchingRoundResult,
     MatchingSubroutineSpec,
     MmNode,
     MmPhase,
     SubroutineResult,
-    almost_maximal_matching,
-    deterministic_maximal_matching,
     iterations_for_almost_maximal,
     iterations_for_maximal,
-    matching_round,
-    randomized_maximal_matching,
+    maximal_matching,
 )
 from .model import (
     Matching,
@@ -60,12 +56,7 @@ from .protocols import (
     PlayerFinal,
     QuantileProtocol,
     RunResult,
-    almost_regular_asm,
-    asm,
-    gale_shapley_distributed,
     men_degree_ratio,
-    rand_asm,
-    rand_mm_iterations,
     run_algorithm,
 )
 from .workbench import (

@@ -5,7 +5,7 @@ delivered at the end of the previous round (its inbox), then performs local
 computation, then stages outgoing messages. Staged messages are validated
 (edge adjacency, payload budget) and delivered atomically when the round
 ends. Messages are short: a 3-bit kind token plus an optional integer
-payload, checked against a budget of ``c * ceil(log2(processors))`` bits.
+payload, checked against a budget of ``4 * ceil(log2(processors))`` bits.
 
 Processors are ints: with n players per side, man i is processor i and woman
 j is processor n + j. A step addresses partners by their index on the other
@@ -194,28 +194,18 @@ StepFn = Callable[[ProcessorContext], None]
 class Engine:
     """Runs synchronous rounds over a fixed topology.
 
-    ``payload_budget`` defaults to ``payload_constant * max(1, ceil(log2 P))``
-    bits where P is the processor count; the ``max(1, .)`` floor keeps
-    single-edge instances able to carry the 3-bit kind token.
+    ``payload_budget`` is ``4 * max(1, ceil(log2 P))`` bits where P is the
+    processor count; the ``max(1, .)`` floor keeps single-edge instances
+    able to carry the 3-bit kind token.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        seed: int = 0,
-        round_cap: int | None = None,
-        payload_constant: int = 4,
-        payload_budget: int | None = None,
-        message_log: list | None = None,
-    ):
+    def __init__(self, topology: Topology, seed: int = 0, round_cap: int | None = None, message_log: list | None = None):
         self.topology = topology
         self.seed = seed
         self.round_cap = round_cap
         profile = topology.profile
         n = profile.n
-        if payload_budget is None:
-            payload_budget = payload_constant * max(1, (topology.num_processors() - 1).bit_length())
-        self.payload_budget = payload_budget
+        self.payload_budget = 4 * max(1, (topology.num_processors() - 1).bit_length())
         self.trace = RoundTrace()
         self.message_log = message_log
         # log names per side, computed once per player instead of once per record

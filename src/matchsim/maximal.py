@@ -16,10 +16,11 @@ resolution round in which matched vertices announce themselves). One
 ``MmPhase`` holds the per-vertex steps and the driver for all three flavors.
 Inside a phase, vertices are engine processor ids and neighbours are
 partner indices on the other side, as the engine addresses them. The
-functions in this module run it standalone on an arbitrary bipartite graph
-of ``PlayerId``s; the proposal protocol runs it as a phase of its own
-schedule. Its randomized iterations are fast-forwarded by the same
-``Engine.repeat`` that drives the protocol's schedule.
+proposal protocol runs a phase as part of its own schedule;
+``maximal_matching(graph, spec)`` is its standalone twin, which runs one
+phase on an arbitrary bipartite graph of ``PlayerId``s. Randomized
+iterations are fast-forwarded by the same ``Engine.repeat`` that drives the
+protocol's schedule.
 """
 
 from __future__ import annotations
@@ -32,28 +33,29 @@ from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
 from .errors import InconsistentState
 from .model import Matching, PlayerId, Side, woman
 
+# the expected factor by which one randomized iteration shrinks the residual
 DEFAULT_SHRINK_C = 0.95
 
 
-def iterations_for_maximal(num_vertices: int, eta: float, c: float = DEFAULT_SHRINK_C) -> int:
+def iterations_for_maximal(num_vertices: int, eta: float) -> int:
     """Iterations after which the residual is empty with probability >= 1 - eta.
 
     Derived from the expected geometric shrink of the residual vertex set by
-    a factor c per iteration plus a first-moment bound.
+    a factor DEFAULT_SHRINK_C per iteration plus a first-moment bound.
     """
-    if not (0 < eta) or not (0 < c < 1):
-        raise ValueError("need eta > 0 and 0 < c < 1")
+    if not 0 < eta:
+        raise ValueError("need eta > 0")
     if num_vertices < 1:
         return 1
-    return max(1, math.ceil(math.log(num_vertices / eta) / math.log(1 / c)))
+    return max(1, math.ceil(math.log(num_vertices / eta) / math.log(1 / DEFAULT_SHRINK_C)))
 
 
-def iterations_for_almost_maximal(eta: float, delta: float, c: float = DEFAULT_SHRINK_C) -> int:
+def iterations_for_almost_maximal(eta: float, delta: float) -> int:
     """Iterations after which at most an eta-fraction of vertices violates
     maximality, with probability >= 1 - delta."""
-    if not (0 < eta <= 1) or not (0 < delta < 1) or not (0 < c < 1):
-        raise ValueError("need 0 < eta <= 1, 0 < delta < 1, 0 < c < 1")
-    return max(1, math.ceil(math.log(1 / (delta * eta)) / math.log(1 / c)))
+    if not (0 < eta <= 1) or not (0 < delta < 1):
+        raise ValueError("need 0 < eta <= 1 and 0 < delta < 1")
+    return max(1, math.ceil(math.log(1 / (delta * eta)) / math.log(1 / DEFAULT_SHRINK_C)))
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class MatchingSubroutineSpec:
     iterations: int | None = None  # rand: fixed iteration count s
     eta: float | None = None  # amm: tolerated unmatched vertex fraction
     delta: float | None = None  # amm: failure probability
-    shrink_c: float = DEFAULT_SHRINK_C
 
     def __post_init__(self):
         if self.flavor not in ("det", "rand", "amm"):
@@ -77,26 +78,28 @@ class MatchingSubroutineSpec:
                 raise ValueError("amm flavor needs 0 < eta <= 1")
             if self.delta is None or not (0 < self.delta < 1):
                 raise ValueError("amm flavor needs 0 < delta < 1")
-        if not (0 < self.shrink_c < 1):
-            raise ValueError("shrink constant must be in (0, 1)")
+            try:
+                self.fixed_iterations()
+            except ArithmeticError as exc:  # eta * delta underflows
+                raise ValueError(f"amm flavor cannot size its schedule: {exc}") from None
 
     @classmethod
     def deterministic(cls) -> "MatchingSubroutineSpec":
         return cls(flavor="det")
 
     @classmethod
-    def randomized(cls, iterations: int, shrink_c: float = DEFAULT_SHRINK_C) -> "MatchingSubroutineSpec":
-        return cls(flavor="rand", iterations=iterations, shrink_c=shrink_c)
+    def randomized(cls, iterations: int) -> "MatchingSubroutineSpec":
+        return cls(flavor="rand", iterations=iterations)
 
     @classmethod
-    def almost_maximal(cls, eta: float, delta: float, shrink_c: float = DEFAULT_SHRINK_C) -> "MatchingSubroutineSpec":
-        return cls(flavor="amm", eta=eta, delta=delta, shrink_c=shrink_c)
+    def almost_maximal(cls, eta: float, delta: float) -> "MatchingSubroutineSpec":
+        return cls(flavor="amm", eta=eta, delta=delta)
 
     @classmethod
     def parse(cls, text: str) -> "MatchingSubroutineSpec":
         """Parse descriptor strings: ``det``, ``rand:S``, ``amm:ETA,DELTA``."""
         head, _, rest = text.partition(":")
-        if head == "det":
+        if text == "det":
             return cls.deterministic()
         if head == "rand":
             return cls.randomized(int(rest))
@@ -110,7 +113,7 @@ class MatchingSubroutineSpec:
         if self.flavor == "rand":
             return self.iterations
         if self.flavor == "amm":
-            return iterations_for_almost_maximal(self.eta, self.delta, self.shrink_c)
+            return iterations_for_almost_maximal(self.eta, self.delta)
         return None
 
     def removes_unmatched(self) -> bool:
@@ -306,31 +309,8 @@ class MmPhase:
 
 
 # ---------------------------------------------------------------------------
-# Standalone runners over an arbitrary bipartite graph
+# The standalone runner over an arbitrary bipartite graph
 # ---------------------------------------------------------------------------
-
-
-def _matching_from_partners(partner: dict[PlayerId, int | None]) -> Matching:
-    pairs = set()
-    for v, p in partner.items():
-        if p is not None and v.side is Side.MAN:
-            if partner[woman(p)] != v.index:
-                raise InconsistentState(f"asymmetric match between {v} and {woman(p)}")
-            pairs.add((v.index, p))
-    return Matching.of(pairs)
-
-
-def _violating_vertices(graph: Mapping[PlayerId, frozenset[PlayerId]], partner: dict[PlayerId, int | None]) -> frozenset[PlayerId]:
-    """Vertices that are unmatched and still have an unmatched neighbor."""
-    unmatched = {v for v in graph if partner[v] is None}
-    return frozenset(v for v in unmatched if any(u in unmatched for u in graph[v]))
-
-
-@dataclass(frozen=True)
-class MatchingRoundResult:
-    matching: Matching
-    reduced: dict[PlayerId, frozenset[PlayerId]]  # graph left for the next iteration
-    trace: RoundTrace
 
 
 @dataclass(frozen=True)
@@ -342,88 +322,41 @@ class SubroutineResult:
     trace: RoundTrace
 
 
-def _run_standalone(subgraph: Mapping[PlayerId, Iterable[PlayerId]], spec: MatchingSubroutineSpec, seed: int):
-    """Run one subroutine phase over a graph of its own; returns (graph, partner, iterations, trace),
-    where ``partner`` maps each vertex to its match's index, or None."""
-    full = {v: frozenset(nbrs) for v, nbrs in subgraph.items()}
-    graph = {v: nbrs for v, nbrs in full.items() if nbrs}  # isolated vertices take no part
-    # the topology checks that every edge crosses sides and is listed at both ends
-    topology = Topology.from_bipartite(graph)
-    engine = Engine(topology, seed=seed)
-    phase = MmPhase(spec, {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in graph.items()})
-    iterations = phase.run(engine)
-    partner = {v: phase.nodes[topology.id_of(v)].matched for v in graph}
-    return graph, partner, iterations, engine.trace
-
-
-def matching_round(
-    subgraph: Mapping[PlayerId, Iterable[PlayerId]], seed: int = 0
-) -> MatchingRoundResult:
-    """One randomized matching iteration; returns the matching found and the
-    reduced graph (matched vertices and newly isolated vertices removed)."""
-    graph, partner, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(1), seed)
-    unmatched = {v for v in graph if partner[v] is None}
-    reduced = {
-        v: frozenset(u for u in graph[v] if u in unmatched)
-        for v in unmatched
-    }
-    reduced = {v: nbrs for v, nbrs in reduced.items() if nbrs}
-    return MatchingRoundResult(matching=_matching_from_partners(partner), reduced=reduced, trace=trace)
-
-
-def _randomized_iterations(
-    subgraph: Mapping[PlayerId, Iterable[PlayerId]], s: int, seed: int
+def maximal_matching(
+    graph: Mapping[PlayerId, Iterable[PlayerId]], spec: MatchingSubroutineSpec, seed: int = 0
 ) -> SubroutineResult:
-    """Run s randomized matching iterations and report any violating vertices."""
-    graph, partner, _, trace = _run_standalone(subgraph, MatchingSubroutineSpec.randomized(s), seed)
-    violators = _violating_vertices(graph, partner)
-    return SubroutineResult(
-        matching=_matching_from_partners(partner),
-        residual_vertices=violators,
-        maximal=not violators,
-        iterations=s,
-        trace=trace,
-    )
+    """Run one invocation of the subroutine ``spec`` on its own engine.
 
-
-def randomized_maximal_matching(
-    subgraph: Mapping[PlayerId, Iterable[PlayerId]], s: int, seed: int = 0
-) -> SubroutineResult:
-    """Union of s randomized matching iterations.
-
-    If the residual empties the result is maximal; otherwise the violating
-    vertex set is reported, not raised, since callers tolerate failure
-    probabilistically.
+    ``graph`` maps each vertex to its neighbours on the other side; isolated
+    vertices take no part. ``residual_vertices`` are the unmatched vertices
+    left with an unmatched neighbour. A randomized flavor reports them, not
+    raises, since callers tolerate its failure probabilistically; the greedy
+    must leave none, and raises ``InconsistentState`` if it does.
+    ``iterations`` is the fixed iteration count of a randomized flavor, or
+    the number of greedy iterations that sent.
     """
-    if s < 1:
-        raise ValueError("need s >= 1")
-    return _randomized_iterations(subgraph, s, seed)
-
-
-def almost_maximal_matching(
-    subgraph: Mapping[PlayerId, Iterable[PlayerId]],
-    eta: float,
-    delta: float,
-    seed: int = 0,
-    shrink_c: float = DEFAULT_SHRINK_C,
-) -> SubroutineResult:
-    """Run just enough iterations that at most an eta-fraction of vertices is
-    left violating maximality, with probability at least 1 - delta."""
-    return _randomized_iterations(subgraph, iterations_for_almost_maximal(eta, delta, shrink_c), seed)
-
-
-def deterministic_maximal_matching(
-    subgraph: Mapping[PlayerId, Iterable[PlayerId]]
-) -> SubroutineResult:
-    """Lowest-id mutual-pointer greedy, iterated to quiescence. Always maximal."""
-    graph, partner, iterations, trace = _run_standalone(subgraph, MatchingSubroutineSpec.deterministic(), 0)
-    violators = _violating_vertices(graph, partner)
-    if violators:
+    full = {v: frozenset(nbrs) for v, nbrs in graph.items()}
+    live = {v: nbrs for v, nbrs in full.items() if nbrs}
+    # the topology checks that every edge crosses sides and is listed at both ends
+    topology = Topology.from_bipartite(live)
+    engine = Engine(topology, seed=seed)
+    phase = MmPhase(spec, {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in live.items()})
+    iterations = phase.run(engine)
+    partner = {v: phase.nodes[topology.id_of(v)].matched for v in live}
+    pairs = set()
+    for v, p in partner.items():
+        if p is not None and v.side is Side.MAN:
+            if partner[woman(p)] != v.index:
+                raise InconsistentState(f"asymmetric match between {v} and {woman(p)}")
+            pairs.add((v.index, p))
+    unmatched = {v for v in live if partner[v] is None}
+    violators = frozenset(v for v in unmatched if not unmatched.isdisjoint(live[v]))
+    if violators and spec.flavor == "det":
         raise InconsistentState(f"greedy subroutine left violators: {sorted(violators)}")
     return SubroutineResult(
-        matching=_matching_from_partners(partner),
+        matching=Matching.of(pairs),
         residual_vertices=violators,
-        maximal=True,
+        maximal=not violators,
         iterations=iterations,
-        trace=trace,
+        trace=engine.trace,
     )

@@ -118,12 +118,6 @@ class PreferenceProfile:
     def _woman_rank(self) -> tuple[dict[int, int], ...]:
         return tuple(dict(zip(lst, range(1, len(lst) + 1))) for lst in self.women_prefs)
 
-    def prefs_of(self, v: PlayerId) -> tuple[int, ...]:
-        return (self.men_prefs if v.side is Side.MAN else self.women_prefs)[v.index]
-
-    def degree(self, v: PlayerId) -> int:
-        return len(self.prefs_of(v))
-
     @cached_property
     def num_edges(self) -> int:
         return sum(map(len, self.men_prefs))

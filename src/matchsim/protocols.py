@@ -31,9 +31,9 @@ that are only guaranteed when every run is exact are raised for a
 deterministic descriptor (``AlgorithmSpec.deterministic``) and logged
 otherwise.
 
-``run_algorithm`` is the one place that turns a descriptor into a
-``QuantileProtocol``; ``asm``, ``rand_asm``, ``almost_regular_asm`` and
-``gale_shapley_distributed`` delegate to it.
+A run is built from a descriptor only: ``run_algorithm(profile, "asm:0.25")``
+(or an ``AlgorithmSpec``) is the one protocol runner, and
+``AlgorithmSpec`` is the one place that turns a descriptor into a schedule.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     NotAlmostRegular,
     RoundCapExceeded,
 )
-from .maximal import DEFAULT_SHRINK_C, MatchingSubroutineSpec, MmNode, MmPhase
+from .maximal import MatchingSubroutineSpec, MmNode, MmPhase, iterations_for_maximal
 from .model import Matching, PreferenceProfile, QuantizedPrefs, Side, quantize
 
 
@@ -85,16 +85,6 @@ class AsmParams:
         inner = math.ceil(2 * k / delta)
         outer = (math.ceil(math.log2(n)) if n > 1 else 0) + 1
         return cls(eps=eps, n=n, k=k, delta=delta, inner_iterations=inner, outer_iterations=outer)
-
-
-def rand_mm_iterations(total_calls: int, num_vertices: int, delta_fail: float, shrink_c: float) -> int:
-    """Per-invocation iteration count making every subroutine call succeed
-    with probability >= 1 - delta_fail, by a union bound over all calls."""
-    if total_calls < 1 or num_vertices < 1:
-        raise ValueError("need total_calls >= 1 and num_vertices >= 1")
-    if not (0 < delta_fail < 1) or not (0 < shrink_c < 1):
-        raise ValueError("need 0 < delta_fail < 1 and 0 < shrink_c < 1")
-    return max(1, math.ceil(math.log(total_calls * num_vertices / delta_fail) / math.log(1 / shrink_c)))
 
 
 class ManState:
@@ -586,7 +576,7 @@ def men_degree_ratio(profile: PreferenceProfile) -> float:
     return hi / lo
 
 
-# the parameters each descriptor must carry
+# the parameters each descriptor must carry, in field order
 _REQUIRED = {"gs": (), "asm": ("eps",), "randasm": ("eps", "delta_fail"), "aregasm": ("eps", "delta_fail", "alpha")}
 
 
@@ -595,7 +585,9 @@ class AlgorithmSpec:
     """Parsed form of CLI algorithm descriptors.
 
     ``gs``, ``asm:EPS``, ``randasm:EPS,DELTA``, ``aregasm:EPS,DELTA,ALPHA``;
-    ``asm`` and ``randasm`` take a subroutine override.
+    ``asm`` and ``randasm`` take a subroutine override. A spec whose
+    schedule cannot be built for one player a side is rejected here, before
+    any run.
     """
 
     name: str
@@ -614,10 +606,13 @@ class AlgorithmSpec:
             raise ValueError(f"eps must be in (0, 1], got {self.eps:g}")
         if self.delta_fail is not None and not (0 < self.delta_fail < 1):
             raise ValueError(f"delta must be in (0, 1), got {self.delta_fail:g}")
-        if self.alpha is not None and self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha:g}")
+        if self.alpha is not None and not 1 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be a finite number >= 1, got {self.alpha:g}")
         if self.mm is not None and self.name not in ("asm", "randasm"):
             raise ValueError(f"a subroutine override applies to asm and randasm only, not {self.name}")
+        # k, the quantile matches per rung, the flat count and the aregasm
+        # subroutine do not depend on n, so one player a side checks them all
+        self._schedule(1)
 
     @property
     def deterministic(self) -> bool:
@@ -626,26 +621,44 @@ class AlgorithmSpec:
 
     @classmethod
     def parse(cls, text: str, mm: MatchingSubroutineSpec | None = None) -> "AlgorithmSpec":
-        head, _, rest = text.partition(":")
-        args = [float(x) for x in rest.split(",")] if rest else []
-        if head == "gs":
-            return cls(name="gs", mm=mm)
-        if head == "asm" and len(args) == 1:
-            return cls(name="asm", eps=args[0], mm=mm)
-        if head == "randasm" and len(args) == 2:
-            return cls(name="randasm", eps=args[0], delta_fail=args[1], mm=mm)
-        if head == "aregasm" and len(args) == 3:
-            return cls(name="aregasm", eps=args[0], delta_fail=args[1], alpha=args[2], mm=mm)
-        raise ValueError(f"cannot parse algorithm descriptor {text!r}")
+        head, colon, rest = text.partition(":")
+        args = rest.split(",") if colon else []
+        if head not in _REQUIRED or len(args) != len(_REQUIRED[head]):
+            raise ValueError(f"cannot parse algorithm descriptor {text!r}")
+        return cls(head, *map(float, args), mm=mm)
 
     def describe(self) -> str:
+        params = ",".join(f"{getattr(self, param):g}" for param in _REQUIRED[self.name])
+        return f"{self.name}:{params}" if params else self.name
+
+    def _schedule(self, n: int) -> tuple[str, AsmParams | None, int | None, MatchingSubroutineSpec]:
+        """The mode, ladder parameters, flat quantile-match count and subroutine
+        of a run with n players a side.
+
+        * ``gs``: serial mode with the greedy subroutine.
+        * ``asm``: the degree ladder, greedy subroutine unless overridden.
+        * ``randasm``: the ladder with ``rand:s`` sized so that, by a union
+          bound over every subroutine call the schedule can make, all of them
+          produce a maximal matching with probability at least 1 - delta.
+        * ``aregasm``: a flat ceil(8 alpha k / eps) quantile matches with an
+          almost-maximal subroutine, whose stragglers leave the game
+          immediately.
+        """
+        mm = self.mm or MatchingSubroutineSpec.deterministic()
         if self.name == "gs":
-            return "gs"
-        if self.name == "asm":
-            return f"asm:{self.eps:g}"
-        if self.name == "randasm":
-            return f"randasm:{self.eps:g},{self.delta_fail:g}"
-        return f"aregasm:{self.eps:g},{self.delta_fail:g},{self.alpha:g}"
+            return "serial", None, None, mm
+        try:  # a tiny eps can overflow a count or underflow a probability
+            params = AsmParams.for_instance(self.eps, n)
+            if self.name == "aregasm":
+                flat = math.ceil(8 * self.alpha * params.k / self.eps)
+                eta = self.eps**4 / (64 * self.alpha)
+                return "flat", params, flat, MatchingSubroutineSpec.almost_maximal(eta, self.delta_fail / (flat * params.k))
+            if self.name == "randasm" and self.mm is None:
+                total_calls = params.outer_iterations * params.inner_iterations * params.k
+                mm = MatchingSubroutineSpec.randomized(iterations_for_maximal(total_calls * 2 * n, self.delta_fail))
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"cannot build a schedule for {self.describe()} with n={n}: {exc}") from None
+        return "ladder", params, None, mm
 
 
 def run_algorithm(
@@ -655,43 +668,23 @@ def run_algorithm(
     round_cap: int | None = None,
     message_log: list | None = None,
 ) -> RunResult:
-    """Execute any protocol of the family from its descriptor.
+    """Execute any protocol of the family from its descriptor, e.g. ``"asm:0.25"``.
 
-    * ``gs``: serial mode with the greedy subroutine. The default cap allows
-      n^2 + n proposal iterations of six engine rounds each (propose,
-      accept, three subroutine rounds, reject).
-    * ``asm``: the degree ladder, greedy subroutine unless overridden.
-    * ``randasm``: the ladder with ``rand:s`` sized so that, by a union bound
-      over every subroutine call the schedule can make, all of them produce
-      a maximal matching with probability at least 1 - delta.
-    * ``aregasm``: needs men's degree spread at most alpha; a flat
-      ceil(8 alpha k / eps) quantile matches with an almost-maximal
-      subroutine, whose stragglers leave the game immediately.
+    ``gs``'s default round cap allows n^2 + n proposal iterations of six
+    engine rounds each (propose, accept, three subroutine rounds, reject).
+    ``aregasm`` needs men's degree spread at most alpha.
     """
     spec = AlgorithmSpec.parse(algorithm) if isinstance(algorithm, str) else algorithm
-    label = spec.describe()
-    mm = spec.mm or MatchingSubroutineSpec.deterministic()
-    mode, params, flat = "ladder", None, None
-    if spec.name == "gs":
-        mode = "serial"
-        if round_cap is None:
-            round_cap = 6 * (profile.n * profile.n + profile.n) + 8
-    else:
-        params = AsmParams.for_instance(spec.eps, profile.n)
-        if spec.mm is not None and (spec.name == "randasm" or spec.mm.flavor != "det"):
-            label += f"/{spec.mm.describe()}"
-    if spec.name == "randasm" and spec.mm is None:
-        total_calls = params.outer_iterations * params.inner_iterations * params.k
-        mm = MatchingSubroutineSpec.randomized(
-            rand_mm_iterations(total_calls, 2 * profile.n, spec.delta_fail, DEFAULT_SHRINK_C)
-        )
-    elif spec.name == "aregasm":
+    if spec.name == "aregasm":
         ratio = men_degree_ratio(profile)
         if ratio > spec.alpha:
             raise NotAlmostRegular(ratio, spec.alpha)
-        mode, flat = "flat", math.ceil(8 * spec.alpha * params.k / spec.eps)
-        eta = spec.eps**4 / (64 * spec.alpha)
-        mm = MatchingSubroutineSpec.almost_maximal(eta, spec.delta_fail / (flat * params.k))
+    mode, params, flat, mm = spec._schedule(profile.n)
+    label = spec.describe()
+    if spec.mm is not None and (spec.name == "randasm" or spec.mm.flavor != "det"):
+        label += f"/{spec.mm.describe()}"
+    if spec.name == "gs" and round_cap is None:
+        round_cap = 6 * (profile.n * profile.n + profile.n) + 8
     return QuantileProtocol(
         profile,
         mode=mode,
@@ -704,51 +697,3 @@ def run_algorithm(
         message_log=message_log,
         algorithm_label=label,
     ).run()
-
-
-def asm(
-    profile: PreferenceProfile,
-    eps: float,
-    mm_spec: MatchingSubroutineSpec | None = None,
-    seed: int = 0,
-    round_cap: int | None = None,
-    message_log: list | None = None,
-) -> RunResult:
-    """Deterministic almost-stable matching: at most eps * |E| blocking pairs."""
-    return run_algorithm(profile, AlgorithmSpec("asm", eps, mm=mm_spec), seed, round_cap, message_log)
-
-
-def rand_asm(
-    profile: PreferenceProfile,
-    eps: float,
-    delta_fail: float,
-    seed: int = 0,
-    round_cap: int | None = None,
-    message_log: list | None = None,
-) -> RunResult:
-    """Randomized variant: (1 - eps)-stable with probability >= 1 - delta_fail."""
-    return run_algorithm(profile, AlgorithmSpec("randasm", eps, delta_fail), seed, round_cap, message_log)
-
-
-def almost_regular_asm(
-    profile: PreferenceProfile,
-    eps: float,
-    delta_fail: float,
-    alpha: float,
-    seed: int = 0,
-    round_cap: int | None = None,
-    message_log: list | None = None,
-) -> RunResult:
-    """Constant-round variant for men's degree spread bounded by alpha."""
-    return run_algorithm(profile, AlgorithmSpec("aregasm", eps, delta_fail, alpha), seed, round_cap, message_log)
-
-
-def gale_shapley_distributed(
-    profile: PreferenceProfile,
-    seed: int = 0,
-    round_cap: int | None = None,
-    message_log: list | None = None,
-) -> RunResult:
-    """Per-player singleton quantiles iterated to quiescence: classical
-    deferred acceptance run through the same machinery. Output is stable."""
-    return run_algorithm(profile, AlgorithmSpec("gs"), seed, round_cap, message_log)

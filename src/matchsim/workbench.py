@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -53,17 +54,18 @@ class GeneratorSpec:
             if self.d is None or self.d < 1:
                 raise ValueError("bounded family needs degree bound d >= 1")
         elif self.family == "aregular":
-            if self.alpha is None or self.alpha < 1:
-                raise ValueError("aregular family needs alpha >= 1")
             if self.base_degree is None or self.base_degree < 1:
                 raise ValueError("aregular family needs base degree >= 1")
+            # the degree cap is int(alpha * base degree), so it must be finite
+            if self.alpha is None or not (1 <= self.alpha and math.isfinite(self.alpha * self.base_degree)):
+                raise ValueError("aregular family needs alpha >= 1 with a finite alpha * base degree")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
     @classmethod
     def parse(cls, text: str, n: int, seed: int) -> "GeneratorSpec":
         head, _, rest = text.partition(":")
-        if head == "complete":
+        if text == "complete":
             return cls(family="complete", n=n, seed=seed)
         if head == "random":
             return cls(family="random", n=n, seed=seed, p=float(rest))
@@ -186,11 +188,20 @@ def save_instance(profile: PreferenceProfile, path: str | Path) -> None:
     Path(path).write_text(instance_to_json(profile), encoding="utf-8")
 
 
-def load_instance(path: str | Path) -> PreferenceProfile:
+def _read_json(path: str | Path, error: type[MatchsimError]):
+    """Parse a file whose numbers must all be integers; ``error`` on any other content."""
+
+    def no_floats(token: str):  # called for float tokens only, so integer-only files pay nothing
+        raise error(f"{path}: expected an integer, got {token}")
+
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=no_floats)
     except json.JSONDecodeError as exc:
-        raise InvalidProfile(f"{path}: not valid JSON: {exc}") from exc
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_instance(path: str | Path) -> PreferenceProfile:
+    obj = _read_json(path, InvalidProfile)
     if not isinstance(obj, dict):
         raise InvalidProfile(f"{path}: expected a JSON object")
     for key in ("n", "men", "women"):
@@ -215,10 +226,7 @@ def save_matching(matching: Matching, path: str | Path) -> None:
 
 
 def load_matching(path: str | Path) -> Matching:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidMatching(f"{path}: not valid JSON: {exc}") from exc
+    obj = _read_json(path, InvalidMatching)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise InvalidMatching(f"{path}: missing key 'pairs'")
     try:

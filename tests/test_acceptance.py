@@ -13,21 +13,19 @@ import random
 import pytest
 
 from matchsim import (
+    AlgorithmSpec,
     GeneratorSpec,
     Matching,
+    MatchingSubroutineSpec,
     PreferenceProfile,
-    almost_regular_asm,
-    asm,
     count_blocking_pairs,
-    gale_shapley_distributed,
     gale_shapley_oracle,
     generate,
     iterations_for_maximal,
     man,
-    matching_round,
-    rand_asm,
-    randomized_maximal_matching,
+    maximal_matching,
     rate_within_claim,
+    run_algorithm,
     verify_run,
     woman,
 )
@@ -55,7 +53,7 @@ def det_sweep():
         for i in range(RUNS_PER_FAMILY):
             n, eps = combos[i % len(combos)]
             prof = generate(GeneratorSpec.parse(fam, n=n, seed=10_000 + i))
-            res = asm(prof, eps, seed=i)
+            res = run_algorithm(prof, AlgorithmSpec("asm", eps), seed=i)
             rep = verify_run(prof, res)
             runs.append((fam, n, eps, res, rep))
     return runs
@@ -67,7 +65,7 @@ def rand_sweep():
     out = []
     for seed in range(200):
         prof = generate(GeneratorSpec.parse("complete", n=64, seed=seed))
-        res = rand_asm(prof, 0.5, 0.1, seed=seed)
+        res = run_algorithm(prof, "randasm:0.5,0.1", seed=seed)
         out.append((prof, res))
     return out
 
@@ -144,7 +142,7 @@ def test_criterion_06_deferred_acceptance_equivalence():
         n = (8, 16, 32, 64)[i % 4]
         fam = "complete" if i % 2 else "random:0.5"
         prof = generate(GeneratorSpec.parse(fam, n=n, seed=rng.randrange(1 << 30)))
-        res = gale_shapley_distributed(prof)
+        res = run_algorithm(prof, "gs")
         if res.matching.pairs != gale_shapley_oracle(prof).pairs:
             mismatches += 1
         if count_blocking_pairs(prof, res.matching):
@@ -260,8 +258,8 @@ def test_criterion_08_single_round_shrinkage():
         g = _er_bipartite(40, 0.15, rng)
         if len(g) < 64:
             continue
-        res = matching_round(g, seed=len(ratios))
-        ratios.append(len(res.reduced) / len(g))
+        res = maximal_matching(g, MatchingSubroutineSpec.randomized(1), seed=len(ratios))
+        ratios.append(len(res.residual_vertices) / len(g))
     mean = sum(ratios) / len(ratios)
     report(
         8,
@@ -272,13 +270,13 @@ def test_criterion_08_single_round_shrinkage():
 
 
 def test_criterion_09_iterated_rounds_reach_maximality():
-    s = iterations_for_maximal(128, eta=0.05, c=0.95)
+    s = iterations_for_maximal(128, eta=0.05)
     rng = random.Random(99)
     fails = 0
     trials = 500
     for seed in range(trials):
         g = _er_bipartite(64, 0.2, rng)
-        res = randomized_maximal_matching(g, s=s, seed=seed)
+        res = maximal_matching(g, MatchingSubroutineSpec.randomized(s), seed=seed)
         if not res.maximal:
             fails += 1
     ok = rate_within_claim(fails, trials, 0.05)
@@ -308,7 +306,7 @@ def test_criterion_11_flat_variant_constant_rounds():
     rounds = {}
     for n in (32, 64, 128, 256):
         prof = generate(GeneratorSpec.parse("complete", n=n, seed=0))
-        res = almost_regular_asm(prof, 0.5, 0.1, alpha=1.0, seed=0)
+        res = run_algorithm(prof, "aregasm:0.5,0.1,1", seed=0)
         rounds[n] = res.trace.rounds
     ratio = max(rounds.values()) / min(rounds.values())
 
@@ -316,7 +314,7 @@ def test_criterion_11_flat_variant_constant_rounds():
     trials = 200
     for seed in range(trials):
         prof = generate(GeneratorSpec.parse("complete", n=64, seed=seed))
-        res = almost_regular_asm(prof, 0.5, 0.1, alpha=1.0, seed=seed)
+        res = run_algorithm(prof, "aregasm:0.5,0.1,1", seed=seed)
         if count_blocking_pairs(prof, res.matching) > 0.5 * prof.num_edges:
             violations += 1
     stat_ok = rate_within_claim(violations, trials, 0.1)
@@ -332,7 +330,7 @@ def test_criterion_12_randomized_round_growth_sublinear():
     rounds = {}
     for n in (64, 128, 256, 512):
         prof = generate(GeneratorSpec.parse("bounded:8", n=n, seed=0))
-        res = rand_asm(prof, 0.5, 0.1, seed=0)
+        res = run_algorithm(prof, "randasm:0.5,0.1", seed=0)
         rounds[n] = res.trace.rounds
     ratios = [rounds[2 * n] / rounds[n] for n in (64, 128, 256)]
     report(

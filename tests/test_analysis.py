@@ -337,10 +337,10 @@ def test_all_men_sharing_one_ranking_is_serial_assignment():
 def test_report_serializes_to_json():
     import json
 
-    from matchsim import GeneratorSpec, asm, generate, verify_run
+    from matchsim import GeneratorSpec, generate, run_algorithm, verify_run
 
     prof = generate(GeneratorSpec.parse("complete", n=8, seed=0))
-    rep = verify_run(prof, asm(prof, 0.5))
+    rep = verify_run(prof, run_algorithm(prof, "asm:0.5"))
     parsed = json.loads(rep.to_json())
     assert parsed["blocking_pairs"] == rep.blocking_pairs
     assert set(parsed["bounds"]) == {"thm41", "lemma42", "lemma43", "lemma44", "lemma45", "lemma47"}

@@ -1,5 +1,5 @@
-"""Matching subroutines: the randomized pointer round, its iterated forms,
-and the deterministic greedy."""
+"""Matching subroutines run standalone by ``maximal_matching``: the randomized
+pointer round, its iterated forms, and the deterministic greedy."""
 
 import math
 import random
@@ -16,15 +16,15 @@ from matchsim import (
     MmPhase,
     Topology,
     check_maximal,
-    almost_maximal_matching,
-    deterministic_maximal_matching,
     iterations_for_almost_maximal,
     iterations_for_maximal,
     man,
-    matching_round,
-    randomized_maximal_matching,
+    maximal_matching,
     woman,
 )
+
+DET = MatchingSubroutineSpec.deterministic()
+ONE_ROUND = MatchingSubroutineSpec.randomized(1)  # one randomized matching iteration
 
 
 def bipartite(edges):
@@ -42,9 +42,9 @@ def random_bipartite(n_side, p, rng):
 
 def test_matching_round_single_edge():
     for seed in range(5):
-        res = matching_round(bipartite([(0, 0)]), seed=seed)
+        res = maximal_matching(bipartite([(0, 0)]), ONE_ROUND, seed=seed)
         assert res.matching.sorted_pairs() == [(0, 0)]
-        assert res.reduced == {}
+        assert res.residual_vertices == frozenset()
 
 
 def test_matching_round_star_always_matches_one():
@@ -52,20 +52,20 @@ def test_matching_round_star_always_matches_one():
     # pair forms and the other leaves drop out isolated
     star = bipartite([(0, 0), (0, 1), (0, 2)])
     for seed in range(40):
-        res = matching_round(star, seed=seed)
+        res = maximal_matching(star, ONE_ROUND, seed=seed)
         assert len(res.matching) == 1
         assert res.matching.sorted_pairs()[0][0] == 0
-        assert res.reduced == {}
+        assert res.residual_vertices == frozenset()
 
 
 def test_matching_round_empty_graph():
-    res = matching_round({}, seed=0)
+    res = maximal_matching({}, ONE_ROUND, seed=0)
     assert len(res.matching) == 0
-    assert res.reduced == {}
+    assert res.residual_vertices == frozenset()
 
 
 def test_matching_round_uses_four_rounds():
-    res = matching_round(bipartite([(0, 0)]), seed=1)
+    res = maximal_matching(bipartite([(0, 0)]), ONE_ROUND, seed=1)
     assert res.trace.phase_breakdown == {"mm": 4}
 
 
@@ -75,7 +75,7 @@ def test_matching_round_path_always_resolves():
     path = bipartite([(0, 0), (1, 0)])  # M0 - W0 - M1
     seen_low = None
     for seed in range(64):
-        res = randomized_maximal_matching(path, s=1, seed=seed)
+        res = maximal_matching(path, ONE_ROUND, seed=seed)
         assert len(res.matching) == 1
         assert res.maximal
         assert not res.residual_vertices
@@ -91,7 +91,7 @@ def test_randomized_runs_to_maximality_with_enough_iterations():
         if not g:
             continue
         s = iterations_for_maximal(len(g), eta=0.01)
-        res = randomized_maximal_matching(g, s=s, seed=trial)
+        res = maximal_matching(g, MatchingSubroutineSpec.randomized(s), seed=trial)
         assert res.maximal
         rep = check_maximal(g, res.matching)
         assert rep.maximal and not rep.violators
@@ -103,7 +103,7 @@ def test_randomized_result_is_always_a_valid_matching():
         g = random_bipartite(10, 0.25, rng)
         if not g:
             continue
-        res = randomized_maximal_matching(g, s=2, seed=trial)
+        res = maximal_matching(g, MatchingSubroutineSpec.randomized(2), seed=trial)
         for m_idx, w_idx in res.matching.pairs:
             assert woman(w_idx) in g[man(m_idx)]
         # violators are exactly the unmatched vertices with unmatched neighbors
@@ -112,9 +112,9 @@ def test_randomized_result_is_always_a_valid_matching():
 
 
 def test_iteration_formula_values():
-    assert iterations_for_maximal(256, eta=0.01, c=0.95) == 198
-    assert iterations_for_maximal(128, eta=0.05, c=0.95) == 153
-    assert iterations_for_almost_maximal(eta=1.0, delta=0.99, c=0.95) == 1
+    assert iterations_for_maximal(256, eta=0.01) == 198
+    assert iterations_for_maximal(128, eta=0.05) == 153
+    assert iterations_for_almost_maximal(eta=1.0, delta=0.99) == 1
     # halving the failure budget costs about log 2 / log(1 / c) extra rounds
     base = iterations_for_maximal(128, eta=0.05)
     assert iterations_for_maximal(128, eta=0.025) - base == pytest.approx(
@@ -127,14 +127,14 @@ def test_iterated_rounds_failure_rate_within_budget():
     # should stay within the claimed rate across 500 seeded graphs
     from matchsim import rate_within_claim
 
-    s = iterations_for_maximal(256, eta=0.01, c=0.95)
+    s = iterations_for_maximal(256, eta=0.01)
     assert s == 198
     rng = random.Random(3)
     fails = 0
     trials = 500
     for seed in range(trials):
         g = random_bipartite(128, 0.08, rng)
-        res = randomized_maximal_matching(g, s=s, seed=seed)
+        res = maximal_matching(g, MatchingSubroutineSpec.randomized(s), seed=seed)
         if not res.maximal:
             fails += 1
     assert rate_within_claim(fails, trials, 0.01), fails
@@ -142,13 +142,13 @@ def test_iterated_rounds_failure_rate_within_budget():
 
 def test_almost_maximal_eta_one_single_iteration():
     g = bipartite([(m, w) for m in range(4) for w in range(4)])
-    res = almost_maximal_matching(g, eta=1.0, delta=0.99, seed=0)
+    res = maximal_matching(g, MatchingSubroutineSpec.almost_maximal(1.0, 0.99), seed=0)
     assert res.iterations == 1
     assert len(res.matching) >= 1
 
 
 def test_almost_maximal_empty_graph():
-    res = almost_maximal_matching({}, eta=0.5, delta=0.1, seed=0)
+    res = maximal_matching({}, MatchingSubroutineSpec.almost_maximal(0.5, 0.1), seed=0)
     assert len(res.matching) == 0
     assert not res.residual_vertices
 
@@ -162,21 +162,21 @@ def test_almost_maximal_k44_leaves_few_residuals():
     over_budget = 0
     trials = 500
     for seed in range(trials):
-        res = almost_maximal_matching(g, eta=0.25, delta=0.1, seed=seed)
+        res = maximal_matching(g, MatchingSubroutineSpec.almost_maximal(0.25, 0.1), seed=seed)
         if len(res.residual_vertices) > 0.25 * 8:
             over_budget += 1
     assert rate_within_claim(over_budget, trials, 0.1), over_budget
 
 
 def test_deterministic_single_edge():
-    res = deterministic_maximal_matching(bipartite([(0, 0)]))
+    res = maximal_matching(bipartite([(0, 0)]), DET)
     assert res.matching.sorted_pairs() == [(0, 0)]
     assert res.maximal
 
 
 def test_deterministic_path_lowest_id_pairing():
     # M0 - W0 - M1: W0 points at her lowest-id neighbor M0, mutual with M0
-    res = deterministic_maximal_matching(bipartite([(0, 0), (1, 0)]))
+    res = maximal_matching(bipartite([(0, 0), (1, 0)]), DET)
     assert res.matching.sorted_pairs() == [(0, 0)]
     rep = check_maximal(bipartite([(0, 0), (1, 0)]), res.matching)
     assert rep.maximal
@@ -184,7 +184,7 @@ def test_deterministic_path_lowest_id_pairing():
 
 def test_deterministic_perfect_matching_is_immediate():
     g = bipartite([(i, i) for i in range(6)])
-    res = deterministic_maximal_matching(g)
+    res = maximal_matching(g, DET)
     assert res.matching.sorted_pairs() == [(i, i) for i in range(6)]
     assert res.iterations == 1
     assert res.trace.rounds == 3
@@ -196,7 +196,7 @@ def test_deterministic_always_maximal_on_random_graphs():
         g = random_bipartite(rng.randint(2, 14), 0.3, rng)
         if not g:
             continue
-        res = deterministic_maximal_matching(g)
+        res = maximal_matching(g, DET)
         rep = check_maximal(g, res.matching)
         assert rep.maximal, f"trial {trial}"
 
@@ -208,7 +208,7 @@ def test_maximality_check_cannot_be_extended():
         g = random_bipartite(8, 0.4, rng)
         if not g:
             continue
-        res = deterministic_maximal_matching(g)
+        res = maximal_matching(g, DET)
         matched = {man(m) for m, _ in res.matching.pairs} | {woman(w) for _, w in res.matching.pairs}
         for v, nbrs in g.items():
             for u in nbrs:
@@ -222,8 +222,9 @@ def test_subroutine_spec_parsing():
     spec = MatchingSubroutineSpec.parse("amm:0.01,0.05")
     assert spec.flavor == "amm" and spec.eta == 0.01 and spec.delta == 0.05
     assert spec.fixed_iterations() == iterations_for_almost_maximal(0.01, 0.05)
-    with pytest.raises(ValueError):
-        MatchingSubroutineSpec.parse("foo")
+    for text in ("foo", "det:junk", "amm:1e-200,1e-200"):
+        with pytest.raises(ValueError):
+            MatchingSubroutineSpec.parse(text)
     with pytest.raises(ValueError):
         MatchingSubroutineSpec.randomized(0)
     with pytest.raises(ValueError):
@@ -232,10 +233,10 @@ def test_subroutine_spec_parsing():
 
 def test_matching_round_determinism():
     g = bipartite([(m, w) for m in range(6) for w in range(6) if (m + w) % 2])
-    a = matching_round(g, seed=5)
-    b = matching_round(g, seed=5)
+    a = maximal_matching(g, ONE_ROUND, seed=5)
+    b = maximal_matching(g, ONE_ROUND, seed=5)
     assert a.matching.pairs == b.matching.pairs
-    assert a.reduced == b.reduced
+    assert a.residual_vertices == b.residual_vertices
 
 
 @st.composite
@@ -279,12 +280,12 @@ def test_maximality_agrees_with_networkx(case):
     given_matching = Matching.of(pairs)
     assert check_maximal(adj, given_matching).maximal == nx.is_maximal_matching(g, _nx_matching(given_matching))
 
-    greedy = deterministic_maximal_matching(adj).matching
+    greedy = maximal_matching(adj, DET).matching
     assert nx.is_maximal_matching(g, _nx_matching(greedy))
     assert check_maximal(adj, greedy).maximal
 
     for s in (1, 3):
-        res = randomized_maximal_matching(adj, s=s, seed=seed)
+        res = maximal_matching(adj, MatchingSubroutineSpec.randomized(s), seed=seed)
         assert nx.is_matching(g, _nx_matching(res.matching))
         assert res.maximal == nx.is_maximal_matching(g, _nx_matching(res.matching))
         assert check_maximal(adj, res.matching).maximal == res.maximal

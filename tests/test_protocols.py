@@ -17,17 +17,13 @@ from matchsim import (
     NotAlmostRegular,
     PreferenceProfile,
     RoundCapExceeded,
-    almost_regular_asm,
-    asm,
     count_blocking_pairs,
-    gale_shapley_distributed,
     gale_shapley_oracle,
     generate,
     GeneratorSpec,
+    iterations_for_maximal,
     man,
     men_degree_ratio,
-    rand_asm,
-    rand_mm_iterations,
     run_algorithm,
     verify_run,
     woman,
@@ -60,7 +56,7 @@ def pair_profile():
 
 
 def test_single_pair_matches():
-    res = asm(pair_profile(), 0.5)
+    res = run_algorithm(pair_profile(), "asm:0.5")
     assert res.matching.sorted_pairs() == [(0, 0)]
     assert res.trace.rounds >= 3
     assert count_blocking_pairs(pair_profile(), res.matching) == 0
@@ -69,7 +65,7 @@ def test_single_pair_matches():
 
 def test_single_pair_message_sequence():
     log = []
-    asm(pair_profile(), 0.5, message_log=log)
+    run_algorithm(pair_profile(), "asm:0.5", message_log=log)
     kinds = [e["kind"] for e in log]
     assert kinds[0] == "PROPOSE"
     assert kinds[1] == "ACCEPT"
@@ -79,7 +75,7 @@ def test_single_pair_message_sequence():
 
 def test_empty_edge_set():
     prof = PreferenceProfile.from_lists([[], []], [[], []])
-    res = asm(prof, 0.5)
+    res = run_algorithm(prof, "asm:0.5")
     assert len(res.matching) == 0
     assert res.trace.messages_sent == 0
     assert not res.violations
@@ -87,7 +83,7 @@ def test_empty_edge_set():
 
 def test_round_cap_carries_partial_state():
     with pytest.raises(RoundCapExceeded) as exc:
-        asm(pair_profile(), 0.5, round_cap=1)
+        run_algorithm(pair_profile(), "asm:0.5", round_cap=1)
     partial = exc.value.partial
     assert partial is not None
     assert partial.trace.rounds == 1
@@ -98,7 +94,7 @@ def test_two_suitors_one_match_one_rejection():
     # both men court the only listed woman; the subroutine matches one and
     # she rejects the other, who then drops her
     prof = PreferenceProfile.from_lists([[0], [0]], [[0, 1], []])
-    res = asm(prof, 1.0)
+    res = run_algorithm(prof, "asm:1")
     assert len(res.matching) == 1
     matched_man = res.matching.sorted_pairs()[0][0]
     loser = 1 - matched_man
@@ -109,7 +105,7 @@ def test_two_suitors_one_match_one_rejection():
 
 def test_conflicting_top_choices_resolve():
     prof = PreferenceProfile.from_lists([[0, 1], [0, 1]], [[0, 1], [0, 1]])
-    res = asm(prof, 1.0)
+    res = run_algorithm(prof, "asm:1")
     assert len(res.matching) >= 1
     assert all(st.partner is not None or not st.remaining for st in res.men)
     assert not res.violations
@@ -117,14 +113,14 @@ def test_conflicting_top_choices_resolve():
 
 def test_messages_fit_in_kind_token():
     prof = generate(GeneratorSpec.parse("random:0.5", n=24, seed=5))
-    res = asm(prof, 0.5)
+    res = run_algorithm(prof, "asm:0.5")
     assert res.trace.max_payload_bits == 3
 
 
 def test_det_asm_ignores_seed():
     prof = generate(GeneratorSpec.parse("random:0.5", n=16, seed=8))
-    a = asm(prof, 0.5, seed=0)
-    b = asm(prof, 0.5, seed=12345)
+    a = run_algorithm(prof, "asm:0.5", seed=0)
+    b = run_algorithm(prof, "asm:0.5", seed=12345)
     assert a.matching.pairs == b.matching.pairs
     assert a.trace.rounds == b.trace.rounds
 
@@ -134,7 +130,7 @@ def test_strict_invariants_hold_on_random_instances():
     # per-rung bad fraction all run as in-run assertions under strict mode
     for seed in range(15):
         prof = generate(GeneratorSpec.parse("random:0.4", n=20, seed=seed))
-        res = asm(prof, 0.5, seed=seed)
+        res = run_algorithm(prof, "asm:0.5", seed=seed)
         assert res.violations == ()
         rep = verify_run(prof, res)
         assert rep.all_passed(), rep.to_json()
@@ -142,7 +138,7 @@ def test_strict_invariants_hold_on_random_instances():
 
 def test_trace_decomposition_consistency():
     prof = generate(GeneratorSpec.parse("complete", n=16, seed=2))
-    res = asm(prof, 0.5)
+    res = run_algorithm(prof, "asm:0.5")
     pb = res.trace.phase_breakdown
     prs = res.trace.extras["proposal_rounds"]
     # every proposal round contributes exactly one propose/accept/reject round
@@ -166,18 +162,19 @@ def test_communication_confined_to_proposal_phases(desc):
 def test_rand_asm_reproducible():
     prof = generate(GeneratorSpec.parse("complete", n=16, seed=4))
     log_a, log_b = [], []
-    a = rand_asm(prof, 0.5, 0.1, seed=7, message_log=log_a)
-    b = rand_asm(prof, 0.5, 0.1, seed=7, message_log=log_b)
+    a = run_algorithm(prof, "randasm:0.5,0.1", seed=7, message_log=log_a)
+    b = run_algorithm(prof, "randasm:0.5,0.1", seed=7, message_log=log_b)
     assert a.matching.pairs == b.matching.pairs
     assert a.trace.as_dict() == b.trace.as_dict()
     assert log_a == log_b
-    c = rand_asm(prof, 0.5, 0.1, seed=8)
+    c = run_algorithm(prof, "randasm:0.5,0.1", seed=8)
     assert c.trace.rounds == a.trace.rounds  # schedule is seed-independent
 
 
 def test_rand_mm_iteration_formula_scaling():
-    base = rand_mm_iterations(1000, 128, 0.1, 0.95)
-    halved = rand_mm_iterations(1000, 128, 0.05, 0.95)
+    # randasm sizes rand:s by a union bound: calls * vertices in place of the vertex count
+    base = iterations_for_maximal(1000 * 128, 0.1)
+    halved = iterations_for_maximal(1000 * 128, 0.05)
     step = math.log(2) / math.log(1 / 0.95)
     assert abs((halved - base) - step) <= 1
 
@@ -185,7 +182,7 @@ def test_rand_mm_iteration_formula_scaling():
 def test_aregasm_accepts_complete_preferences():
     prof = generate(GeneratorSpec.parse("complete", n=16, seed=1))
     assert men_degree_ratio(prof) == 1.0
-    res = almost_regular_asm(prof, 0.5, 0.1, alpha=1.0, seed=0)
+    res = run_algorithm(prof, "aregasm:0.5,0.1,1", seed=0)
     rep = verify_run(prof, res)
     assert rep.bounds["thm41"].passed
 
@@ -195,7 +192,7 @@ def test_aregasm_rejects_irregular_profile():
     women = [[0, 1, 2, 3, 4]] * 2 + [[1, 2, 3, 4]] * 3
     prof = PreferenceProfile.from_lists(men, women)
     with pytest.raises(NotAlmostRegular) as exc:
-        almost_regular_asm(prof, 0.5, 0.1, alpha=2.0)
+        run_algorithm(prof, "aregasm:0.5,0.1,2")
     assert exc.value.ratio == pytest.approx(2.5)
 
 
@@ -203,13 +200,13 @@ def test_aregasm_round_count_independent_of_n():
     rounds = []
     for n in (16, 32):
         prof = generate(GeneratorSpec.parse("complete", n=n, seed=0))
-        res = almost_regular_asm(prof, 0.5, 0.1, alpha=1.0, seed=0)
+        res = run_algorithm(prof, "aregasm:0.5,0.1,1", seed=0)
         rounds.append(res.trace.rounds)
     assert max(rounds) <= 1.5 * min(rounds)
 
 
 def test_gs_single_pair():
-    res = gale_shapley_distributed(pair_profile())
+    res = run_algorithm(pair_profile(), "gs")
     assert res.matching.sorted_pairs() == [(0, 0)]
     assert count_blocking_pairs(pair_profile(), res.matching) == 0
 
@@ -217,7 +214,7 @@ def test_gs_single_pair():
 def test_gs_matches_oracle_on_random_instances():
     for seed in range(25):
         prof = generate(GeneratorSpec.parse("random:0.5", n=14, seed=seed))
-        res = gale_shapley_distributed(prof)
+        res = run_algorithm(prof, "gs")
         assert res.matching.pairs == gale_shapley_oracle(prof).pairs
         assert count_blocking_pairs(prof, res.matching) == 0
 
@@ -226,14 +223,14 @@ def test_gs_shared_ranking_serial_assignment():
     men = [[0, 1, 2]] * 3
     women = [[2, 0, 1], [1, 2, 0], [0, 1, 2]]
     prof = PreferenceProfile.from_lists(men, women)
-    res = gale_shapley_distributed(prof)
+    res = run_algorithm(prof, "gs")
     assert res.matching.pairs == gale_shapley_oracle(prof).pairs
     assert res.matching.woman_partner[0] == 2
 
 
 def test_gs_round_cap_default_suffices_at_desk_scale():
     prof = generate(GeneratorSpec.parse("complete", n=32, seed=3))
-    res = gale_shapley_distributed(prof)
+    res = run_algorithm(prof, "gs")
     assert res.trace.rounds <= 6 * (32 * 32 + 32) + 8
 
 
@@ -263,7 +260,7 @@ def test_run_algorithm_dispatch():
 def test_asm_with_randomized_subroutine_override():
     prof = generate(GeneratorSpec.parse("complete", n=12, seed=9))
     spec = MatchingSubroutineSpec.randomized(60)
-    res = asm(prof, 0.5, mm_spec=spec, seed=5)
+    res = run_algorithm(prof, AlgorithmSpec("asm", 0.5, mm=spec), seed=5)
     rep = verify_run(prof, res)
     assert rep.bounds["thm41"].passed
 
@@ -413,9 +410,9 @@ def test_locality_across_components(runner):
     base = two_component_profile([[0, 1, 2, 3]] * 4)
     twisted = two_component_profile([[3, 2, 1, 0], [1, 0, 3, 2], [2, 3, 0, 1], [0, 2, 1, 3]])
     if runner == "det":
-        r1, r2 = asm(base, 0.5, seed=3), asm(twisted, 0.5, seed=3)
+        r1, r2 = run_algorithm(base, "asm:0.5", seed=3), run_algorithm(twisted, "asm:0.5", seed=3)
     else:
-        r1, r2 = rand_asm(base, 0.5, 0.1, seed=3), rand_asm(twisted, 0.5, 0.1, seed=3)
+        r1, r2 = run_algorithm(base, "randasm:0.5,0.1", seed=3), run_algorithm(twisted, "randasm:0.5,0.1", seed=3)
     near = lambda res: {p for p in res.matching.pairs if p[0] < 4}
     assert near(r1) == near(r2)
     assert r1.men[:4] == r2.men[:4]

@@ -1,5 +1,6 @@
 """Generators, file formats, experiment batches, and the CLI."""
 
+import csv
 import json
 
 import pytest
@@ -26,7 +27,7 @@ from matchsim import (
 from matchsim.cli import main, parse_seeds
 from matchsim.engine import Engine, MsgKind, Topology
 from matchsim.model import Side
-from matchsim.workbench import CSV_COLUMNS, write_message_log
+from matchsim.workbench import _LONG_METRICS, CSV_COLUMNS, write_message_log
 
 
 def test_complete_family_degrees():
@@ -77,6 +78,10 @@ def test_generator_spec_validation():
         GeneratorSpec.parse("aregular:0.5,4", n=4, seed=0)
     with pytest.raises(ValueError):
         GeneratorSpec.parse("nope", n=4, seed=0)
+    # extra text, and alphas whose degree cap int(alpha * base) does not exist
+    for text in ("complete:7", "aregular:inf,2", "aregular:nan,2", "aregular:1e308,2"):
+        with pytest.raises(ValueError):
+            GeneratorSpec.parse(text, n=4, seed=0)
 
 
 def test_instance_round_trip_is_byte_identical(tmp_path):
@@ -158,6 +163,15 @@ def test_run_experiment_round_cap_row_isolated(tmp_path):
     assert all(r.row["rounds"] == 2 for r in outcome.rows)
 
 
+def test_run_experiment_schedule_overflow_is_a_row_error(tmp_path):
+    # n = 1 sizes this subroutine, so the spec is accepted; at n = 1024 the union bound overflows
+    spec = AlgorithmSpec.parse("randasm:1e-100,0.1")
+    generator = GeneratorSpec.parse("bounded:2", n=1024, seed=0)
+    outcome = run_experiment(_config(tmp_path, algorithm=spec, seeds=[0], generator=generator))
+    assert not outcome.ok
+    assert outcome.rows[0].row["status"].startswith("error:cannot build a schedule for randasm:1e-100,0.1 with n=1024")
+
+
 def test_run_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(algorithm=AlgorithmSpec.parse("gs"), seeds=[1])
@@ -207,9 +221,9 @@ def test_cli_generate_run_verify(tmp_path, capsys):
     )
 
     # write the run's matching out and verify it through the CLI
-    from matchsim import gale_shapley_distributed, save_matching
+    from matchsim import run_algorithm, save_matching
 
-    res = gale_shapley_distributed(load_instance(inst))
+    res = run_algorithm(load_instance(inst), "gs")
     mfile = tmp_path / "m.json"
     save_matching(res.matching, mfile)
     rc = main(["verify", "--instance", str(inst), "--matching", mfile.as_posix(), "--eps", "0"])
@@ -266,11 +280,20 @@ def test_message_log_lines_equal_json_dumps(tmp_path):
 def test_cli_rejects_invalid_algorithm_parameter_up_front(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     base = ["run", "--family", "complete", "--n", "8", "--seeds", "0..2", "-o", str(out)]
-    for alg in ("asm:2", "randasm:0.5,1", "aregasm:0.5,0.1,0.5"):
-        rc = main(base + ["--alg", alg])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("error") == 1
+    # out of range, extra text, non-finite, or too small for the derived counts to exist
+    algs = ("asm:2", "randasm:0.5,1", "aregasm:0.5,0.1,0.5", "gs:0.5", "aregasm:0.5,0.1,inf",
+            "aregasm:0.5,0.1,nan", "asm:1e-300", "aregasm:1e-90,0.1,1")
+    cases = [base + ["--alg", alg] for alg in algs]
+    cases += [base + ["--alg", "asm:0.5", "--mm", mm] for mm in ("det:junk", "amm:1e-200,1e-200")]
+    for family in ("complete:7", "aregular:inf,2"):
+        cases.append(["generate", "--family", family, "--n", "8", "-o", str(out)])
+        cases.append(["run", "--alg", "gs", "--family", family, "--n", "8", "--seeds", "0", "-o", str(out)])
+    for argv in cases:
+        rc = main(argv)
+        assert rc == 2, argv
+        out_text, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("error") == 1 and err.count("\n") == 1, err
+        assert "Traceback" not in err and out_text == ""
         assert not out.exists()
 
 
@@ -318,8 +341,12 @@ def test_cli_reports_errors(tmp_path, capsys):
     [
         ({"n": 1, "men": [[0]], "women": [[0]]}, {"matches": [[0, 0]]}, InvalidMatching),
         ({"n": 1, "men": [0], "women": [[0]]}, {"pairs": [[0, 0]]}, InvalidProfile),
+        # float numbers were once truncated by int(), so each of these verified as a valid file
+        ({"n": 2.5, "men": [[0], [1]], "women": [[0], [1]]}, {"pairs": [[0, 0]]}, InvalidProfile),
+        ({"n": 1, "men": [[0.9]], "women": [[0]]}, {"pairs": [[0, 0]]}, InvalidProfile),
+        ({"n": 2, "men": [[1], []], "women": [[], [0]]}, {"pairs": [[0.7, 1.9]]}, InvalidMatching),
     ],
-    ids=["matching-without-pairs", "preference-list-is-int"],
+    ids=["matching-without-pairs", "preference-list-is-int", "float-n", "float-entry", "float-pair"],
 )
 def test_cli_verify_rejects_malformed_files(tmp_path, capsys, instance, matching, error):
     inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
@@ -331,6 +358,29 @@ def test_cli_verify_rejects_malformed_files(tmp_path, capsys, instance, matching
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_plot_data_is_the_wide_csv_in_long_format(tmp_path):
+    wide, long = tmp_path / "wide.csv", tmp_path / "long.csv"
+    # gs has no k, so its two_over_k_blocking cell is empty and gets no record
+    rc = main(["run", "--alg", "gs", "--family", "complete", "--n", "6", "--seeds", "0..1",
+               "-o", str(wide), "--plot-data", str(long)])
+    assert rc == 0
+    with open(wide, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(long, newline="") as fh:
+        reader = csv.DictReader(fh)
+        records = list(reader)
+    assert reader.fieldnames == ["algorithm", "n", "seed", "metric", "value"]
+    expected = [
+        {"algorithm": row["algorithm"], "n": row["n"], "seed": row["seed"], "metric": metric, "value": row[metric]}
+        for row in rows
+        for metric in _LONG_METRICS
+        if row[metric] != ""
+    ]
+    assert len(rows) == 2 and rows[0]["two_over_k_blocking"] == ""
+    assert records == expected
+    assert [r["metric"] for r in records[:6]] == [m for m in _LONG_METRICS if m != "two_over_k_blocking"]
 
 
 def test_cli_subroutine_override(tmp_path):
