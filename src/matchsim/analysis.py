@@ -13,6 +13,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidMatching
@@ -28,33 +29,48 @@ CLAIM_BAD_FRACTION = "lemma45"  # per-rung bad fraction among active men <= delt
 CLAIM_BAD_MEN_LOCAL = "lemma47"  # a bad man's tight blocking partners sit on his remaining list
 
 
-def _current_rank(ranks, partner_of: dict[int, int], prefs, v: int) -> int:
-    """Rank of v's assigned partner in v's list, with unmatched at deg + 1."""
-    p = partner_of.get(v)
-    return len(prefs[v]) + 1 if p is None else ranks[v][p]
+def _rank_in(lst: Sequence[int], partner: int | None) -> int:
+    """1-based position of partner in lst, with no partner at deg + 1."""
+    return len(lst) + 1 if partner is None else lst.index(partner) + 1
 
 
 def _partner_ranks(profile: PreferenceProfile, matching: Matching):
-    """Per-player rank of the assigned partner, with unmatched at deg + 1."""
-    man_ranks, mp, men = profile._man_rank, matching.man_partner, profile.men_prefs
-    woman_ranks, wp, women = profile._woman_rank, matching.woman_partner, profile.women_prefs
-    man_cur = [_current_rank(man_ranks, mp, men, m) for m in range(profile.n)]
-    woman_cur = [_current_rank(woman_ranks, wp, women, w) for w in range(profile.n)]
-    return man_cur, woman_cur
+    """Per-player rank of the assigned partner, with unmatched at deg + 1, read from
+    the lists once the matching is checked against the profile; no rank table is
+    built. The profile keeps the last matching's ranks, so the blocking and
+    eps-blocking scans of one verify share them."""
+    last = profile.__dict__.get("_last_partner_ranks")
+    if last is None or last[0] is not matching:
+        matching.validate_for(profile)
+        ids = range(profile.n)
+        man_cur = list(map(_rank_in, profile.men_prefs, map(matching.man_partner.get, ids)))
+        woman_cur = list(map(_rank_in, profile.women_prefs, map(matching.woman_partner.get, ids)))
+        last = profile.__dict__["_last_partner_ranks"] = (matching, man_cur, woman_cur)
+    return last[1], last[2]
+
+
+def _scan(profile: PreferenceProfile, matching: Matching, cutoff) -> list[tuple[int, int]]:
+    """Edges (m, w) on which both endpoints gain at least ``cutoff(deg)`` ranks over
+    their assigned partner, men in order and each man's in his list order.
+
+    A gain of c or more means the partner lies in the head ``lst[:cur - c]`` of the
+    list, so each man reads only his head and looks himself up in a set of each
+    woman's head.
+    """
+    man_cur, woman_cur = _partner_ranks(profile, matching)
+    heads = [set(lst[: max(0, cur - cutoff(len(lst)))]) for lst, cur in zip(profile.women_prefs, woman_cur)]
+    return [
+        (m_idx, w_idx)
+        for m_idx, lst, cur in zip(count(), profile.men_prefs, man_cur)
+        for w_idx in lst[: max(0, cur - cutoff(len(lst)))]
+        if m_idx in heads[w_idx]
+    ]
 
 
 def blocking_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple[int, int]]:
     """All edges (m, w) outside the matching that both endpoints prefer to
-    their assigned partners. Each man's list is read only above his partner."""
-    matching.validate_for(profile)
-    man_cur, woman_cur = _partner_ranks(profile, matching)
-    woman_rank = profile._woman_rank
-    out = []
-    for m_idx, lst in enumerate(profile.men_prefs):
-        for w_idx in lst[: man_cur[m_idx] - 1]:
-            if woman_rank[w_idx][m_idx] < woman_cur[w_idx]:
-                out.append((m_idx, w_idx))
-    return out
+    their assigned partners, i.e. gain at least one rank on."""
+    return _scan(profile, matching, lambda deg: 1)
 
 
 def count_blocking_pairs(profile: PreferenceProfile, matching: Matching) -> int:
@@ -69,11 +85,10 @@ def is_eps_blocking(
     m_idx, w_idx = edge
     if not profile.is_edge(m_idx, w_idx):
         raise InvalidMatching(f"({m_idx}, {w_idx}) is not an edge of the instance")
-    men, women = profile.men_prefs, profile.women_prefs
-    man_ranks, woman_ranks = profile._man_rank, profile._woman_rank
-    gap_m = _current_rank(man_ranks, matching.man_partner, men, m_idx) - man_ranks[m_idx][w_idx]
-    gap_w = _current_rank(woman_ranks, matching.woman_partner, women, w_idx) - woman_ranks[w_idx][m_idx]
-    return gap_m >= eps * len(men[m_idx]) and gap_w >= eps * len(women[w_idx])
+    m_list, w_list = profile.men_prefs[m_idx], profile.women_prefs[w_idx]
+    gap_m = _rank_in(m_list, matching.man_partner.get(m_idx)) - _rank_in(m_list, w_idx)
+    gap_w = _rank_in(w_list, matching.woman_partner.get(w_idx)) - _rank_in(w_list, m_idx)
+    return gap_m >= eps * len(m_list) and gap_w >= eps * len(w_list)
 
 
 def eps_blocking_pairs(
@@ -82,22 +97,12 @@ def eps_blocking_pairs(
     """All edges satisfying the eps-blocking inequalities at threshold eps.
 
     A gap is an integer, so ``gap >= eps * deg`` holds exactly when
-    ``gap >= ceil(eps * deg)``: each man reads only the head of his list that
-    clears that cutoff, and each woman's cutoff is one precomputed rank.
+    ``gap >= ceil(eps * deg)``, the cutoff each side's scan uses.
     """
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     eps = min(max(eps, -1.0), 2.0)  # every gap lies in [1 - deg, deg], so the pairs are the same
-    matching.validate_for(profile)
-    man_cur, woman_cur = _partner_ranks(profile, matching)
-    woman_rank = profile._woman_rank
-    woman_limit = [cur - math.ceil(eps * len(lst)) for cur, lst in zip(woman_cur, profile.women_prefs)]
-    out = []
-    for m_idx, lst in enumerate(profile.men_prefs):
-        for w_idx in lst[: max(0, man_cur[m_idx] - math.ceil(eps * len(lst)))]:
-            if woman_rank[w_idx][m_idx] <= woman_limit[w_idx]:
-                out.append((m_idx, w_idx))
-    return out
+    return _scan(profile, matching, lambda deg: math.ceil(eps * deg))
 
 
 def classify_good_bad(men: Sequence[PlayerFinal]) -> tuple[set[int], set[int]]:

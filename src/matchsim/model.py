@@ -129,7 +129,9 @@ class PreferenceProfile:
                 yield (m_idx, w_idx)
 
     def is_edge(self, m_idx: int, w_idx: int) -> bool:
-        return w_idx in self._man_rank[m_idx]
+        """Reads man m's list rather than a rank table, so a check of a few pairs
+        (``Matching.validate_for``) builds no table. False for an index out of range."""
+        return 0 <= m_idx < self.n and w_idx in self.men_prefs[m_idx]
 
     def men_degrees(self) -> list[int]:
         return [len(lst) for lst in self.men_prefs]

@@ -86,11 +86,24 @@ class GeneratorSpec:
         return f"aregular:{self.alpha:g},{self.base_degree}"
 
 
-def _shuffled_orders(rng: random.Random, adjacency: list[set[int]]) -> tuple[tuple[int, ...], ...]:
+def _shuffle(x: list, getrandbits) -> None:
+    """``random.Random.shuffle`` inline: the same ``getrandbits`` draws, so the same
+    permutation and the same generator state after, without a ``_randbelow`` call
+    per entry."""
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _shuffled_orders(rng: random.Random, adjacency: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     orders = []
     for nbrs in adjacency:
         lst = sorted(nbrs)
-        rng.shuffle(lst)
+        _shuffle(lst, rng.getrandbits)
         orders.append(tuple(lst))
     return tuple(orders)
 
@@ -101,11 +114,12 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
     shuffles of each player's neighbor set."""
     rng = random.Random(f"gen:{spec.describe()}:{spec.n}:{spec.seed}")
     n = spec.n
-    men_adj: list[set[int]] = [set() for _ in range(n)]
+    # each man's partners; complete lists everyone in one list, whose sorted
+    # copies share their int objects
+    men_adj: list[Iterable[int]] = [set() for _ in range(n)]
 
     if spec.family == "complete":
-        for m in range(n):
-            men_adj[m] = set(range(n))
+        men_adj = [list(range(n))] * n
     elif spec.family == "random":
         for m in range(n):
             men_adj[m] = {w for w in range(n) if rng.random() < spec.p}
@@ -134,7 +148,7 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
     elif spec.family == "bounded":
         for _ in range(min(spec.d, n)):
             perm = list(range(n))
-            rng.shuffle(perm)
+            _shuffle(perm, rng.getrandbits)
             for m, w in enumerate(perm):
                 men_adj[m].add(w)
     else:  # aregular
@@ -147,7 +161,7 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
         def draw() -> int:
             if not deck:
                 deck.extend(range(n))
-                rng.shuffle(deck)
+                _shuffle(deck, rng.getrandbits)
             return deck.pop()
 
         for m in range(n):
@@ -159,10 +173,13 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
                 if guard > 4 * n + want:
                     raise DegenerateInstance("degree assignment failed to converge")
 
-    women_adj: list[set[int]] = [set() for _ in range(n)]
-    for m, nbrs in enumerate(men_adj):
-        for w in nbrs:
-            women_adj[w].add(m)
+    if spec.family == "complete":
+        women_adj = men_adj
+    else:
+        women_adj = [set() for _ in range(n)]
+        for m, nbrs in enumerate(men_adj):
+            for w in nbrs:
+                women_adj[w].add(m)
     return PreferenceProfile(
         n=n,
         men_prefs=_shuffled_orders(rng, men_adj),
@@ -188,30 +205,57 @@ def save_instance(profile: PreferenceProfile, path: str | Path) -> None:
     Path(path).write_text(instance_to_json(profile), encoding="utf-8")
 
 
+class _SharedInts(dict):
+    """Number token -> int, filled on first use: equal integers in one file load as
+    one object, and the scans compare by identity."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
 def _read_json(path: str | Path, error: type[MatchsimError]):
-    """Parse a file whose numbers must all be integers; ``error`` on any other content."""
+    """The text of a file whose numbers must all be integers, and what it parses to;
+    ``error`` on any other number."""
 
     def no_floats(token: str):  # called for float tokens only, so integer-only files pay nothing
         raise error(f"{path}: expected an integer, got {token}")
 
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=no_floats)
+        return text, json.loads(text, parse_float=no_floats, parse_int=_SharedInts().__getitem__)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _int(value) -> int:
+    """``int(value)`` for a parsed JSON value; a string or boolean is not an integer here."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def load_instance(path: str | Path) -> PreferenceProfile:
-    obj = _read_json(path, InvalidProfile)
+    text, obj = _read_json(path, InvalidProfile)
     if not isinstance(obj, dict):
         raise InvalidProfile(f"{path}: expected a JSON object")
     for key in ("n", "men", "women"):
         if key not in obj:
             raise InvalidProfile(f"{path}: missing key {key!r}")
+    n, men, women = obj["n"], obj["men"], obj["women"]
+    if type(n) is int and "true" not in text and "false" not in text:
+        # Without booleans, an entry is an int, a string, a null or a container, and
+        # the profile's checks accept only ints in range: a file they pass needs no
+        # conversion. The entry-by-entry path below words any error.
+        try:
+            return PreferenceProfile(n=n, men_prefs=tuple(map(tuple, men)), women_prefs=tuple(map(tuple, women)))
+        except (TypeError, ValueError):
+            pass
     try:
         return PreferenceProfile(
-            n=int(obj["n"]),
-            men_prefs=tuple(tuple(map(int, lst)) for lst in obj["men"]),
-            women_prefs=tuple(tuple(map(int, lst)) for lst in obj["women"]),
+            n=_int(n),
+            men_prefs=tuple(tuple(map(_int, lst)) for lst in men),
+            women_prefs=tuple(tuple(map(_int, lst)) for lst in women),
         )
     except (TypeError, ValueError) as exc:  # InvalidProfile is a ValueError too
         raise InvalidProfile(f"{path}: {exc}") from exc
@@ -226,11 +270,11 @@ def save_matching(matching: Matching, path: str | Path) -> None:
 
 
 def load_matching(path: str | Path) -> Matching:
-    obj = _read_json(path, InvalidMatching)
+    _, obj = _read_json(path, InvalidMatching)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise InvalidMatching(f"{path}: missing key 'pairs'")
     try:
-        return Matching.of((int(m), int(w)) for m, w in obj["pairs"])
+        return Matching.of((_int(m), _int(w)) for m, w in obj["pairs"])
     except (TypeError, ValueError) as exc:  # InvalidMatching is a ValueError too
         raise InvalidMatching(f"{path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Verifier: blocking-pair enumeration, thresholded blocking, classification,
 maximality, the centralized oracle, and statistics helpers."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchsim import (
+    GeneratorSpec,
     InvalidMatching,
     Matching,
     PlayerFinal,
@@ -19,6 +21,7 @@ from matchsim import (
     count_blocking_pairs,
     eps_blocking_pairs,
     gale_shapley_oracle,
+    generate,
     is_eps_blocking,
     man,
     rate_within_claim,
@@ -61,6 +64,14 @@ def test_blocking_pairs_rejects_non_edge():
     prof = PreferenceProfile.from_lists([[0], []], [[0], []])
     with pytest.raises(InvalidMatching):
         blocking_pairs(prof, Matching.of([(1, 1)]))
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (-1, 1), (0, -1), (2, 0), (0, 2)])
+def test_is_eps_blocking_rejects_non_edge(edge):
+    # man -1 once read man 1's list, and (2, 0) raised IndexError
+    prof = PreferenceProfile.from_lists([[0], [1]], [[0], [1]])
+    with pytest.raises(InvalidMatching, match="not an edge"):
+        is_eps_blocking(prof, Matching.of([]), edge, 0.5)
 
 
 def _eps_fixture():
@@ -282,6 +293,21 @@ def test_blocking_scans_equal_the_definition(case):
         ]
         assert eps_blocking_pairs(prof, m, eps) == expected
         assert [e for e in prof.edges() if is_eps_blocking(prof, m, e, eps)] == expected
+
+
+def test_scans_follow_each_new_matching_on_one_profile():
+    # the profile keeps the last matching's partner ranks, which a new matching must replace
+    prof = generate(GeneratorSpec.parse("complete", n=4, seed=1))
+    for perm in itertools.permutations(range(4)):
+        for size in (0, 2, 4):
+            m = Matching.of(list(enumerate(perm))[:size])
+            gains = list(_definition_gains(prof, m))
+            assert blocking_pairs(prof, m) == [(i, j) for i, j, gi, gj in gains if gi > 0 and gj > 0]
+            assert eps_blocking_pairs(prof, m, 0.5) == [(i, j) for i, j, gi, gj in gains if gi >= 2 and gj >= 2]
+    sparse = PreferenceProfile.from_lists([[0], []], [[0], []])
+    assert blocking_pairs(sparse, Matching.of([(0, 0)])) == []
+    with pytest.raises(InvalidMatching):
+        blocking_pairs(sparse, Matching.of([(1, 1)]))
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])

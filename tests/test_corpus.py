@@ -14,7 +14,9 @@ why:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -31,9 +33,11 @@ from matchsim import (
     generate,
     run_algorithm,
 )
+from matchsim import cli
 from matchsim.analysis import verify_run
+from matchsim.model import Matching
 from matchsim.protocols import QuantileProtocol
-from matchsim.workbench import write_message_log
+from matchsim.workbench import instance_to_json, save_instance, save_matching, write_message_log
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
 
@@ -98,8 +102,25 @@ def _canonical(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _cli_verify(profile, matching: Matching, tmp: Path) -> bytes:
+    """Standard output and exit code of ``matchsim verify`` on saved files of the
+    matching and of its every-other-pair sub-matching."""
+    save_instance(profile, tmp / "instance.json")
+    out = []
+    for name, m in (("result", matching), ("halved", Matching.of(matching.sorted_pairs()[::2]))):
+        save_matching(m, tmp / f"{name}.json")
+        argv = ["verify", "--instance", str(tmp / "instance.json"), "--matching", str(tmp / f"{name}.json"),
+                "--eps", "0.25", "--threshold", "0.125"]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(argv)
+        out.append(f"{printed.getvalue()}exit {code}\n")
+    return "".join(out).encode("utf-8")
+
+
 def run_cell(cell: Cell) -> dict[str, str]:
-    """Run one cell and return the digests of its matching, trace, message log and report."""
+    """Run one cell and return the digests of its matching, trace, message log, report,
+    instance file and file-based verify."""
     profile = generate(GeneratorSpec.parse(cell.family, n=cell.n, seed=cell.seed))
     mm = MatchingSubroutineSpec.parse(cell.mm) if cell.mm else None
     spec = AlgorithmSpec.parse(cell.algorithm, mm=mm)
@@ -122,11 +143,14 @@ def run_cell(cell: Cell) -> dict[str, str]:
         path = Path(tmp) / "log.ndjson"
         write_message_log(log, path)
         log_bytes = path.read_bytes()
+        cli_verify = _cli_verify(profile, result.matching, Path(tmp))
     return {
         "matching": _sha256(_canonical(result.matching.sorted_pairs())),
         "trace": _sha256(_canonical(result.trace.as_dict())),
         "log": _sha256(log_bytes),
         "verify": _sha256(verify_run(profile, result).to_json().encode("utf-8")),
+        "instance": _sha256(instance_to_json(profile).encode("utf-8")),
+        "cli_verify": _sha256(cli_verify),
     }
 
 

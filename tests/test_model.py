@@ -1,6 +1,9 @@
 """Core model: quantization, ranks, profiles, matchings."""
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from matchsim import (
     rank,
     woman,
 )
+from matchsim.workbench import load_instance
 
 
 def test_quantize_exact_division():
@@ -283,12 +287,20 @@ def test_profile_validation_matches_entrywise_reference(case):
     n, men, women = case
     expected = _first_violation(n, men, women)
     build = lambda: PreferenceProfile(n, tuple(map(tuple, men)), tuple(map(tuple, women)))
-    if expected is None:
-        assert build().num_edges == sum(map(len, men))
-    else:
-        with pytest.raises(InvalidProfile) as exc:
-            build()
-        assert str(exc.value) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        # the file path skips the int() copy when it can, and must decide the same way
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps({"n": n, "men": men, "women": women}))
+        if expected is None:
+            assert build().num_edges == sum(map(len, men))
+            assert load_instance(path) == build()
+        else:
+            with pytest.raises(InvalidProfile) as exc:
+                build()
+            assert str(exc.value) == expected
+            with pytest.raises(InvalidProfile) as exc:
+                load_instance(path)
+            assert str(exc.value) == f"{path}: {expected}"
 
 
 def test_degree_sums_match_edge_count():

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim import (
     AlgorithmSpec,
@@ -27,7 +30,8 @@ from matchsim import (
 from matchsim.cli import main, parse_seeds
 from matchsim.engine import Engine, MsgKind, Topology
 from matchsim.model import Side
-from matchsim.workbench import _LONG_METRICS, CSV_COLUMNS, write_message_log
+from matchsim.analysis import blocking_pairs, eps_blocking_pairs
+from matchsim.workbench import _LONG_METRICS, CSV_COLUMNS, _shuffle, write_message_log
 
 
 def test_complete_family_degrees():
@@ -71,6 +75,17 @@ def test_generation_deterministic_in_seed():
     assert a != c
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2000), st.integers(0, 2**64))
+def test_inline_shuffle_equals_random_shuffle(length, seed):
+    ref, fast = random.Random(seed), random.Random(seed)
+    expected, got = list(range(length)), list(range(length))
+    ref.shuffle(expected)
+    _shuffle(got, fast.getrandbits)
+    assert got == expected
+    assert fast.getstate() == ref.getstate()
+
+
 def test_generator_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec.parse("random:0", n=4, seed=0)
@@ -107,6 +122,85 @@ def test_load_instance_names_violated_invariant(tmp_path):
     path.write_text(json.dumps({"n": 1, "men": [[]]}))
     with pytest.raises(InvalidProfile, match="women"):
         load_instance(path)
+
+
+def _loaded(tmp_path, family, n, seed=0):
+    path = tmp_path / "inst.json"
+    save_instance(generate(GeneratorSpec.parse(family, n=n, seed=seed)), path)
+    return load_instance(path)
+
+
+def test_loaded_profile_shares_equal_entries(tmp_path):
+    prof = _loaded(tmp_path, "complete", 300)  # indices above 256, which Python does not cache
+    first: dict[int, int] = {}
+    for lst in prof.men_prefs + prof.women_prefs + ((prof.n,),):
+        for x in lst:
+            assert x is first.setdefault(x, x)
+    assert len(first) == 301
+
+
+def test_verify_scans_on_a_loaded_profile_build_no_rank_table(tmp_path):
+    prof = _loaded(tmp_path, "random:0.5", 40, seed=3)
+    pairs = sorted((m, lst[0]) for m, lst in enumerate(prof.men_prefs) if lst)
+    matching = Matching.of({w: (m, w) for m, w in pairs}.values())
+    blocking_pairs(prof, matching)
+    eps_blocking_pairs(prof, matching, 0.125)
+    assert "_man_rank" not in prof.__dict__
+    assert "_woman_rank" not in prof.__dict__
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        ({"n": 2, "men": [[-1], []], "women": [[], []]}, "man 0 ranks out-of-range partner -1"),
+        ({"n": 2, "men": [[], []], "women": [[2], []]}, "woman 0 ranks out-of-range partner 2"),
+        ({"n": 2, "men": [[[0]], []], "women": [[0], []]},
+         "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
+        ({"n": 2, "men": [[0], [None]], "women": [[0], []]},
+         "int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
+        ({"n": 2, "men": [["1"], []], "women": [[], [0]]}, 'expected an integer, got "1"'),
+        ({"n": 2, "men": [[1], []], "women": [[], [False]]}, "expected an integer, got false"),
+        ({"n": True, "men": [[0]], "women": [[0]]}, "expected an integer, got true"),
+        ({"n": "1", "men": [[0]], "women": [[0]]}, 'expected an integer, got "1"'),
+        # a list-count error still comes from the profile once every entry is an integer
+        ({"n": 3, "men": [[0]], "women": [[0]]}, "expected 3 men preference lists, got 1"),
+    ],
+    ids=["negative", "index-n", "nested-list", "null", "string", "bool", "bool-n", "string-n", "list-count"],
+)
+def test_load_instance_rejects_non_integer_and_out_of_range_entries(tmp_path, instance, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    with pytest.raises(InvalidProfile) as exc:
+        load_instance(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([["0", 1]], 'expected an integer, got "0"'),
+        ([[0, True]], "expected an integer, got true"),
+        ([[[0], 1]], "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
+    ],
+    ids=["string", "bool", "nested-list"],
+)
+def test_load_matching_rejects_non_integer_entries(tmp_path, pairs, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"pairs": pairs}))
+    with pytest.raises(InvalidMatching) as exc:
+        load_matching(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_cli_verify_rejects_strings_and_booleans(tmp_path, capsys):
+    # int() once read these files as the edge (0, 1), and verify printed "passed": true
+    inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
+    inst.write_text('{"n": 2, "men": [["1"], []], "women": [[], [false]]}')
+    mfile.write_text('{"pairs": [["0", true]]}')
+    rc = main(["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f'error: {inst}: expected an integer, got "1"\n'
 
 
 def test_matching_file_round_trip(tmp_path):
