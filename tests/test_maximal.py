@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from matchsim import (
     Engine,
+    InconsistentState,
     Matching,
     MatchingSubroutineSpec,
     MmNode,
     MmPhase,
+    MsgKind,
     Topology,
     check_maximal,
     iterations_for_almost_maximal,
@@ -307,3 +309,62 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
         return {v: node.matched for v, node in phase.nodes.items()}, engine.trace.as_dict()
 
     assert run(True) == run(False)
+
+
+# ---------------------------------------------------------------------------
+# Consistency errors: traffic no correct run sends must abort the phase
+# ---------------------------------------------------------------------------
+
+
+def _phase_on(edges, spec, node_nbrs, join=None):
+    """An engine over ``edges`` (man, woman index pairs) and a phase whose nodes
+    are ``node_nbrs``: processor id -> neighbour indices it starts with. Every
+    graph below has two men, so woman j is processor 2 + j."""
+    topology = Topology.from_bipartite(bipartite(edges))
+    phase = MmPhase(spec, {v: MmNode(nbrs) for v, nbrs in node_nbrs.items()}, join=join)
+    return Engine(topology, seed=0), phase
+
+
+def _sending(sender: int, to: int, kind):
+    return lambda ctx: ctx.send(to, kind) if ctx.id == sender else None
+
+
+@pytest.mark.parametrize("spec", [ONE_ROUND, DET], ids=["rand-keep", "det-resolve"])
+def test_pointer_from_outside_the_residual_is_inconsistent(spec):
+    # M0 - W0 - M1, with W0 (id 2) unaware of M1: both men point at her, and
+    # the round that receives their pointers (keep, or the greedy's resolve) refuses M1's
+    engine, phase = _phase_on([(0, 0), (1, 0)], spec, {0: [0], 1: [0], 2: [0]})
+    with pytest.raises(InconsistentState, match="outside residual"):
+        phase.run(engine)
+
+
+def test_keep_from_a_vertex_not_pointed_at_is_inconsistent():
+    # W0 (id 2) sends KEEP to M0, who pointed at no one
+    engine, phase = _phase_on([(0, 0), (1, 0)], ONE_ROUND, {0: [0], 2: [0]})
+    engine.run_round(_sending(2, 0, MsgKind.MM_KEEP))
+    with pytest.raises(InconsistentState, match="keep message from 0"):
+        engine.run_round(phase.choose)
+
+
+@pytest.mark.parametrize(
+    "kind, step",
+    [
+        (MsgKind.MM_MATCHED, "point"),
+        (MsgKind.MM_POINT, "keep"),
+        (MsgKind.MM_KEEP, "choose"),
+        (MsgKind.MM_CHOOSE, "resolve"),
+    ],
+)
+def test_subroutine_message_to_a_vertex_outside_the_phase_is_inconsistent(kind, step):
+    # M1 (id 1) is adjacent to W0 (id 2) but takes no part in the phase
+    engine, phase = _phase_on([(0, 0), (1, 0)], ONE_ROUND, {0: [0], 2: [0]})
+    engine.run_round(_sending(2, 1, kind))
+    with pytest.raises(InconsistentState, match=f"M1.*{kind.name}"):
+        engine.run_round(getattr(phase, step))
+
+
+def test_accept_to_a_phase_without_join_is_inconsistent():
+    engine, phase = _phase_on([(0, 0), (1, 0)], DET, {0: [0], 2: [0]})
+    engine.run_round(_sending(2, 0, MsgKind.ACCEPT))
+    with pytest.raises(InconsistentState, match="ACCEPT"):
+        engine.run_round(phase.point)
