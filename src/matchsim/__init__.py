@@ -3,11 +3,9 @@ round simulator, with exact verification of their stability guarantees."""
 
 from .analysis import (
     BoundCheck,
-    MaximalityReport,
     VerificationReport,
     binomial_ci,
     blocking_pairs,
-    check_maximal,
     classify_good_bad,
     count_blocking_pairs,
     eps_blocking_pairs,
@@ -16,7 +14,7 @@ from .analysis import (
     rate_within_claim,
     verify_run,
 )
-from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology, payload_bits
+from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
 from .errors import (
     DegenerateInstance,
     InconsistentState,
@@ -26,14 +24,15 @@ from .errors import (
     MatchsimError,
     NonNeighborSend,
     NotAlmostRegular,
-    OversizedPayload,
     RoundCapExceeded,
 )
 from .maximal import (
     MatchingSubroutineSpec,
+    MaximalityReport,
     MmNode,
     MmPhase,
     SubroutineResult,
+    check_maximal,
     iterations_for_almost_maximal,
     iterations_for_maximal,
     maximal_matching,

@@ -1,6 +1,6 @@
-"""Ground-truth verification: blocking-pair counting, stability and
-maximality checks, good/bad classification, a centralized deferred-acceptance
-oracle, and the statistical helpers used for randomized claims.
+"""Ground-truth verification: blocking-pair counting, stability checks,
+good/bad classification, a centralized deferred-acceptance oracle, and the
+statistical helpers used for randomized claims.
 
 Conventions match the protocol side: ranks are 1-based and an unmatched
 player ranks at deg + 1, i.e. below every acceptable partner, so an
@@ -14,10 +14,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import InvalidMatching
-from .model import Matching, PlayerId, PreferenceProfile, man, woman
+from .model import Matching, PreferenceProfile
 from .protocols import PlayerFinal, RunResult
 
 # Claim identifiers, used as keys in reports and as CSV column stems.
@@ -110,35 +110,6 @@ def classify_good_bad(men: Sequence[PlayerFinal]) -> tuple[set[int], set[int]]:
     good = {i for i, st in enumerate(men) if st.partner is not None or not st.remaining}
     bad = set(range(len(men))) - good
     return good, bad
-
-
-@dataclass(frozen=True)
-class MaximalityReport:
-    maximal: bool
-    violators: frozenset[PlayerId]
-    violation_fraction: float
-
-
-def check_maximal(
-    subgraph: Mapping[PlayerId, Iterable[PlayerId]], matching: Matching
-) -> MaximalityReport:
-    """A matching is maximal when every vertex is matched or has only matched
-    neighbors. Violators satisfy neither condition."""
-    graph = {v: set(nbrs) for v, nbrs in subgraph.items()}
-    matched: set[PlayerId] = set()
-    for m_idx, w_idx in matching.pairs:
-        mv, wv = man(m_idx), woman(w_idx)
-        if mv not in graph or wv not in graph[mv]:
-            raise InvalidMatching(f"pair ({m_idx}, {w_idx}) is not an edge of the subgraph")
-        matched.add(mv)
-        matched.add(wv)
-    violators = frozenset(
-        v for v, nbrs in graph.items() if v not in matched and any(u not in matched for u in nbrs)
-    )
-    fraction = len(violators) / len(graph) if graph else 0.0
-    return MaximalityReport(
-        maximal=not violators, violators=violators, violation_fraction=fraction
-    )
 
 
 def gale_shapley_oracle(profile: PreferenceProfile) -> Matching:

@@ -62,6 +62,8 @@ def cmd_run(args) -> int:
         if args.family is None or args.n is None:
             raise ValueError("need --instance or both --family and --n")
         generator = GeneratorSpec.parse(args.family, n=args.n, seed=0)
+    elif args.family is not None or args.n is not None:
+        raise ValueError("--instance cannot be combined with --family or --n")
     config = ExperimentConfig(
         algorithm=spec,
         seeds=seeds,

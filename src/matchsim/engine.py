@@ -2,10 +2,10 @@
 
 Each round has three stages: every processor first sees the messages
 delivered at the end of the previous round (its inbox), then performs local
-computation, then stages outgoing messages. Staged messages are validated
-(edge adjacency, payload budget) and delivered atomically when the round
-ends. Messages are short: a 3-bit kind token plus an optional integer
-payload, checked against a budget of ``4 * ceil(log2(processors))`` bits.
+computation, then stages outgoing messages. Staged messages are checked for
+edge adjacency and delivered atomically when the round ends. A message is its
+3-bit kind token alone: the sender is implicit in the edge, and no protocol
+step needs more, so there is no payload and no budget to check.
 
 Processors are ints: with n players per side, man i is processor i and woman
 j is processor n + j. A step addresses partners by their index on the other
@@ -29,7 +29,7 @@ from enum import IntEnum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InconsistentState, NonNeighborSend, OversizedPayload, RoundCapExceeded
+from .errors import InconsistentState, NonNeighborSend, RoundCapExceeded
 from .model import PlayerId, PreferenceProfile, Side
 
 
@@ -41,17 +41,10 @@ class MsgKind(IntEnum):
     MM_KEEP = 4
     MM_CHOOSE = 5
     MM_MATCHED = 6
-    CONTROL = 7
 
 
-# 8 kinds fit in 3 bits; sender identity is implicit in the edge, so protocol
-# messages normally carry no payload at all.
+# the size of every message: its kind token, which fits in 3 bits
 KIND_BITS = 3
-
-
-def payload_bits(payload: int | None) -> int:
-    """Size of a message: the kind token plus the payload's bit length."""
-    return KIND_BITS if payload is None else KIND_BITS + payload.bit_length()
 
 
 _KIND_NAMES = {kind: kind.name for kind in MsgKind}
@@ -67,11 +60,11 @@ _NO_MAIL: Mapping[MsgKind, list] = MappingProxyType({})
 
 @dataclass
 class RoundTrace:
-    """Per-run accounting: rounds, message volume, payload sizes, phase breakdown."""
+    """Per-run accounting: rounds, message volume, message size, phase breakdown."""
 
     rounds: int = 0
     messages_sent: int = 0
-    max_payload_bits: int = 0
+    max_payload_bits: int = 0  # KIND_BITS once any message is sent
     phase_breakdown: dict[str, int] = field(default_factory=dict)
     messages_by_phase: dict[str, int] = field(default_factory=dict)
     # protocol-level counters (proposal rounds, subroutine invocations, ...)
@@ -120,9 +113,6 @@ class Topology:
         """Player (side, i) is processor ``side * n + i``."""
         return v.side * self.profile.n + v.index
 
-    def num_processors(self) -> int:
-        return 2 * self.profile.n
-
 
 class ProcessorContext:
     """Engine-facing view of one processor during a round.
@@ -130,8 +120,7 @@ class ProcessorContext:
     ``id`` is the processor number, ``side`` and ``index`` the player it
     runs, and ``neighbors`` its preference list: partner indices on the
     other side, best first. ``inbox`` maps each kind received this round to
-    its senders' indices in ascending order, one entry per message; a
-    message that carried a payload arrives as a ``(sender, payload)`` pair.
+    its senders' indices in ascending order, one entry per message.
     A step sends via :meth:`send` or :meth:`send_many`, addressing partners
     by index. The rng stream is a pure function of (engine seed, player id).
     """
@@ -174,30 +163,29 @@ class ProcessorContext:
             raise InconsistentState(f"{self.self_id} received {other.name} where only {kind.name} is expected")
         return [] if got is None else got
 
-    def send(self, to: int, kind: MsgKind, payload: int | None = None) -> None:
-        self.send_many((to,), kind, payload)
+    def send(self, to: int, kind: MsgKind) -> None:
+        self.send_many((to,), kind)
 
-    def send_many(self, targets: Sequence[int], kind: MsgKind, payload: int | None = None) -> None:
-        """Send the same message to each target, in order; same as one ``send`` per target."""
+    def send_many(self, targets: Sequence[int], kind: MsgKind) -> None:
+        """Send ``kind`` to each target, in order; same as one ``send`` per target."""
         if not targets:
             return
         ranks = self._ranks
         if not all(map(ranks.__contains__, targets)):
             to = next(t for t in targets if t not in ranks)
             raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {self.peer(to)}")
-        self._engine._stage(self, targets, kind, payload)
+        self._engine._stage(self, targets, kind)
 
 
 StepFn = Callable[[ProcessorContext], None]
 
 
 class Engine:
-    """Runs synchronous rounds over a fixed topology.
+    """Runs synchronous rounds over a fixed topology."""
 
-    ``payload_budget`` is ``4 * max(1, ceil(log2 P))`` bits where P is the
-    processor count; the ``max(1, .)`` floor keeps single-edge instances
-    able to carry the 3-bit kind token.
-    """
+    # a switch for tests: set False on an engine and repeat() steps every
+    # repetition instead of skipping quiet ones; outcomes are identical either way
+    fast_forward = True
 
     def __init__(self, topology: Topology, seed: int = 0, round_cap: int | None = None, message_log: list | None = None):
         self.topology = topology
@@ -205,7 +193,6 @@ class Engine:
         self.round_cap = round_cap
         profile = topology.profile
         n = profile.n
-        self.payload_budget = 4 * max(1, (topology.num_processors() - 1).bit_length())
         self.trace = RoundTrace()
         self.message_log = message_log
         # log names per side, computed once per player instead of once per record
@@ -223,27 +210,20 @@ class Engine:
 
     # -- message plumbing -------------------------------------------------
 
-    def _stage(self, sender: ProcessorContext, targets: Sequence[int], kind: MsgKind, payload: int | None) -> None:
-        """Stage one message from ``sender`` to every target index; checks run once per call."""
+    def _stage(self, sender: ProcessorContext, targets: Sequence[int], kind: MsgKind) -> None:
+        """Stage ``kind`` from ``sender`` to every target index; the round check runs once per call."""
         if not self._in_round:
             raise InconsistentState("send outside of a round")
-        bits = payload_bits(payload)
-        if bits > self.payload_budget:
-            raise OversizedPayload(
-                f"{sender.self_id} -> {sender.peer(targets[0])}: payload of {bits} bits exceeds budget of {self.payload_budget}"
-            )
-        entry = sender.index if payload is None else (sender.index, payload)
-        boxes, base = self._staged[kind], sender._peer_base
+        entry, boxes, base = sender.index, self._staged[kind], sender._peer_base
         for to in [base + t for t in targets] if base else targets:
             boxes[to].append(entry)
         self._staged_count += len(targets)
-        if bits > self.trace.max_payload_bits:
-            self.trace.max_payload_bits = bits
+        self.trace.max_payload_bits = KIND_BITS
         if self.message_log is not None:
             rnd, frm, kname = self.trace.rounds + 1, self._names[sender.side][sender.index], _KIND_NAMES[kind]
             names = self._names[1 - sender.side]
             self.message_log.extend(
-                {"round": rnd, "from": frm, "to": names[to], "kind": kname, "payload_bits": bits}
+                {"round": rnd, "from": frm, "to": names[to], "kind": kname, "payload_bits": KIND_BITS}
                 for to in targets
             )
 
@@ -319,9 +299,11 @@ class Engine:
         ``shape`` lists the (label, rounds) pairs one repetition runs. Before
         repetition i, once nothing is in flight and ``quiet(i)`` holds, the
         remaining repetitions are counted with one :meth:`skip_rounds` call
-        per label instead of being stepped. With ``quiet`` None every
-        repetition is stepped.
+        per label instead of being stepped. With ``quiet`` None, or with
+        ``fast_forward`` off, every repetition is stepped.
         """
+        if not self.fast_forward:
+            quiet = None
         for i in range(count):
             if quiet is not None and not self._pending and quiet(i):
                 left = count - i

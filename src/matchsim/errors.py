@@ -15,10 +15,6 @@ class InvalidMatching(MatchsimError, ValueError):
     """A matching is malformed for the given instance: non-edge pair or duplicated player."""
 
 
-class OversizedPayload(MatchsimError):
-    """A message payload exceeds the per-message bit budget."""
-
-
 class NonNeighborSend(MatchsimError):
     """A processor tried to send to a player it shares no edge with."""
 

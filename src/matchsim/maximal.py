@@ -13,14 +13,16 @@ Three flavors sit behind one spec type, selectable per run:
 
 Each randomized iteration costs 4 engine rounds (3 message rounds plus a
 resolution round in which matched vertices announce themselves). One
-``MmPhase`` holds the per-vertex steps and the driver for all three flavors.
-Inside a phase, vertices are engine processor ids and neighbours are
-partner indices on the other side, as the engine addresses them. The
-proposal protocol runs a phase as part of its own schedule;
-``maximal_matching(graph, spec)`` is its standalone twin, which runs one
-phase on an arbitrary bipartite graph of ``PlayerId``s. Randomized
-iterations are fast-forwarded by the same ``Engine.repeat`` that drives the
-protocol's schedule.
+``MmPhase`` holds the per-vertex steps and the driver for all three flavors;
+``MmNode`` is only the state of one vertex, and every rule and consistency
+check lives in the phase's steps. Inside a phase, vertices are engine
+processor ids and neighbours are partner indices on the other side, as the
+engine addresses them. The proposal protocol runs a phase as part of its
+own schedule; ``maximal_matching(graph, spec)`` is its standalone twin,
+which runs one phase on an arbitrary bipartite graph of ``PlayerId``s and
+reports the violators ``check_maximal`` finds. Randomized iterations are
+fast-forwarded by the same ``Engine.repeat`` that drives the protocol's
+schedule.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
-from .errors import InconsistentState
-from .model import Matching, PlayerId, Side, woman
+from .errors import InconsistentState, InvalidMatching
+from .model import Matching, PlayerId, Side, man, woman
 
 # the expected factor by which one randomized iteration shrinks the residual
 DEFAULT_SHRINK_C = 0.95
@@ -128,11 +130,12 @@ class MatchingSubroutineSpec:
 
 
 class MmNode:
-    """Per-vertex scratch state for one invocation of the matching subroutine.
+    """Per-vertex state for one invocation of the matching subroutine.
 
     ``residual`` is the vertex's current view of unmatched neighbors, by
     index on the other side; it only shrinks, via announcements from
-    neighbors that got matched.
+    neighbors that got matched. ``pointing``, ``kept_in`` and ``chosen`` are
+    this iteration's out-pointer, kept in-pointer and chosen edge.
     """
 
     __slots__ = ("residual", "matched", "pointing", "kept_in", "chosen")
@@ -147,68 +150,6 @@ class MmNode:
     @property
     def live(self) -> bool:
         return self.matched is None and bool(self.residual)
-
-    def prune(self, announcers: Iterable[int]) -> None:
-        self.residual.difference_update(announcers)
-
-    def begin_iteration(self) -> None:
-        self.pointing = None
-        self.kept_in = None
-        self.chosen = None
-
-    # -- randomized flavor -------------------------------------------------
-
-    def point_random(self, rng) -> int | None:
-        if not self.live:
-            return None
-        self.pointing = rng.choice(sorted(self.residual))
-        return self.pointing
-
-    def keep_random(self, pointers: list[int], rng) -> int | None:
-        for p in pointers:
-            if p not in self.residual:
-                raise InconsistentState(f"pointer from {p} outside residual neighborhood")
-        if not pointers or self.matched is not None:
-            return None
-        self.kept_in = rng.choice(sorted(pointers))
-        return self.kept_in
-
-    def choose_random(self, keepers: list[int], rng) -> int | None:
-        for kp in keepers:
-            if kp != self.pointing:
-                raise InconsistentState(f"keep message from {kp}, but this vertex pointed at {self.pointing}")
-        # incident edges of the thinned graph: the in-edge this vertex kept,
-        # plus its own out-edge when the target kept it (undirected collapse)
-        candidates = set(keepers)
-        if self.kept_in is not None:
-            candidates.add(self.kept_in)
-        if not candidates or self.matched is not None:
-            return None
-        self.chosen = rng.choice(sorted(candidates))
-        return self.chosen
-
-    def resolve_choices(self, choosers: list[int]) -> int | None:
-        if self.chosen is not None and self.chosen in choosers:
-            self.matched = self.chosen
-            return self.matched
-        return None
-
-    # -- deterministic greedy flavor ----------------------------------------
-
-    def point_lowest(self) -> int | None:
-        if not self.live:
-            return None
-        self.pointing = min(self.residual)
-        return self.pointing
-
-    def resolve_mutual(self, pointers: list[int]) -> int | None:
-        for p in pointers:
-            if p not in self.residual:
-                raise InconsistentState(f"pointer from {p} outside residual neighborhood")
-        if self.pointing is not None and self.pointing in pointers:
-            self.matched = self.pointing
-            return self.matched
-        return None
 
 
 class MmPhase:
@@ -239,7 +180,7 @@ class MmPhase:
         # recomputed every round: men join during the first point round
         return [v for v, node in self.nodes.items() if node.live]
 
-    def run(self, engine: Engine, fast_forward: bool = True) -> int:
+    def run(self, engine: Engine) -> int:
         """Greedy: step to quiescence and return the iterations that sent.
         Randomized: run the fixed iterations, 4 rounds each, skipping the
         rest once no vertex is live, and return their count."""
@@ -248,69 +189,107 @@ class MmPhase:
             while engine.run_round(self.point, "mm", self._live()):
                 engine.run_round(self.resolve, "mm", self._live())
                 iterations += 1
+            if self.any_live():
+                raise InconsistentState("greedy subroutine left a vertex with residual neighbors")
             return iterations
 
         def iteration(_):
             for step in (self.point, self.keep, self.choose, self.resolve):
                 engine.run_round(step, "mm", self._live())
 
-        quiet = (lambda _: not self.any_live()) if fast_forward else None
-        engine.repeat(self.iterations, (("mm", 4),), iteration, quiet)
+        engine.repeat(self.iterations, (("mm", 4),), iteration, lambda _: not self.any_live())
         return self.iterations
 
     def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode | None, list[int]]:
-        """This vertex's node and the senders in its inbox, all of which must be of ``kind``."""
+        """This vertex's node and the senders in its inbox, all of which must be of
+        ``kind``; a pointer must come from the residual neighborhood."""
         senders = ctx.take(kind)
         node = self.nodes.get(ctx.id)
-        if node is None and senders:
-            raise InconsistentState(f"{ctx.self_id} got {kind.name} outside the subroutine")
+        if node is None:
+            if senders:
+                raise InconsistentState(f"{ctx.self_id} got {kind.name} outside the subroutine")
+        elif kind is MsgKind.MM_POINT:
+            for p in senders:
+                if p not in node.residual:
+                    raise InconsistentState(f"pointer from {p} outside residual neighborhood")
         return node, senders
 
     def point(self, ctx: ProcessorContext) -> None:
-        inbox = ctx.inbox
-        for kind in inbox:
-            if kind is not MsgKind.MM_MATCHED and (kind is not MsgKind.ACCEPT or self.join is None):
-                raise InconsistentState(f"{ctx.self_id} received unexpected {kind.name}")
-        accepts = inbox.get(MsgKind.ACCEPT)
-        if accepts:
-            self.nodes[ctx.id] = self.join(ctx, accepts)
-        node = self.nodes.get(ctx.id)
-        announcers = inbox.get(MsgKind.MM_MATCHED, ())
-        if node is None:
-            if announcers:
-                raise InconsistentState(f"{ctx.self_id} got MM_MATCHED outside the subroutine")
-            return
-        node.prune(announcers)
-        node.begin_iteration()
-        target = node.point_lowest() if self.iterations is None else node.point_random(ctx.rng)
-        if target is not None:
-            ctx.send(target, MsgKind.MM_POINT)
+        if self.join is not None and ctx.id not in self.nodes:
+            # a vertex outside the phase joins with the ACCEPTs it gets (all in the first round)
+            accepts = ctx.take(MsgKind.ACCEPT)
+            if not accepts:
+                return
+            node = self.nodes[ctx.id] = self.join(ctx, accepts)
+            announcers = ()
+        else:
+            node, announcers = self.receive(ctx, MsgKind.MM_MATCHED)
+            if node is None:
+                return
+        node.residual.difference_update(announcers)
+        node.pointing = node.kept_in = node.chosen = None
+        if node.live:
+            node.pointing = min(node.residual) if self.iterations is None else ctx.rng.choice(sorted(node.residual))
+            ctx.send(node.pointing, MsgKind.MM_POINT)
 
     def keep(self, ctx: ProcessorContext) -> None:
         node, pointers = self.receive(ctx, MsgKind.MM_POINT)
-        kept = None if node is None else node.keep_random(pointers, ctx.rng)
-        if kept is not None:
-            ctx.send(kept, MsgKind.MM_KEEP)
+        if pointers and node.matched is None:
+            node.kept_in = ctx.rng.choice(pointers)  # senders arrive in ascending order
+            ctx.send(node.kept_in, MsgKind.MM_KEEP)
 
     def choose(self, ctx: ProcessorContext) -> None:
         node, keepers = self.receive(ctx, MsgKind.MM_KEEP)
-        choice = None if node is None else node.choose_random(keepers, ctx.rng)
-        if choice is not None:
-            ctx.send(choice, MsgKind.MM_CHOOSE)
+        if node is None:
+            return
+        for kp in keepers:
+            if kp != node.pointing:
+                raise InconsistentState(f"keep message from {kp}, but this vertex pointed at {node.pointing}")
+        # incident edges of the thinned graph: the in-edge this vertex kept,
+        # plus its own out-edge when the target kept it (undirected collapse)
+        candidates = sorted({*keepers, node.kept_in} - {None})
+        if candidates and node.matched is None:
+            node.chosen = ctx.rng.choice(candidates)
+            ctx.send(node.chosen, MsgKind.MM_CHOOSE)
 
     def resolve(self, ctx: ProcessorContext) -> None:
+        """A vertex matches when the edge it offered comes back: its pointer in
+        the greedy, its chosen edge in the randomized flavors."""
         greedy = self.iterations is None
         node, senders = self.receive(ctx, MsgKind.MM_POINT if greedy else MsgKind.MM_CHOOSE)
         if node is None:
             return
-        partner = node.resolve_mutual(senders) if greedy else node.resolve_choices(senders)
-        if partner is not None:
+        offered = node.pointing if greedy else node.chosen
+        if offered is not None and offered in senders:
+            node.matched = offered
             ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
 
 
 # ---------------------------------------------------------------------------
-# The standalone runner over an arbitrary bipartite graph
+# The standalone runner over an arbitrary bipartite graph, and its check
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MaximalityReport:
+    maximal: bool
+    violators: frozenset[PlayerId]
+    violation_fraction: float
+
+
+def check_maximal(subgraph: Mapping[PlayerId, Iterable[PlayerId]], matching: Matching) -> MaximalityReport:
+    """A matching is maximal when every vertex is matched or has only matched
+    neighbors. Violators satisfy neither condition."""
+    graph = {v: set(nbrs) for v, nbrs in subgraph.items()}
+    matched: set[PlayerId] = set()
+    for m_idx, w_idx in matching.pairs:
+        mv, wv = man(m_idx), woman(w_idx)
+        if mv not in graph or wv not in graph[mv]:
+            raise InvalidMatching(f"pair ({m_idx}, {w_idx}) is not an edge of the subgraph")
+        matched.update((mv, wv))
+    violators = frozenset(v for v, nbrs in graph.items() if v not in matched and not matched.issuperset(nbrs))
+    fraction = len(violators) / len(graph) if graph else 0.0
+    return MaximalityReport(maximal=not violators, violators=violators, violation_fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -328,15 +307,14 @@ def maximal_matching(
     """Run one invocation of the subroutine ``spec`` on its own engine.
 
     ``graph`` maps each vertex to its neighbours on the other side; isolated
-    vertices take no part. ``residual_vertices`` are the unmatched vertices
-    left with an unmatched neighbour. A randomized flavor reports them, not
+    vertices take no part. ``residual_vertices`` are the violators
+    :func:`check_maximal` finds. A randomized flavor reports them, not
     raises, since callers tolerate its failure probabilistically; the greedy
-    must leave none, and raises ``InconsistentState`` if it does.
-    ``iterations`` is the fixed iteration count of a randomized flavor, or
-    the number of greedy iterations that sent.
+    must leave none, and :meth:`MmPhase.run` raises ``InconsistentState`` if
+    it does. ``iterations`` is the fixed iteration count of a randomized
+    flavor, or the number of greedy iterations that sent.
     """
-    full = {v: frozenset(nbrs) for v, nbrs in graph.items()}
-    live = {v: nbrs for v, nbrs in full.items() if nbrs}
+    live = {v: frozenset(nbrs) for v, nbrs in graph.items() if nbrs}
     # the topology checks that every edge crosses sides and is listed at both ends
     topology = Topology.from_bipartite(live)
     engine = Engine(topology, seed=seed)
@@ -349,12 +327,10 @@ def maximal_matching(
             if partner[woman(p)] != v.index:
                 raise InconsistentState(f"asymmetric match between {v} and {woman(p)}")
             pairs.add((v.index, p))
-    unmatched = {v for v in live if partner[v] is None}
-    violators = frozenset(v for v in unmatched if not unmatched.isdisjoint(live[v]))
-    if violators and spec.flavor == "det":
-        raise InconsistentState(f"greedy subroutine left violators: {sorted(violators)}")
+    matching = Matching.of(pairs)
+    violators = check_maximal(live, matching).violators
     return SubroutineResult(
-        matching=Matching.of(pairs),
+        matching=matching,
         residual_vertices=violators,
         maximal=not violators,
         iterations=iterations,

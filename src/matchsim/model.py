@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -232,6 +233,15 @@ def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Mapping[int, int] 
     return QuantizedPrefs(prefs_of_player, k, rank_of)
 
 
+def as_index(value) -> int:
+    """``value`` if it is an int and not a bool, else a TypeError worded as for a parsed JSON value."""
+    if type(value) is int:
+        return value
+    if value is None or isinstance(value, (list, dict)):
+        int(value)  # raises, in int()'s own words
+    raise TypeError(f"expected an integer, got {json.dumps(value, default=repr)}")
+
+
 @dataclass(frozen=True)
 class Matching:
     """A set of (man index, woman index) pairs, at most one per player."""
@@ -240,9 +250,14 @@ class Matching:
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(frozenset((int(m), int(w)) for m, w in pairs))
+        return cls(pairs)
 
     def __post_init__(self):
+        # any iterable of pairs is accepted; each entry is checked, not converted
+        try:
+            object.__setattr__(self, "pairs", frozenset((as_index(m), as_index(w)) for m, w in self.pairs))
+        except (TypeError, ValueError) as exc:
+            raise InvalidMatching(str(exc)) from None
         men_seen: set[int] = set()
         women_seen: set[int] = set()
         for m_idx, w_idx in self.pairs:

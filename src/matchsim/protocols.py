@@ -189,8 +189,7 @@ class QuantileProtocol:
         self.strict = strict
         self.message_log = message_log
         self.algorithm_label = algorithm_label
-        # with fast_forward off every scheduled round is stepped one by one;
-        # counters and outcomes must be identical either way (tested)
+        # handed to the engine (Engine.fast_forward): with it off every scheduled round is stepped
         self.fast_forward = fast_forward
 
         def quantized(prefs, ranks):  # each list shares the profile's cached rank table
@@ -320,14 +319,9 @@ class QuantileProtocol:
     def _step_reject(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         st = self.men[ctx.index] if ctx.side is Side.MAN else self.women[ctx.index]
         node, announcers = phase.receive(ctx, MsgKind.MM_MATCHED)
-        partner = None
-        residual_here = False
         if node is not None:
-            node.prune(announcers)
-            partner = node.matched
-            residual_here = partner is None and bool(node.residual)
-        if residual_here and self.mm_spec.flavor == "det":
-            raise InconsistentState(f"greedy subroutine left {ctx.self_id} with residual neighbors")
+            node.residual.difference_update(announcers)
+        partner, residual_here = (None, False) if node is None else (node.matched, node.live)
         # only players with no partner at all leave the game; a matched woman
         # the subroutine failed to upgrade simply keeps her current partner
         removed_now = residual_here and self.mm_spec.removes_unmatched() and st.p is None
@@ -394,10 +388,6 @@ class QuantileProtocol:
             )
         self._last_good_count = self.good_count
 
-    def _repeat(self, eng: Engine, count: int, shape, body, quiet) -> int:
-        """``Engine.repeat``, fast-forwarding only when the protocol allows it."""
-        return eng.repeat(count, shape, body, quiet if self.fast_forward else None)
-
     def _match_and_reject(self, eng: Engine) -> None:
         """The tail of every proposal round: accept round, subroutine phase, reject round."""
         phase = MmPhase(self.mm_spec, join=self._join_man)
@@ -406,7 +396,7 @@ class QuantileProtocol:
             self.mm_calls += 1
         # the greedy takes no rounds on an empty graph; a fixed schedule always does
         if accepted or phase.iterations:
-            phase.run(eng, self.fast_forward)
+            phase.run(eng)
         eng.run_round(lambda c: self._step_reject(c, phase), "reject", actors=phase.nodes)
         # the reject round pruned every node, so a live one is a residual the subroutine left
         if phase.any_live():
@@ -424,8 +414,7 @@ class QuantileProtocol:
 
     def _quantile_match(self, eng: Engine, outer_index: int | None) -> None:
         self.qm_count += 1
-        skipped = self._repeat(
-            eng,
+        skipped = eng.repeat(
             self.params.k,
             self._pr_shape,
             lambda r: self._proposal_round(eng, qm_start=(r == 0), outer_index=(outer_index if r == 0 else None)),
@@ -437,8 +426,7 @@ class QuantileProtocol:
         """Run ``count`` quantile matches, the first opening ``rung`` of the
         ladder (None in flat mode); return how many were skipped."""
         k = self.params.k
-        skipped = self._repeat(
-            eng,
+        skipped = eng.repeat(
             count,
             [(label, k * rounds) for label, rounds in self._pr_shape],
             lambda j: self._quantile_match(eng, outer_index=(rung if j == 0 else None)),
@@ -547,6 +535,7 @@ class QuantileProtocol:
             round_cap=self.round_cap,
             message_log=self.message_log,
         )
+        eng.fast_forward = self.fast_forward
         self.engine = eng
         try:
             if self.mode == "ladder":

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .analysis import VerificationReport, verify_run
 from .errors import DegenerateInstance, InvalidMatching, InvalidProfile, MatchsimError, RoundCapExceeded
-from .model import Matching, PreferenceProfile
+from .model import Matching, PreferenceProfile, as_index
 from .protocols import AlgorithmSpec, RunResult, run_algorithm
 
 _REPAIR_PASSES = 30
@@ -228,13 +228,6 @@ def _read_json(path: str | Path, error: type[MatchsimError]):
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _int(value) -> int:
-    """``int(value)`` for a parsed JSON value; a string or boolean is not an integer here."""
-    if isinstance(value, (str, bool)):
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
-
-
 def load_instance(path: str | Path) -> PreferenceProfile:
     text, obj = _read_json(path, InvalidProfile)
     if not isinstance(obj, dict):
@@ -253,9 +246,9 @@ def load_instance(path: str | Path) -> PreferenceProfile:
             pass
     try:
         return PreferenceProfile(
-            n=_int(n),
-            men_prefs=tuple(tuple(map(_int, lst)) for lst in men),
-            women_prefs=tuple(tuple(map(_int, lst)) for lst in women),
+            n=as_index(n),
+            men_prefs=tuple(tuple(map(as_index, lst)) for lst in men),
+            women_prefs=tuple(tuple(map(as_index, lst)) for lst in women),
         )
     except (TypeError, ValueError) as exc:  # InvalidProfile is a ValueError too
         raise InvalidProfile(f"{path}: {exc}") from exc
@@ -274,8 +267,8 @@ def load_matching(path: str | Path) -> Matching:
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise InvalidMatching(f"{path}: missing key 'pairs'")
     try:
-        return Matching.of((_int(m), _int(w)) for m, w in obj["pairs"])
-    except (TypeError, ValueError) as exc:  # InvalidMatching is a ValueError too
+        return Matching.of(obj["pairs"])
+    except InvalidMatching as exc:
         raise InvalidMatching(f"{path}: {exc}") from exc
 
 

@@ -8,12 +8,10 @@ from matchsim import (
     InconsistentState,
     MsgKind,
     NonNeighborSend,
-    OversizedPayload,
     PreferenceProfile,
     RoundCapExceeded,
-    payload_bits,
 )
-from matchsim.engine import Engine, Topology
+from matchsim.engine import KIND_BITS, Engine, Topology
 
 # processor ids: with n players per side, man i is i and woman j is n + j
 
@@ -53,23 +51,6 @@ def test_silent_round_counts_rounds_only():
     eng.run_round(lambda ctx: None)
     assert eng.trace.rounds == 1
     assert eng.trace.messages_sent == 0
-
-
-def test_oversized_payload_aborts():
-    eng = _pair_engine(seed=0)
-
-    def step(ctx):
-        if ctx.id == 0:
-            ctx.send(0, MsgKind.CONTROL, payload=1 << eng.payload_budget)
-
-    with pytest.raises(OversizedPayload):
-        eng.run_round(step)
-
-
-def test_payload_budget_floor_admits_kind_token():
-    # even a single-edge instance can carry the 3-bit kind token
-    eng = _pair_engine(seed=0)
-    assert eng.payload_budget >= payload_bits(None)
 
 
 def test_non_neighbor_send_rejected():
@@ -158,33 +139,33 @@ def test_message_log_records_traffic():
 
 
 def test_information_travels_one_hop_per_round():
-    # max-id flooding along a path: after t rounds each node knows exactly
-    # the largest value within graph distance t
+    # flooding from one end of a path: every processor that has heard sends to
+    # all its neighbours each round, so after t rounds exactly the processors
+    # within graph distance t of the source have heard or have it delivered
     n = 6
     men = [[i, i + 1] if i + 1 < n else [i] for i in range(n)]
     women = [[i - 1, i] if i > 0 else [i] for i in range(n)]
     prof = PreferenceProfile.from_lists(men, women)
     eng = Engine(Topology.from_profile(prof), seed=0)
-    nodes = range(eng.topology.num_processors())
-    value = {v: v for v in nodes}
-    heard = dict(value)
+    nodes = range(2 * n)
+    source = n  # W0
+    heard = {source}
 
     def step(ctx):
-        for _, payload in ctx.inbox.get(MsgKind.CONTROL, ()):
-            heard[ctx.id] = max(heard[ctx.id], payload)
-        for u in ctx.neighbors:
-            ctx.send(u, MsgKind.CONTROL, payload=heard[ctx.id])
+        if ctx.take(MsgKind.MM_POINT):
+            heard.add(ctx.id)
+        if ctx.id in heard:
+            ctx.send_many(ctx.neighbors, MsgKind.MM_POINT)
 
     # the edge set forms the path W0-M0-W1-M1-...-W5-M5
     def dist(a, b):
         pos = lambda v: 2 * (v % n) + (1 if v < n else 0)
         return abs(pos(a) - pos(b))
 
-    for t in range(1, 8):
+    for t in range(1, 2 * n + 1):
         eng.run_round(step)
-        for v in nodes:
-            expect = max(value[u] for u in nodes if dist(u, v) <= t - 1)
-            assert heard[v] == expect, (v, t)
+        assert heard == {v for v in nodes if dist(source, v) <= t - 1}, t
+        assert heard | set(eng.peek_pending(MsgKind.MM_POINT)) == {v for v in nodes if dist(source, v) <= t}, t
 
 
 def test_actor_restriction_never_drops_messages():
@@ -218,12 +199,12 @@ def test_send_many_equals_a_send_loop():
                 targets = [2, 0]
                 if batched:
                     ctx.send_many(targets, MsgKind.REJECT)
-                    ctx.send_many(targets, MsgKind.CONTROL, payload=5)
+                    ctx.send_many(targets, MsgKind.MM_MATCHED)
                 else:
                     for to in targets:
                         ctx.send(to, MsgKind.REJECT)
                     for to in targets:
-                        ctx.send(to, MsgKind.CONTROL, payload=5)
+                        ctx.send(to, MsgKind.MM_MATCHED)
             elif ctx.id == 3:  # W0
                 ctx.send(2, MsgKind.REJECT)
 
@@ -233,12 +214,12 @@ def test_send_many_equals_a_send_loop():
         runs.append((inboxes, log, eng.trace.as_dict()))
     assert runs[0] == runs[1]
     inboxes, log, trace = runs[1]
-    assert inboxes[2] == {MsgKind.REJECT: [0, 1], MsgKind.CONTROL: [(1, 5)]}
+    assert inboxes[2] == {MsgKind.REJECT: [0, 1], MsgKind.MM_MATCHED: [1]}
     assert [(e["from"], e["to"]) for e in log] == [
         ("W0", "M2"), ("W1", "M2"), ("W1", "M0"), ("W1", "M2"), ("W1", "M0")
     ]
     assert trace["messages_by_phase"] == {"reject": 5}
-    assert trace["max_payload_bits"] == payload_bits(5)
+    assert trace["max_payload_bits"] == KIND_BITS
 
 
 def test_send_many_rejects_any_non_neighbor():
@@ -259,22 +240,11 @@ def test_send_many_outside_round_rejected():
         eng.contexts[3].send_many([0, 1], MsgKind.REJECT)
 
 
-def test_send_many_oversized_payload_aborts():
-    eng = _complete_engine()
-
-    def step(ctx):
-        if ctx.id == 3:
-            ctx.send_many([0, 1], MsgKind.CONTROL, payload=1 << eng.payload_budget)
-
-    with pytest.raises(OversizedPayload):
-        eng.run_round(step)
-
-
 def test_send_many_to_no_one_changes_nothing():
     log = []
     eng = _complete_engine(message_log=log)
     eng.contexts[3].send_many([], MsgKind.REJECT)  # outside a round, and still no error
-    eng.run_round(lambda ctx: ctx.send_many([], MsgKind.CONTROL, payload=1 << eng.payload_budget))
+    eng.run_round(lambda ctx: ctx.send_many([], MsgKind.MM_MATCHED))
     assert log == [] and eng.in_flight == 0
     assert eng.trace.as_dict() == {
         "rounds": 1,
@@ -293,13 +263,12 @@ def test_send_many_to_no_one_changes_nothing():
 
 class _ReferenceNetwork:
     """The engine's contract written out plainly: every message is a
-    (receiver, sender, kind, payload) tuple, and an inbox is the stable sort of
-    the receiver's messages by sender, split by kind."""
+    (receiver, sender, kind) tuple, and an inbox is the stable sort of the
+    receiver's messages by sender, split by kind, each entry a sender index."""
 
     def __init__(self, profile: PreferenceProfile, log: list):
         self.n = n = profile.n
         self.adjacent = [set(lst) for lst in profile.men_prefs] + [set(lst) for lst in profile.women_prefs]
-        self.budget = 4 * max(1, (2 * n - 1).bit_length())
         self.pending: list[tuple] = []
         self.log = log
         self.trace = {"rounds": 0, "messages_sent": 0, "max_payload_bits": 0,
@@ -308,7 +277,7 @@ class _ReferenceNetwork:
     def name(self, v: int) -> str:
         return f"M{v}" if v < self.n else f"W{v - self.n}"
 
-    def send(self, sender: int, targets: list[int], kind: MsgKind, payload, staged: list | None) -> None:
+    def send(self, sender: int, targets: list[int], kind: MsgKind, staged: list | None) -> None:
         if not targets:
             return
         peer_base = self.n if sender < self.n else 0
@@ -316,14 +285,11 @@ class _ReferenceNetwork:
             raise NonNeighborSend
         if staged is None:
             raise InconsistentState
-        bits = 3 + (0 if payload is None else payload.bit_length())
-        if bits > self.budget:
-            raise OversizedPayload
-        self.trace["max_payload_bits"] = max(self.trace["max_payload_bits"], bits)
+        self.trace["max_payload_bits"] = 3
         for t in targets:
-            staged.append((peer_base + t, sender % self.n, kind, payload))
+            staged.append((peer_base + t, sender % self.n, kind))
             self.log.append({"round": self.trace["rounds"] + 1, "from": self.name(sender),
-                             "to": self.name(peer_base + t), "kind": kind.name, "payload_bits": bits})
+                             "to": self.name(peer_base + t), "kind": kind.name, "payload_bits": 3})
 
     def run_round(self, ops, label: str, actors, inboxes: dict) -> int:
         receivers = {to for to, *_ in self.pending}
@@ -332,12 +298,12 @@ class _ReferenceNetwork:
         for v in to_step:
             mine = sorted((m for m in self.pending if m[0] == v), key=lambda m: m[1])
             inbox: dict = {}
-            for _, sender, kind, payload in mine:
-                inbox.setdefault(kind, []).append(sender if payload is None else (sender, payload))
+            for _, sender, kind in mine:
+                inbox.setdefault(kind, []).append(sender)
             inboxes[v] = inbox
-            for targets, kind, payload, single in ops.get(v, ()):
+            for targets, kind, single in ops.get(v, ()):
                 for batch in ([t] for t in targets) if single else [targets]:
-                    self.send(v, batch, kind, payload, staged)
+                    self.send(v, batch, kind, staged)
         self.pending = staged
         self.trace["rounds"] += 1
         self.trace["messages_sent"] += len(staged)
@@ -354,7 +320,6 @@ def _network_script(draw):
     men = [draw(st.permutations(sorted(w for m, w in edges if m == i))) for i in range(n)]
     women = [draw(st.permutations(sorted(m for m, w in edges if w == j))) for j in range(n)]
     profile = PreferenceProfile.from_lists(men, women)
-    budget = 4 * max(1, (2 * n - 1).bit_length())
 
     def send(v):
         neighbours = (men + women)[v]
@@ -363,7 +328,6 @@ def _network_script(draw):
         return st.tuples(
             st.lists(st.integers(0, n) if stray else st.sampled_from(neighbours), max_size=4),
             st.sampled_from(list(MsgKind)),
-            st.none() | st.integers(0, 7) | st.integers(0, (1 << (budget - 2)) - 1),  # a few exceed the budget
             st.booleans(),  # one send per target instead of one send_many
         )
 
@@ -390,7 +354,7 @@ def test_engine_matches_reference_network(script):
     def outcome(fn):
         try:
             return fn(), None
-        except (NonNeighborSend, OversizedPayload, InconsistentState) as exc:
+        except (NonNeighborSend, InconsistentState) as exc:
             return None, type(exc)
 
     for ops, label, actors in rounds:
@@ -398,12 +362,12 @@ def test_engine_matches_reference_network(script):
 
         def step(ctx):
             got[ctx.id] = {kind: list(entries) for kind, entries in ctx.inbox.items()}
-            for targets, kind, payload, single in ops.get(ctx.id, ()):
+            for targets, kind, single in ops.get(ctx.id, ()):
                 if single:
                     for t in targets:
-                        ctx.send(t, kind, payload)
+                        ctx.send(t, kind)
                 else:
-                    ctx.send_many(targets, kind, payload)
+                    ctx.send_many(targets, kind)
 
         result = outcome(lambda: eng.run_round(step, label, actors))
         assert result == outcome(lambda: ref.run_round(ops, label, actors, want))
@@ -414,10 +378,10 @@ def test_engine_matches_reference_network(script):
         assert eng.in_flight == len(ref.pending)
         assert eng.trace.as_dict() == ref.trace
 
-    targets, kind, payload, single = outside_send
+    targets, kind, single = outside_send
     sends = [[t] for t in targets] if single else [targets]
     ctx = eng.contexts[outsider]
-    engine_error = outcome(lambda: [ctx.send_many(batch, kind, payload) for batch in sends])[1]
-    reference_error = outcome(lambda: [ref.send(outsider, batch, kind, payload, None) for batch in sends])[1]
+    engine_error = outcome(lambda: [ctx.send_many(batch, kind) for batch in sends])[1]
+    reference_error = outcome(lambda: [ref.send(outsider, batch, kind, None) for batch in sends])[1]
     assert engine_error == reference_error
     assert eng.trace.as_dict() == ref.trace and log == ref_log

@@ -305,7 +305,13 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
         nodes = {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in graph.items()}
         phase = MmPhase(MatchingSubroutineSpec.randomized(s), nodes)
         engine = Engine(topology, seed=seed)
-        phase.run(engine, fast_forward=fast)
+        engine.fast_forward = fast
+        stepped = []
+        run_round = engine.run_round
+        engine.run_round = lambda *args: stepped.append(args[1]) or run_round(*args)
+        phase.run(engine)
+        if not fast:
+            assert len(stepped) == engine.trace.rounds  # no round was skipped
         return {v: node.matched for v, node in phase.nodes.items()}, engine.trace.as_dict()
 
     assert run(True) == run(False)
@@ -316,12 +322,11 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
 # ---------------------------------------------------------------------------
 
 
-def _phase_on(edges, spec, node_nbrs, join=None):
-    """An engine over ``edges`` (man, woman index pairs) and a phase whose nodes
-    are ``node_nbrs``: processor id -> neighbour indices it starts with. Every
-    graph below has two men, so woman j is processor 2 + j."""
-    topology = Topology.from_bipartite(bipartite(edges))
-    phase = MmPhase(spec, {v: MmNode(nbrs) for v, nbrs in node_nbrs.items()}, join=join)
+def _phase_on_path(spec, node_nbrs):
+    """An engine over the path M0 - W0 - M1 (processors 0, 2 and 1) and a phase
+    whose nodes are ``node_nbrs``: processor id -> neighbour indices it starts with."""
+    topology = Topology.from_bipartite(bipartite([(0, 0), (1, 0)]))
+    phase = MmPhase(spec, {v: MmNode(nbrs) for v, nbrs in node_nbrs.items()})
     return Engine(topology, seed=0), phase
 
 
@@ -331,16 +336,16 @@ def _sending(sender: int, to: int, kind):
 
 @pytest.mark.parametrize("spec", [ONE_ROUND, DET], ids=["rand-keep", "det-resolve"])
 def test_pointer_from_outside_the_residual_is_inconsistent(spec):
-    # M0 - W0 - M1, with W0 (id 2) unaware of M1: both men point at her, and
-    # the round that receives their pointers (keep, or the greedy's resolve) refuses M1's
-    engine, phase = _phase_on([(0, 0), (1, 0)], spec, {0: [0], 1: [0], 2: [0]})
+    # W0 (id 2) is unaware of M1: both men point at her, and the round that
+    # receives their pointers (keep, or the greedy's resolve) refuses M1's
+    engine, phase = _phase_on_path(spec, {0: [0], 1: [0], 2: [0]})
     with pytest.raises(InconsistentState, match="outside residual"):
         phase.run(engine)
 
 
 def test_keep_from_a_vertex_not_pointed_at_is_inconsistent():
     # W0 (id 2) sends KEEP to M0, who pointed at no one
-    engine, phase = _phase_on([(0, 0), (1, 0)], ONE_ROUND, {0: [0], 2: [0]})
+    engine, phase = _phase_on_path(ONE_ROUND, {0: [0], 2: [0]})
     engine.run_round(_sending(2, 0, MsgKind.MM_KEEP))
     with pytest.raises(InconsistentState, match="keep message from 0"):
         engine.run_round(phase.choose)
@@ -357,14 +362,16 @@ def test_keep_from_a_vertex_not_pointed_at_is_inconsistent():
 )
 def test_subroutine_message_to_a_vertex_outside_the_phase_is_inconsistent(kind, step):
     # M1 (id 1) is adjacent to W0 (id 2) but takes no part in the phase
-    engine, phase = _phase_on([(0, 0), (1, 0)], ONE_ROUND, {0: [0], 2: [0]})
+    engine, phase = _phase_on_path(ONE_ROUND, {0: [0], 2: [0]})
     engine.run_round(_sending(2, 1, kind))
     with pytest.raises(InconsistentState, match=f"M1.*{kind.name}"):
         engine.run_round(getattr(phase, step))
 
 
-def test_accept_to_a_phase_without_join_is_inconsistent():
-    engine, phase = _phase_on([(0, 0), (1, 0)], DET, {0: [0], 2: [0]})
-    engine.run_round(_sending(2, 0, MsgKind.ACCEPT))
+@pytest.mark.parametrize("receiver", [0, 1], ids=["inside", "outside"])
+def test_accept_to_a_phase_without_join_is_inconsistent(receiver):
+    # M0 (id 0) takes part in the phase and M1 (id 1) does not
+    engine, phase = _phase_on_path(DET, {0: [0], 2: [0]})
+    engine.run_round(_sending(2, receiver, MsgKind.ACCEPT))
     with pytest.raises(InconsistentState, match="ACCEPT"):
         engine.run_round(phase.point)

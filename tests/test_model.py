@@ -323,6 +323,25 @@ def test_matching_rejects_duplicates():
         Matching.of([(0, 0), (1, 0)])
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("0", 1), 'expected an integer, got "0"'),
+        ((0, True), "expected an integer, got true"),
+        ((0.0, 1), "expected an integer, got 0.0"),
+        ((float("inf"), 1), "expected an integer, got Infinity"),
+        ((0, None), "int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
+    ],
+    ids=["string", "bool", "float", "infinity", "none"],
+)
+def test_matching_takes_only_ints(pair, message):
+    # int() once read ("0", True) and (0.0, 1) as the pair (0, 1)
+    with pytest.raises(InvalidMatching) as exc:
+        Matching.of([(1, 0), pair])
+    assert str(exc.value) == message
+    assert Matching.of([(1, 0), (0, 1)]).pairs == {(1, 0), (0, 1)}
+
+
 def test_matching_validate_for_profile():
     prof = _profile_2x2()
     Matching.of([(0, 0), (1, 1)]).validate_for(prof)

@@ -265,15 +265,25 @@ def test_asm_with_randomized_subroutine_override():
     assert rep.bounds["thm41"].passed
 
 
-def test_fast_forward_equals_stepping_every_round():
+def test_fast_forward_equals_stepping_every_round(monkeypatch):
     # skipping provably silent stretches must be observationally identical
     # to stepping them one round at a time
+    from matchsim.engine import Engine
     from matchsim.protocols import QuantileProtocol
 
     prof = generate(GeneratorSpec.parse("random:0.6", n=4, seed=2))
     params = AsmParams.for_instance(1.0, prof.n)
+    skip_rounds = Engine.skip_rounds
+    skipped = []
+
+    def counting_skip(eng, label, count):
+        skipped.append(count)
+        skip_rounds(eng, label, count)
+
+    monkeypatch.setattr(Engine, "skip_rounds", counting_skip)
 
     def run(mm, fast):
+        skipped.clear()
         log = []
         proto = QuantileProtocol(
             prof,
@@ -286,7 +296,10 @@ def test_fast_forward_equals_stepping_every_round():
             algorithm_label="equiv",
             fast_forward=fast,
         )
-        return proto.run(), log
+        result = proto.run()
+        # the fast run skips some stretch and the other steps every round
+        assert (sum(skipped) > 0) == fast
+        return result, log
 
     for mm in (MatchingSubroutineSpec.deterministic(), MatchingSubroutineSpec.randomized(3)):
         fast, fast_log = run(mm, True)

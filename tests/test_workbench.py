@@ -357,12 +357,12 @@ def test_message_log_lines_equal_json_dumps(tmp_path):
         if ctx.side is Side.MAN:
             ctx.send_many([(ctx.index + r + j) % n for j in range(2)], MsgKind.PROPOSE)
         elif r >= 9 and ctx.index == 11:
-            ctx.send(10, MsgKind.CONTROL, payload=5)
+            ctx.send(10, MsgKind.REJECT)
 
     for _ in range(12):
         eng.run_round(step)
     assert max(e["round"] for e in log) >= 10
-    assert any(e["kind"] == "CONTROL" and e["payload_bits"] > 3 for e in log)
+    assert any(e["kind"] == "REJECT" for e in log)
     assert any(e["from"] == "W11" and e["to"] == "M10" for e in log)
     path = tmp_path / "log.ndjson"
     write_message_log(log, path)
@@ -382,6 +382,11 @@ def test_cli_rejects_invalid_algorithm_parameter_up_front(tmp_path, capsys):
     for family in ("complete:7", "aregular:inf,2"):
         cases.append(["generate", "--family", family, "--n", "8", "-o", str(out)])
         cases.append(["run", "--alg", "gs", "--family", family, "--n", "8", "--seeds", "0", "-o", str(out)])
+    # an instance file together with generator flags
+    inst = tmp_path / "inst.json"
+    save_instance(generate(GeneratorSpec.parse("bounded:2", n=8, seed=0)), inst)
+    on_file = ["run", "--alg", "asm:0.5", "--instance", str(inst), "--seeds", "0", "-o", str(out)]
+    cases += [on_file + ["--family", "bounded:2", "--n", "64"], on_file + ["--n", "64"], on_file + ["--family", "complete"]]
     for argv in cases:
         rc = main(argv)
         assert rc == 2, argv
