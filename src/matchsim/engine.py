@@ -47,7 +47,15 @@ class MsgKind(IntEnum):
 KIND_BITS = 3
 
 
-_KIND_NAMES = {kind: kind.name for kind in MsgKind}
+def log_ndjson(record: tuple) -> str:
+    """The NDJSON lines of one message-log record ``(round, sender PlayerId, kind,
+    partner indices)``, one per message in send order. Names and kind names need no
+    escaping, so each line equals ``json.dumps`` of ``{"round", "from", "to", "kind",
+    "payload_bits"}`` with ``(",", ":")`` separators."""
+    rnd, sender, kind, targets = record
+    head = f'{{"round":{rnd},"from":"{sender!r}","to":"{"WM"[sender.side]}'
+    tail = f'","kind":"{kind.name}","payload_bits":{KIND_BITS}}}\n'
+    return head + (tail + head).join(map(str, targets)) + tail
 
 
 # kind -> receiver id -> inbox entries, each level created on first use
@@ -181,7 +189,11 @@ StepFn = Callable[[ProcessorContext], None]
 
 
 class Engine:
-    """Runs synchronous rounds over a fixed topology."""
+    """Runs synchronous rounds over a fixed topology.
+
+    A ``message_log`` list gets one record per non-empty ``send_many``/``send``
+    call; :func:`log_ndjson` expands it to the NDJSON lines of its messages.
+    """
 
     # a switch for tests: set False on an engine and repeat() steps every
     # repetition instead of skipping quiet ones; outcomes are identical either way
@@ -195,9 +207,6 @@ class Engine:
         n = profile.n
         self.trace = RoundTrace()
         self.message_log = message_log
-        # log names per side, computed once per player instead of once per record
-        if message_log is not None:
-            self._names = ([f"M{i}" for i in range(n)], [f"W{i}" for i in range(n)])
         # indexed by processor id
         self.contexts: list[ProcessorContext] = [
             ProcessorContext(side, i, n, profile, self, seed) for side in Side for i in range(n)
@@ -220,12 +229,7 @@ class Engine:
         self._staged_count += len(targets)
         self.trace.max_payload_bits = KIND_BITS
         if self.message_log is not None:
-            rnd, frm, kname = self.trace.rounds + 1, self._names[sender.side][sender.index], _KIND_NAMES[kind]
-            names = self._names[1 - sender.side]
-            self.message_log.extend(
-                {"round": rnd, "from": frm, "to": names[to], "kind": kname, "payload_bits": KIND_BITS}
-                for to in targets
-            )
+            self.message_log.append((self.trace.rounds + 1, sender.self_id, kind, tuple(targets)))
 
     @property
     def in_flight(self) -> int:

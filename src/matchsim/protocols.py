@@ -661,7 +661,8 @@ def run_algorithm(
 
     ``gs``'s default round cap allows n^2 + n proposal iterations of six
     engine rounds each (propose, accept, three subroutine rounds, reject).
-    ``aregasm`` needs men's degree spread at most alpha.
+    ``aregasm`` needs men's degree spread at most alpha. A ``message_log`` list
+    gets one record per fan-out; ``write_message_log`` writes its NDJSON lines.
     """
     spec = AlgorithmSpec.parse(algorithm) if isinstance(algorithm, str) else algorithm
     if spec.name == "aregasm":

@@ -12,11 +12,13 @@ import csv
 import json
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .analysis import VerificationReport, verify_run
+from .engine import log_ndjson
 from .errors import DegenerateInstance, InvalidMatching, InvalidProfile, MatchsimError, RoundCapExceeded
 from .model import Matching, PreferenceProfile, as_index
 from .protocols import AlgorithmSpec, RunResult, run_algorithm
@@ -272,15 +274,11 @@ def load_matching(path: str | Path) -> Matching:
         raise InvalidMatching(f"{path}: {exc}") from exc
 
 
-def write_message_log(entries: Iterable[dict], path: str | Path) -> None:
-    """Write records of the engine's shape as NDJSON: ints and names that need no
-    escaping, so each line equals ``json.dumps(record, separators=(",", ":"))``."""
+def write_message_log(records: Iterable[tuple], path: str | Path) -> None:
+    """Write an engine message log, one record per fan-out, as NDJSON with one
+    line per message: :func:`log_ndjson` expands each record."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f'{{"round":{e["round"]},"from":"{e["from"]}","to":"{e["to"]}",'
-            f'"kind":"{e["kind"]}","payload_bits":{e["payload_bits"]}}}\n'
-            for e in entries
-        )
+        fh.writelines(map(log_ndjson, records))
 
 
 # ---------------------------------------------------------------------------
@@ -356,69 +354,68 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Run errors are captured per row without aborting the batch; the overall
     ``ok`` flag clears when any row errors out or a deterministic-guarantee
-    check fails.
+    check fails. The message log file is opened before the first run, so an
+    unwritable path fails before any work; each run's records are written and
+    dropped after that run.
     """
-    spec = config.algorithm
     fixed_profile = load_instance(config.instance_path) if config.instance_path else None
-    message_log: list | None = [] if config.message_log_path else None
+    log_path = config.message_log_path
+    message_log: list | None = [] if log_path else None
     rows: list[ExperimentRow] = []
-    for seed in config.seeds:
-        profile = (
-            fixed_profile
-            if fixed_profile is not None
-            else generate(replace(config.generator, seed=seed))
-        )
-        status = "ok"
-        result: RunResult | None = None
-        report: VerificationReport | None = None
-        try:
-            result = run_algorithm(
-                profile, spec, seed=seed, round_cap=config.round_cap, message_log=message_log
-            )
-        except RoundCapExceeded as exc:
-            status = "round_cap"
-            result = exc.partial
-        except (ValueError, MatchsimError) as exc:
-            status = f"error:{exc}"
-        if result is not None:
-            report = verify_run(profile, result)
-        row = {
-            "algorithm": spec.describe(),
-            "n": profile.n,
-            "edges": profile.num_edges,
-            "eps": "" if spec.eps is None else f"{spec.eps:g}",
-            "delta": (
-                f"{spec.delta_fail:g}"
-                if spec.delta_fail is not None
-                else (f"{result.params.delta:g}" if result is not None and result.params else "")
-            ),
-            "alpha": "" if spec.alpha is None else f"{spec.alpha:g}",
-            "seed": seed,
-            "rounds": result.trace.rounds if result else "",
-            "messages": result.trace.messages_sent if result else "",
-            "matching_size": len(result.matching) if result else "",
-            "blocking_pairs": report.blocking_pairs if report else "",
-            "two_over_k_blocking": (
-                report.tight_blocking_pairs if report and report.k is not None else ""
-            ),
-            "good_men": len(report.good_men) if report else "",
-            "bad_men": len(report.bad_men) if report else "",
-            "thm41_pass": _bool_cell(report, "thm41"),
-            "lemma42_pass": _bool_cell(report, "lemma42"),
-            "lemma43_pass": _bool_cell(report, "lemma43"),
-            "lemma44_pass": _bool_cell(report, "lemma44"),
-            "status": status,
-        }
-        failed = status != "ok" or (
-            spec.deterministic and report is not None and not report.all_passed()
-        )
-        rows.append(ExperimentRow(seed=seed, row=row, report=report, result=result, failed=failed))
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_file:
+        for seed in config.seeds:
+            profile = fixed_profile if fixed_profile is not None else generate(replace(config.generator, seed=seed))
+            rows.append(_run_seed(config, profile, seed, message_log))
+            if message_log:
+                log_file.writelines(map(log_ndjson, message_log))
+                message_log.clear()
     outcome = ExperimentResult(rows=rows, ok=not any(r.failed for r in rows))
     if config.csv_path:
         write_csv(outcome.csv_rows(), config.csv_path)
-    if config.message_log_path and message_log is not None:
-        write_message_log(message_log, config.message_log_path)
     return outcome
+
+
+def _run_seed(config: ExperimentConfig, profile: PreferenceProfile, seed: int, message_log: list | None) -> ExperimentRow:
+    spec = config.algorithm
+    status = "ok"
+    result: RunResult | None = None
+    report: VerificationReport | None = None
+    try:
+        result = run_algorithm(profile, spec, seed=seed, round_cap=config.round_cap, message_log=message_log)
+    except RoundCapExceeded as exc:
+        status = "round_cap"
+        result = exc.partial
+    except (ValueError, MatchsimError) as exc:
+        status = f"error:{exc}"
+    if result is not None:
+        report = verify_run(profile, result)
+    row = {
+        "algorithm": spec.describe(),
+        "n": profile.n,
+        "edges": profile.num_edges,
+        "eps": "" if spec.eps is None else f"{spec.eps:g}",
+        "delta": (
+            f"{spec.delta_fail:g}"
+            if spec.delta_fail is not None
+            else (f"{result.params.delta:g}" if result is not None and result.params else "")
+        ),
+        "alpha": "" if spec.alpha is None else f"{spec.alpha:g}",
+        "seed": seed,
+        "rounds": result.trace.rounds if result else "",
+        "messages": result.trace.messages_sent if result else "",
+        "matching_size": len(result.matching) if result else "",
+        "blocking_pairs": report.blocking_pairs if report else "",
+        "two_over_k_blocking": report.tight_blocking_pairs if report and report.k is not None else "",
+        "good_men": len(report.good_men) if report else "",
+        "bad_men": len(report.bad_men) if report else "",
+        "thm41_pass": _bool_cell(report, "thm41"),
+        "lemma42_pass": _bool_cell(report, "lemma42"),
+        "lemma43_pass": _bool_cell(report, "lemma43"),
+        "lemma44_pass": _bool_cell(report, "lemma44"),
+        "status": status,
+    }
+    failed = status != "ok" or (spec.deterministic and report is not None and not report.all_passed())
+    return ExperimentRow(seed=seed, row=row, report=report, result=result, failed=failed)
 
 
 def write_csv(rows: list[dict], path: str | Path) -> None:

@@ -1,5 +1,7 @@
 """Round engine contract: delivery timing, accounting, errors, determinism."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,14 @@ from matchsim import (
     PreferenceProfile,
     RoundCapExceeded,
 )
-from matchsim.engine import KIND_BITS, Engine, Topology
+from matchsim.engine import KIND_BITS, Engine, Topology, log_ndjson
 
 # processor ids: with n players per side, man i is i and woman j is n + j
+
+
+def _messages(log: list) -> list[dict]:
+    """The per-message records a message log's NDJSON lines hold."""
+    return [json.loads(line) for line in "".join(map(log_ndjson, log)).splitlines()]
 
 
 def _pair_engine(**kw):
@@ -133,7 +140,7 @@ def test_message_log_records_traffic():
             ctx.send(0, MsgKind.PROPOSE)
 
     eng.run_round(step)
-    assert log == [
+    assert _messages(log) == [
         {"round": 1, "from": "M0", "to": "W0", "kind": "PROPOSE", "payload_bits": 3}
     ]
 
@@ -211,11 +218,12 @@ def test_send_many_equals_a_send_loop():
         eng.run_round(step, "reject")
         inboxes = {}
         eng.run_round(lambda ctx: inboxes.update({ctx.id: dict(ctx.inbox)}), "flush")
-        runs.append((inboxes, log, eng.trace.as_dict()))
+        # a send loop and one send_many make different records with the same lines
+        runs.append((inboxes, "".join(map(log_ndjson, log)), eng.trace.as_dict()))
     assert runs[0] == runs[1]
-    inboxes, log, trace = runs[1]
+    inboxes, text, trace = runs[1]
     assert inboxes[2] == {MsgKind.REJECT: [0, 1], MsgKind.MM_MATCHED: [1]}
-    assert [(e["from"], e["to"]) for e in log] == [
+    assert [(e["from"], e["to"]) for e in map(json.loads, text.splitlines())] == [
         ("W0", "M2"), ("W1", "M2"), ("W1", "M0"), ("W1", "M2"), ("W1", "M0")
     ]
     assert trace["messages_by_phase"] == {"reject": 5}
@@ -271,6 +279,7 @@ class _ReferenceNetwork:
         self.adjacent = [set(lst) for lst in profile.men_prefs] + [set(lst) for lst in profile.women_prefs]
         self.pending: list[tuple] = []
         self.log = log
+        self.fanouts = 0  # non-empty send calls
         self.trace = {"rounds": 0, "messages_sent": 0, "max_payload_bits": 0,
                       "phase_breakdown": {}, "messages_by_phase": {}, "extras": {}}
 
@@ -286,6 +295,7 @@ class _ReferenceNetwork:
         if staged is None:
             raise InconsistentState
         self.trace["max_payload_bits"] = 3
+        self.fanouts += 1
         for t in targets:
             staged.append((peer_base + t, sender % self.n, kind))
             self.log.append({"round": self.trace["rounds"] + 1, "from": self.name(sender),
@@ -372,7 +382,9 @@ def test_engine_matches_reference_network(script):
         result = outcome(lambda: eng.run_round(step, label, actors))
         assert result == outcome(lambda: ref.run_round(ops, label, actors, want))
         assert got == want
-        assert log == ref_log
+        # compact records expand to the per-message log, one record per fan-out
+        assert _messages(log) == ref_log
+        assert len(log) == ref.fanouts
         if result[1] is not None:
             return
         assert eng.in_flight == len(ref.pending)
@@ -384,4 +396,4 @@ def test_engine_matches_reference_network(script):
     engine_error = outcome(lambda: [ctx.send_many(batch, kind) for batch in sends])[1]
     reference_error = outcome(lambda: [ref.send(outsider, batch, kind, None) for batch in sends])[1]
     assert engine_error == reference_error
-    assert eng.trace.as_dict() == ref.trace and log == ref_log
+    assert eng.trace.as_dict() == ref.trace and _messages(log) == ref_log and len(log) == ref.fanouts

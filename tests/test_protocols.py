@@ -2,6 +2,7 @@
 runtime invariants, determinism, and locality."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -28,6 +29,7 @@ from matchsim import (
     verify_run,
     woman,
 )
+from matchsim.engine import ProcessorContext, log_ndjson
 
 
 def test_params_eps_half():
@@ -66,11 +68,33 @@ def test_single_pair_matches():
 def test_single_pair_message_sequence():
     log = []
     run_algorithm(pair_profile(), "asm:0.5", message_log=log)
-    kinds = [e["kind"] for e in log]
+    kinds = [json.loads(line)["kind"] for line in "".join(map(log_ndjson, log)).splitlines()]
     assert kinds[0] == "PROPOSE"
     assert kinds[1] == "ACCEPT"
     assert "REJECT" not in kinds
     assert set(kinds) <= {"PROPOSE", "ACCEPT", "MM_POINT", "MM_MATCHED"}
+
+
+def test_message_log_has_one_record_per_fan_out(monkeypatch):
+    # every send, single or batched, goes through send_many; an empty batch logs nothing
+    calls = []
+    send_many = ProcessorContext.send_many
+
+    def counting(ctx, targets, kind):
+        before = len(log)
+        send_many(ctx, [], kind)
+        assert len(log) == before
+        send_many(ctx, targets, kind)
+        if targets:
+            calls.append(len(targets))
+
+    monkeypatch.setattr(ProcessorContext, "send_many", counting)
+    log = []
+    res = run_algorithm(generate(GeneratorSpec.parse("complete", n=16, seed=0)), "asm:0.5", message_log=log)
+    lines_per_record = [log_ndjson(record).count("\n") for record in log]
+    assert lines_per_record == calls
+    assert sum(lines_per_record) == res.trace.messages_sent
+    assert max(lines_per_record) > 1  # fan-outs are one record each
 
 
 def test_empty_edge_set():

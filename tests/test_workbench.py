@@ -31,6 +31,7 @@ from matchsim.cli import main, parse_seeds
 from matchsim.engine import Engine, MsgKind, Topology
 from matchsim.model import Side
 from matchsim.analysis import blocking_pairs, eps_blocking_pairs
+from matchsim import workbench
 from matchsim.workbench import _LONG_METRICS, CSV_COLUMNS, _shuffle, write_message_log
 
 
@@ -361,14 +362,55 @@ def test_message_log_lines_equal_json_dumps(tmp_path):
 
     for _ in range(12):
         eng.run_round(step)
-    assert max(e["round"] for e in log) >= 10
-    assert any(e["kind"] == "REJECT" for e in log)
-    assert any(e["from"] == "W11" and e["to"] == "M10" for e in log)
     path = tmp_path / "log.ndjson"
     write_message_log(log, path)
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines.pop() == ""
-    assert lines == [json.dumps(e, separators=(",", ":")) for e in log]
+    records = [json.loads(line) for line in lines]
+    assert max(e["round"] for e in records) >= 10
+    assert any(e["kind"] == "REJECT" for e in records)
+    assert any(e["from"] == "W11" and e["to"] == "M10" for e in records)
+    assert len(records) == eng.trace.messages_sent
+    assert all(list(e) == ["round", "from", "to", "kind", "payload_bits"] for e in records)
+    assert lines == [json.dumps(e, separators=(",", ":")) for e in records]
+
+
+def test_batch_message_log_is_the_single_seed_logs_in_seed_order(tmp_path, monkeypatch):
+    def config(seeds, name):
+        return ExperimentConfig(
+            algorithm=AlgorithmSpec.parse("randasm:0.5,0.1"),
+            seeds=seeds,
+            generator=GeneratorSpec.parse("complete", n=8, seed=0),
+            message_log_path=str(tmp_path / name),
+        )
+
+    singles = b""
+    for seed in (0, 1, 2):
+        run_experiment(config([seed], f"seed{seed}.ndjson"))
+        singles += (tmp_path / f"seed{seed}.ndjson").read_bytes()
+    # every run of the batch starts from an empty list: it holds one run's records
+    held = []
+    real_run = workbench.run_algorithm
+
+    def run(profile, spec, message_log=None, **kw):
+        held.append(len(message_log))
+        return real_run(profile, spec, message_log=message_log, **kw)
+
+    monkeypatch.setattr(workbench, "run_algorithm", run)
+    run_experiment(config([0, 1, 2], "batch.ndjson"))
+    assert held == [0, 0, 0]
+    assert (tmp_path / "batch.ndjson").read_bytes() == singles
+    assert singles.count(b"\n") > 3
+
+
+def test_cli_unwritable_message_log_fails_before_any_run(tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    rc = main(["run", "--alg", "asm:0.5", "--family", "complete", "--n", "4", "--seeds", "0..2",
+               "-o", str(out), "--message-log", str(tmp_path / "missing" / "log.ndjson")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_rejects_invalid_algorithm_parameter_up_front(tmp_path, capsys):
