@@ -330,6 +330,16 @@ def _phase_on_path(spec, node_nbrs):
     return Engine(topology, seed=0), phase
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [{man(0): {woman(0)}}, {man(0): {man(1)}, man(1): {man(0)}}],
+    ids=["listed-at-one-end", "man-man"],
+)
+def test_graph_edge_that_is_one_sided_or_within_a_side_is_inconsistent(graph):
+    with pytest.raises(InconsistentState, match="does not cross sides or is not listed at both ends"):
+        maximal_matching(graph, DET)
+
+
 def _sending(sender: int, to: int, kind):
     return lambda ctx: ctx.send(to, kind) if ctx.id == sender else None
 
