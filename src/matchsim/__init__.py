@@ -7,7 +7,6 @@ from .analysis import (
     binomial_ci,
     blocking_pairs,
     classify_good_bad,
-    count_blocking_pairs,
     eps_blocking_pairs,
     gale_shapley_oracle,
     is_eps_blocking,
@@ -45,7 +44,6 @@ from .model import (
     Side,
     man,
     quantize,
-    rank,
     woman,
 )
 from .protocols import (

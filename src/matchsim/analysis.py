@@ -73,10 +73,6 @@ def blocking_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple
     return _scan(profile, matching, lambda deg: 1)
 
 
-def count_blocking_pairs(profile: PreferenceProfile, matching: Matching) -> int:
-    return len(blocking_pairs(profile, matching))
-
-
 def is_eps_blocking(
     profile: PreferenceProfile, matching: Matching, edge: tuple[int, int], eps: float
 ) -> bool:

@@ -103,24 +103,6 @@ class Topology:
     def from_profile(cls, profile: PreferenceProfile) -> "Topology":
         return cls(profile)
 
-    @classmethod
-    def from_bipartite(cls, adjacency: Mapping[PlayerId, Iterable[PlayerId]]) -> "Topology":
-        """The graph as a profile of sorted lists, n one more than the largest index."""
-        nbrs = {v: sorted(adjacency[v]) for v in adjacency}
-        for v, vs in nbrs.items():
-            for u in vs:
-                if u.side == v.side or v not in nbrs.get(u, ()):
-                    raise InconsistentState(f"edge ({v}, {u}) does not cross sides or is not listed at both ends")
-        n = 1 + max((v.index for v in nbrs), default=0)
-        lists: tuple[list, list] = ([[] for _ in range(n)], [[] for _ in range(n)])
-        for v, vs in nbrs.items():
-            lists[v.side][v.index] = [u.index for u in vs]
-        return cls(PreferenceProfile.from_lists(*lists))
-
-    def id_of(self, v: PlayerId) -> int:
-        """Player (side, i) is processor ``side * n + i``."""
-        return v.side * self.profile.n + v.index
-
 
 class ProcessorContext:
     """Engine-facing view of one processor during a round.
@@ -195,13 +177,11 @@ class Engine:
     call; :func:`log_ndjson` expands it to the NDJSON lines of its messages.
     """
 
-    # a switch for tests: set False on an engine and repeat() steps every
-    # repetition instead of skipping quiet ones; outcomes are identical either way
+    # the one fast-forward switch, for tests: set False on the class and repeat()
+    # steps every repetition instead of skipping quiet ones; outcomes are identical
     fast_forward = True
 
     def __init__(self, topology: Topology, seed: int = 0, round_cap: int | None = None, message_log: list | None = None):
-        self.topology = topology
-        self.seed = seed
         self.round_cap = round_cap
         profile = topology.profile
         n = profile.n

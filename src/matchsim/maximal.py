@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
 from .errors import InconsistentState, InvalidMatching
-from .model import Matching, PlayerId, Side, man, woman
+from .model import Matching, PlayerId, PreferenceProfile, Side, man, woman
 
 # the expected factor by which one randomized iteration shrinks the residual
 DEFAULT_SHRINK_C = 0.95
@@ -315,12 +315,19 @@ def maximal_matching(
     flavor, or the number of greedy iterations that sent.
     """
     live = {v: frozenset(nbrs) for v, nbrs in graph.items() if nbrs}
-    # the topology checks that every edge crosses sides and is listed at both ends
-    topology = Topology.from_bipartite(live)
-    engine = Engine(topology, seed=seed)
-    phase = MmPhase(spec, {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in live.items()})
+    # the engine runs the graph as a profile of sorted lists, n one more than the largest index
+    n = 1 + max((v.index for v in live), default=0)
+    lists: tuple[list, list] = ([[] for _ in range(n)], [[] for _ in range(n)])
+    for v, nbrs in live.items():
+        for u in nbrs:
+            if u.side == v.side or v not in live.get(u, ()):
+                raise InconsistentState(f"edge ({v}, {u}) does not cross sides or is not listed at both ends")
+        lists[v.side][v.index] = sorted(u.index for u in nbrs)
+    engine = Engine(Topology(PreferenceProfile.from_lists(*lists)), seed=seed)
+    ids = {v: v.side * n + v.index for v in live}  # player (side, i) is processor side * n + i
+    phase = MmPhase(spec, {ids[v]: MmNode(u.index for u in nbrs) for v, nbrs in live.items()})
     iterations = phase.run(engine)
-    partner = {v: phase.nodes[topology.id_of(v)].matched for v in live}
+    partner = {v: phase.nodes[ids[v]].matched for v in live}
     pairs = set()
     for v, p in partner.items():
         if p is not None and v.side is Side.MAN:

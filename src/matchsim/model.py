@@ -123,27 +123,10 @@ class PreferenceProfile:
     def num_edges(self) -> int:
         return sum(map(len, self.men_prefs))
 
-    def edges(self) -> Iterable[tuple[int, int]]:
-        """All (man, woman) index pairs of the communication graph."""
-        for m_idx, lst in enumerate(self.men_prefs):
-            for w_idx in lst:
-                yield (m_idx, w_idx)
-
     def is_edge(self, m_idx: int, w_idx: int) -> bool:
         """Reads man m's list rather than a rank table, so a check of a few pairs
         (``Matching.validate_for``) builds no table. False for an index out of range."""
         return 0 <= m_idx < self.n and w_idx in self.men_prefs[m_idx]
-
-    def men_degrees(self) -> list[int]:
-        return [len(lst) for lst in self.men_prefs]
-
-
-def rank(profile: PreferenceProfile, v: PlayerId, u: PlayerId) -> int | None:
-    """1-based position of u in v's list, or None when u is unacceptable to v."""
-    if v.side == u.side:
-        raise InvalidProfile("rank is defined between players of opposite sides")
-    table = profile._man_rank if v.side is Side.MAN else profile._woman_rank
-    return table[v.index].get(u.index)
 
 
 class QuantizedPrefs:
@@ -173,15 +156,6 @@ class QuantizedPrefs:
         self.remaining: set[int] = set(self.order)
         # the cursors only move inward, O(deg) over a whole run
         self._first, self._last = 0, deg - 1
-
-    @property
-    def quantile_of(self) -> tuple[int, ...]:
-        return tuple(map(self.quantile, self.order))
-
-    @property
-    def buckets(self) -> list[list[int]]:
-        k, deg = self.k, self.deg
-        return [self._remaining_in(i * deg // k, (i + 1) * deg // k) for i in range(k)]
 
     def _remaining_in(self, lo: int, hi: int) -> list[int]:
         rem = self.remaining

@@ -171,7 +171,6 @@ class QuantileProtocol:
         strict: bool = True,
         message_log: list | None = None,
         algorithm_label: str = "",
-        fast_forward: bool = True,
     ):
         if mode not in ("ladder", "flat", "serial"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -189,8 +188,6 @@ class QuantileProtocol:
         self.strict = strict
         self.message_log = message_log
         self.algorithm_label = algorithm_label
-        # handed to the engine (Engine.fast_forward): with it off every scheduled round is stepped
-        self.fast_forward = fast_forward
 
         def quantized(prefs, ranks):  # each list shares the profile's cached rank table
             return [quantize(lst, max(1, len(lst)) if mode == "serial" else params.k, r) for lst, r in zip(prefs, ranks)]
@@ -215,7 +212,6 @@ class QuantileProtocol:
         self.mm_failures = 0
         self.outer_records: list[OuterRecord] = []
         self.violations: list[str] = []
-        self.engine: Engine | None = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -535,8 +531,6 @@ class QuantileProtocol:
             round_cap=self.round_cap,
             message_log=self.message_log,
         )
-        eng.fast_forward = self.fast_forward
-        self.engine = eng
         try:
             if self.mode == "ladder":
                 self._run_ladder(eng)
@@ -557,12 +551,8 @@ class QuantileProtocol:
 
 
 def men_degree_ratio(profile: PreferenceProfile) -> float:
-    degs = profile.men_degrees()
-    lo = min(degs)
-    hi = max(degs)
-    if lo == 0:
-        return math.inf
-    return hi / lo
+    degs = list(map(len, profile.men_prefs))
+    return math.inf if min(degs) == 0 else max(degs) / min(degs)
 
 
 # the parameters each descriptor must carry, in field order

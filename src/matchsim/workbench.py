@@ -218,15 +218,18 @@ class _SharedInts(dict):
 
 def _read_json(path: str | Path, error: type[MatchsimError]):
     """The text of a file whose numbers must all be integers, and what it parses to;
-    ``error`` on any other number."""
+    ``error`` on any other number, on text that is not UTF-8 and on nesting too deep
+    to parse."""
 
     def no_floats(token: str):  # called for float tokens only, so integer-only files pay nothing
         raise error(f"{path}: expected an integer, got {token}")
 
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         return text, json.loads(text, parse_float=no_floats, parse_int=_SharedInts().__getitem__)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -323,6 +326,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of generator or instance_path is required")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if self.round_cap is not None and self.round_cap < 1:
+            raise ValueError(f"round cap must be >= 1, got {self.round_cap}")
 
 
 @dataclass

@@ -36,7 +36,7 @@ from matchsim import (
 from matchsim import cli
 from matchsim.analysis import verify_run
 from matchsim.model import Matching
-from matchsim.protocols import QuantileProtocol
+from matchsim.engine import Engine
 from matchsim.workbench import instance_to_json, save_instance, save_matching, write_message_log
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
@@ -125,20 +125,16 @@ def run_cell(cell: Cell) -> dict[str, str]:
     mm = MatchingSubroutineSpec.parse(cell.mm) if cell.mm else None
     spec = AlgorithmSpec.parse(cell.algorithm, mm=mm)
     log: list = []
-    init = QuantileProtocol.__init__
-    if not cell.fast_forward:
-        # every public entry point builds its protocol with fast_forward on
-        QuantileProtocol.__init__ = lambda self, *a, **kw: init(self, *a, **{**kw, "fast_forward": False})
-    try:
-        result = run_algorithm(profile, spec, seed=cell.seed, round_cap=cell.round_cap, message_log=log)
-        if cell.round_cap is not None:
-            raise AssertionError(f"{cell.name} finished within its round cap")
-    except RoundCapExceeded as exc:
-        if cell.round_cap is None:
-            raise
-        result = exc.partial
-    finally:
-        QuantileProtocol.__init__ = init
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "fast_forward", cell.fast_forward)
+        try:
+            result = run_algorithm(profile, spec, seed=cell.seed, round_cap=cell.round_cap, message_log=log)
+            if cell.round_cap is not None:
+                raise AssertionError(f"{cell.name} finished within its round cap")
+        except RoundCapExceeded as exc:
+            if cell.round_cap is None:
+                raise
+            result = exc.partial
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.ndjson"
         write_message_log(log, path)

@@ -16,6 +16,7 @@ from matchsim import (
     MmNode,
     MmPhase,
     MsgKind,
+    PreferenceProfile,
     Topology,
     check_maximal,
     iterations_for_almost_maximal,
@@ -298,21 +299,18 @@ def test_maximality_agrees_with_networkx(case):
 def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
     # dense small graphs have 4-cycles, on which an iteration can match no one
     adj, _, _, seed = case
-    graph = {v: nbrs for v, nbrs in adj.items() if nbrs}
 
     def run(fast):
-        topology = Topology.from_bipartite(graph)
-        nodes = {topology.id_of(v): MmNode(u.index for u in nbrs) for v, nbrs in graph.items()}
-        phase = MmPhase(MatchingSubroutineSpec.randomized(s), nodes)
-        engine = Engine(topology, seed=seed)
-        engine.fast_forward = fast
         stepped = []
-        run_round = engine.run_round
-        engine.run_round = lambda *args: stepped.append(args[1]) or run_round(*args)
-        phase.run(engine)
+        run_round = Engine.run_round
+        # a function-scoped fixture cannot serve a Hypothesis test, so each run patches in a context
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Engine, "fast_forward", fast)
+            mp.setattr(Engine, "run_round", lambda eng, *args: stepped.append(args[1]) or run_round(eng, *args))
+            res = maximal_matching(adj, MatchingSubroutineSpec.randomized(s), seed=seed)
         if not fast:
-            assert len(stepped) == engine.trace.rounds  # no round was skipped
-        return {v: node.matched for v, node in phase.nodes.items()}, engine.trace.as_dict()
+            assert len(stepped) == res.trace.rounds  # no round was skipped
+        return res.matching, res.residual_vertices, res.iterations, res.trace.as_dict()
 
     assert run(True) == run(False)
 
@@ -325,7 +323,7 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
 def _phase_on_path(spec, node_nbrs):
     """An engine over the path M0 - W0 - M1 (processors 0, 2 and 1) and a phase
     whose nodes are ``node_nbrs``: processor id -> neighbour indices it starts with."""
-    topology = Topology.from_bipartite(bipartite([(0, 0), (1, 0)]))
+    topology = Topology.from_profile(PreferenceProfile.from_lists([[0], [0]], [[0, 1], []]))
     phase = MmPhase(spec, {v: MmNode(nbrs) for v, nbrs in node_nbrs.items()})
     return Engine(topology, seed=0), phase
 

@@ -17,29 +17,34 @@ from matchsim import (
     Side,
     man,
     quantize,
-    rank,
     woman,
 )
 from matchsim.workbench import load_instance
 
 
+def _buckets(q):
+    """The remaining partners of each quantile 1..k, in rank order, read through
+    ``at_or_worse`` and ``quantile``."""
+    return [[p for p in q.at_or_worse(i) if q.quantile(p) == i] for i in range(1, q.k + 1)]
+
+
 def test_quantize_exact_division():
     q = quantize(list(range(100, 108)), 4)
-    assert [len(b) for b in q.buckets] == [2, 2, 2, 2]
+    assert [len(b) for b in _buckets(q)] == [2, 2, 2, 2]
     # ranks 1 and 2 land in the first bucket
-    assert q.buckets[0] == [100, 101]
+    assert q.best_nonempty_bucket() == [100, 101]
 
 
 def test_quantize_ragged_division():
     q = quantize([10, 11, 12, 13, 14], 4)
-    assert list(q.quantile_of) == [1, 2, 3, 4, 4]
-    assert [len(b) for b in q.buckets] == [1, 1, 1, 2]
+    assert [q.quantile(p) for p in q.order] == [1, 2, 3, 4, 4]
+    assert [len(b) for b in _buckets(q)] == [1, 1, 1, 2]
 
 
 def test_quantize_fewer_partners_than_buckets():
     q = quantize([7, 8, 9], 8)
-    assert list(q.quantile_of) == [3, 6, 8]
-    sizes = [len(b) for b in q.buckets]
+    assert [q.quantile(p) for p in q.order] == [3, 6, 8]
+    sizes = [len(b) for b in _buckets(q)]
     assert sizes == [0, 0, 1, 0, 0, 1, 0, 1]
 
 
@@ -61,12 +66,13 @@ def test_quantize_order_preserving_and_balanced():
         k = rng.randint(1, 12)
         q = quantize(list(range(deg)), k)
         # quantile index is non-decreasing in rank
-        assert all(a <= b for a, b in zip(q.quantile_of, q.quantile_of[1:]))
+        quantiles = [q.quantile(p) for p in q.order]
+        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
         # every bucket holds contiguous ranks
-        flat = [p for b in q.buckets for p in b]
+        flat = [p for b in _buckets(q) for p in b]
         assert flat == list(range(deg))
         if deg >= k:
-            sizes = [len(b) for b in q.buckets]
+            sizes = [len(b) for b in _buckets(q)]
             assert max(sizes) - min(sizes) <= 1
             assert all(s in (deg // k, deg // k + (1 if deg % k else 0)) for s in sizes)
             assert all(s >= 1 for s in sizes)
@@ -79,7 +85,7 @@ def test_quantize_same_bucket_width_bound():
         deg = rng.randint(1, 40)
         k = rng.randint(1, 12)
         q = quantize(list(range(deg)), k)
-        for b in q.buckets:
+        for b in _buckets(q):
             if len(b) >= 2:
                 spread = q.rank_of[b[-1]] - q.rank_of[b[0]]
                 assert spread < 2 * deg / k
@@ -89,7 +95,7 @@ def test_quantize_removal_only():
     q = quantize([5, 6, 7, 8], 2)
     q.remove(6)
     assert 6 not in q.remaining
-    assert q.buckets[0] == [5]
+    assert q.best_nonempty_bucket() == [5]
     with pytest.raises(KeyError):
         q.remove(6)
     assert q.at_or_worse(2) == [7, 8]
@@ -187,14 +193,13 @@ def _profile_2x2():
 
 
 def test_rank_lookup():
+    # the rank tables that sends and quantiles read: 1-based, absent when unacceptable
     prof = PreferenceProfile.from_lists([[2, 0, 1], [0], [1, 2]], [[1, 0], [0, 2], [0, 2]])
-    assert rank(prof, man(0), woman(1)) == 3
-    assert rank(prof, man(0), woman(2)) == 1
-    assert rank(prof, man(1), woman(2)) is None
-    assert rank(prof, man(1), woman(0)) == 1
-    assert rank(prof, woman(2), man(0)) == 1
-    with pytest.raises(InvalidProfile):
-        rank(prof, man(0), man(1))
+    assert prof._man_rank[0].get(1) == 3
+    assert prof._man_rank[0].get(2) == 1
+    assert prof._man_rank[1].get(2) is None
+    assert prof._man_rank[1].get(0) == 1
+    assert prof._woman_rank[2].get(0) == 1
 
 
 def test_rank_position_example():
@@ -204,9 +209,9 @@ def test_rank_position_example():
         [[3, 1, 2], [], [], [7], [], [], [], []],
         [[], [0], [0], [0], [], [], [], [3]],
     )
-    assert rank(prof, man(0), woman(1)) == 2
-    assert rank(prof, man(0), woman(0)) is None
-    assert rank(prof, man(3), woman(7)) == 1
+    assert prof._man_rank[0].get(1) == 2
+    assert prof._man_rank[0].get(0) is None
+    assert prof._man_rank[3].get(7) == 1
 
 
 def test_profile_validation_errors():
@@ -313,7 +318,7 @@ def test_degree_sums_match_edge_count():
         prof = PreferenceProfile(n=n, men_prefs=tuple(men), women_prefs=tuple(women))
         assert sum(len(l) for l in prof.men_prefs) == prof.num_edges
         assert sum(len(l) for l in prof.women_prefs) == prof.num_edges
-        assert prof.num_edges == len(list(prof.edges()))
+        assert prof.num_edges == len({(m, w) for m, lst in enumerate(prof.men_prefs) for w in lst})
 
 
 def test_matching_rejects_duplicates():

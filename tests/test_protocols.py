@@ -18,7 +18,7 @@ from matchsim import (
     NotAlmostRegular,
     PreferenceProfile,
     RoundCapExceeded,
-    count_blocking_pairs,
+    blocking_pairs,
     gale_shapley_oracle,
     generate,
     GeneratorSpec,
@@ -61,7 +61,7 @@ def test_single_pair_matches():
     res = run_algorithm(pair_profile(), "asm:0.5")
     assert res.matching.sorted_pairs() == [(0, 0)]
     assert res.trace.rounds >= 3
-    assert count_blocking_pairs(pair_profile(), res.matching) == 0
+    assert len(blocking_pairs(pair_profile(), res.matching)) == 0
     assert not res.violations
 
 
@@ -232,7 +232,7 @@ def test_aregasm_round_count_independent_of_n():
 def test_gs_single_pair():
     res = run_algorithm(pair_profile(), "gs")
     assert res.matching.sorted_pairs() == [(0, 0)]
-    assert count_blocking_pairs(pair_profile(), res.matching) == 0
+    assert len(blocking_pairs(pair_profile(), res.matching)) == 0
 
 
 def test_gs_matches_oracle_on_random_instances():
@@ -240,7 +240,7 @@ def test_gs_matches_oracle_on_random_instances():
         prof = generate(GeneratorSpec.parse("random:0.5", n=14, seed=seed))
         res = run_algorithm(prof, "gs")
         assert res.matching.pairs == gale_shapley_oracle(prof).pairs
-        assert count_blocking_pairs(prof, res.matching) == 0
+        assert len(blocking_pairs(prof, res.matching)) == 0
 
 
 def test_gs_shared_ranking_serial_assignment():
@@ -309,6 +309,7 @@ def test_fast_forward_equals_stepping_every_round(monkeypatch):
     def run(mm, fast):
         skipped.clear()
         log = []
+        monkeypatch.setattr(Engine, "fast_forward", fast)
         proto = QuantileProtocol(
             prof,
             mode="ladder",
@@ -318,7 +319,6 @@ def test_fast_forward_equals_stepping_every_round(monkeypatch):
             strict=mm.flavor == "det",
             message_log=log,
             algorithm_label="equiv",
-            fast_forward=fast,
         )
         result = proto.run()
         # the fast run skips some stretch and the other steps every round
@@ -357,6 +357,7 @@ def _schedule_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_schedule_case())
 def test_fast_forward_equals_stepping_every_round_for_every_schedule(case):
+    from matchsim.engine import Engine
     from matchsim.protocols import QuantileProtocol
 
     prof, mode, mm, inner, seed = case
@@ -366,17 +367,19 @@ def test_fast_forward_equals_stepping_every_round_for_every_schedule(case):
 
     def run(fast):
         log = []
-        result = QuantileProtocol(
-            prof,
-            mode=mode,
-            mm_spec=MatchingSubroutineSpec.parse(mm),
-            params=params,
-            flat_quantile_matches=inner if mode == "flat" else None,
-            seed=seed,
-            strict=False,
-            message_log=log,
-            fast_forward=fast,
-        ).run()
+        # a function-scoped fixture cannot serve a Hypothesis test, so each run patches in a context
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Engine, "fast_forward", fast)
+            result = QuantileProtocol(
+                prof,
+                mode=mode,
+                mm_spec=MatchingSubroutineSpec.parse(mm),
+                params=params,
+                flat_quantile_matches=inner if mode == "flat" else None,
+                seed=seed,
+                strict=False,
+                message_log=log,
+            ).run()
         return result, log
 
     (fast, fast_log), (slow, slow_log) = run(True), run(False)

@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -62,7 +63,7 @@ def test_bounded_family_degree_range():
 
 def test_aregular_family_ratio():
     prof = generate(GeneratorSpec.parse("aregular:2,4", n=16, seed=5))
-    degs = prof.men_degrees()
+    degs = [len(lst) for lst in prof.men_prefs]
     assert all(4 <= d <= 8 for d in degs)
     assert men_degree_ratio(prof) <= 2.0
     assert all(prof.women_prefs[w] for w in range(16))
@@ -486,19 +487,30 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"n": 2.5, "men": [[0], [1]], "women": [[0], [1]]}, {"pairs": [[0, 0]]}, InvalidProfile),
         ({"n": 1, "men": [[0.9]], "women": [[0]]}, {"pairs": [[0, 0]]}, InvalidProfile),
         ({"n": 2, "men": [[1], []], "women": [[], [0]]}, {"pairs": [[0.7, 1.9]]}, InvalidMatching),
+        # text and bytes are written as they are: JSON nested past the parser's
+        # recursion limit once crashed with a RecursionError, and a non-UTF-8 file
+        # gave an error that did not say which file it was
+        ({"n": 1, "men": [[0]], "women": [[0]]}, '{"pairs": ' + "[" * 100_000 + "]" * 100_000 + "}", InvalidMatching),
+        ('{"n": 1, "men": ' + "[" * 100_000 + "]" * 100_000 + ', "women": [[0]]}', {"pairs": []}, InvalidProfile),
+        ({"n": 1, "men": [[0]], "women": [[0]]}, b'{"pairs": [[0, 0]]} \xff', InvalidMatching),
+        (b'{"n": 1, "men": [[0]], "women": [[0]]} \xff', {"pairs": []}, InvalidProfile),
     ],
-    ids=["matching-without-pairs", "preference-list-is-int", "float-n", "float-entry", "float-pair"],
+    ids=["matching-without-pairs", "preference-list-is-int", "float-n", "float-entry", "float-pair",
+         "deeply-nested-matching", "deeply-nested-instance", "matching-not-utf8", "instance-not-utf8"],
 )
 def test_cli_verify_rejects_malformed_files(tmp_path, capsys, instance, matching, error):
     inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
-    inst.write_text(json.dumps(instance))
-    mfile.write_text(json.dumps(matching))
-    with pytest.raises(error):
+    for path, content in ((inst, instance), (mfile, matching)):
+        if isinstance(content, dict):
+            content = json.dumps(content)
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
+    bad = mfile if error is InvalidMatching else inst
+    with pytest.raises(error, match=f"^{re.escape(str(bad))}: "):
         load_matching(mfile) if error is InvalidMatching else load_instance(inst)
     rc = main(["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_plot_data_is_the_wide_csv_in_long_format(tmp_path):
@@ -562,6 +574,19 @@ def test_cli_rejects_subroutine_override_for_gs_and_aregasm(tmp_path, capsys, al
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "asm and randasm only" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_cli_rejects_a_round_cap_below_one_before_any_run(tmp_path, capsys, command, cap):
+    # a cap below 1 once let every run hit it before its first round, writing a CSV of round_cap rows
+    out = tmp_path / "capped.csv"
+    instances = ["--family", "complete", "--n", "4", "--seeds", "0..1"] if command == "run" else ["--n-list", "4,8"]
+    rc = main([command, "--alg", "asm:0.5", *instances, "--round-cap", cap, "-o", str(out)])
+    assert rc == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err == f"error: round cap must be >= 1, got {cap}\n"
     assert not out.exists()
 
 
