@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidMatching, InvalidProfile
@@ -111,13 +112,14 @@ class PreferenceProfile:
             women_prefs=tuple(tuple(lst) for lst in women_prefs),
         )
 
-    @cached_property
-    def _man_rank(self) -> tuple[dict[int, int], ...]:
-        return tuple(dict(zip(lst, range(1, len(lst) + 1))) for lst in self.men_prefs)
+    def _rank_table(self, prefs: tuple[tuple[int, ...], ...]) -> tuple[dict[int, int], ...]:
+        # every value is an int of one tuple per profile, so a rank above 256 is one
+        # object shared by all lists of both sides rather than one object per entry
+        ranks = self.__dict__.setdefault("_ranks", tuple(range(1, self.n + 1)))
+        return tuple(dict(zip(lst, ranks)) for lst in prefs)
 
-    @cached_property
-    def _woman_rank(self) -> tuple[dict[int, int], ...]:
-        return tuple(dict(zip(lst, range(1, len(lst) + 1))) for lst in self.women_prefs)
+    _man_rank = cached_property(lambda self: self._rank_table(self.men_prefs))
+    _woman_rank = cached_property(lambda self: self._rank_table(self.women_prefs))
 
     @cached_property
     def num_edges(self) -> int:
@@ -132,41 +134,45 @@ class PreferenceProfile:
 class QuantizedPrefs:
     """A player's preference list chopped into k quantile buckets.
 
-    Bucket assignment follows ``q(r) = ceil(r * k / deg)`` for 1-based rank r,
-    which keeps bucket sizes within one of ``deg / k`` and leaves some buckets
-    empty when ``deg < k``. Bucket i is the rank slice
-    ``order[(i - 1) * deg // k : i * deg // k]``, so only the remaining set and
-    cursors at the first and last remaining positions are kept. The structure
-    is removal-only, and ``rank_of``/``quantile`` describe the original list.
-    ``rank_of`` may be passed in (a profile's cached rank table for this list)
-    and is only read.
+    Bucket assignment follows ``q(r) = ceil(r * k / deg)`` for 1-based rank r, which keeps
+    bucket sizes within one of ``deg / k`` and leaves some empty when ``deg < k``. Bucket i
+    is the rank slice ``order[(i - 1) * deg // k : i * deg // k]``, so no bucket is stored:
+    a flag byte ``live[r]`` is 1 while the partner of rank r remains (``live[0]`` is a 0 pad
+    that ``rank_of.get(p, 0)`` reads for a stranger), with their ``count`` and cursors at the
+    first and last remaining positions. Slices are read with ``compress`` over the flags,
+    and a cursor whose flag is cleared moves with ``find``/``rfind``. The structure is
+    removal-only; ``rank_of`` (the profile's cached rank table for this list, only read)
+    and ``quantile`` describe the original list.
     """
 
-    __slots__ = ("k", "deg", "order", "rank_of", "remaining", "_first", "_last")
+    __slots__ = ("k", "deg", "order", "rank_of", "live", "count", "_first", "_last")
 
-    def __init__(self, ordered_partners: Sequence[int], k: int, rank_of: Mapping[int, int] | None = None):
+    def __init__(self, ordered_partners: Sequence[int], k: int, rank_of: Mapping[int, int]):
         if k < 1:
             raise ValueError(f"quantile count must be >= 1, got {k}")
         self.k = k
         self.order: tuple[int, ...] = tuple(ordered_partners)
-        self.deg = deg = len(self.order)
-        if rank_of is None:
-            rank_of = dict(zip(self.order, range(1, deg + 1)))
+        self.deg = self.count = deg = len(self.order)
         self.rank_of: Mapping[int, int] = rank_of
-        self.remaining: set[int] = set(self.order)
-        # the cursors only move inward, O(deg) over a whole run
+        self.live = bytearray(b"\0" + b"\1" * deg)
+        # the cursors only move inward, O(deg) over a whole run; once count is 0 they
+        # stay where they were, and every flag they bound reads 0
         self._first, self._last = 0, deg - 1
 
     def _remaining_in(self, lo: int, hi: int) -> list[int]:
-        rem = self.remaining
-        return [p for p in self.order[lo:hi] if p in rem]
+        return list(compress(self.order[lo:hi], self.live[lo + 1 : hi + 1]))
+
+    @property
+    def remaining(self) -> frozenset[int]:
+        """The remaining partners as a frozenset, built on each read."""
+        return frozenset(compress(self.order, memoryview(self.live)[1:]))
 
     def quantile(self, partner: int) -> int:
         """Quantile index (1-based) of a partner from the original list."""
         return -(-self.rank_of[partner] * self.k // self.deg)
 
     def best_nonempty_index(self) -> int | None:
-        return None if self._first > self._last else -(-(self._first + 1) * self.k // self.deg)
+        return -(-(self._first + 1) * self.k // self.deg) if self.count else None
 
     def best_nonempty_bucket(self) -> list[int]:
         i = self.best_nonempty_index()
@@ -176,33 +182,35 @@ class QuantizedPrefs:
         self.remove_many((partner,))
 
     def remove_many(self, partners: Sequence[int]) -> None:
-        """Drop distinct remaining partners; checks and set update run once per call.
-        On a KeyError nothing is removed."""
-        rem = self.remaining
-        size = len(rem)
-        if not rem.issuperset(partners):
-            raise KeyError(f"partners {list(partners)} include one already removed")
-        rem.difference_update(partners)
-        if size - len(rem) != len(partners):
-            # every partner was remaining, so adding them all back restores the set
-            rem.update(partners)
-            raise KeyError(f"partners {list(partners)} repeat one")
-        order, first, last = self.order, self._first, self._last
-        while first <= last and order[first] not in rem:
-            first += 1
-        while last >= first and order[last] not in rem:
-            last -= 1
-        self._first, self._last = first, last
+        """Drop distinct remaining partners. On a KeyError the flags cleared so far
+        are set again, so nothing is removed."""
+        live, rank_of = self.live, self.rank_of
+        for i, p in enumerate(partners):
+            r = rank_of.get(p, 0)
+            if not live[r]:
+                for cleared in partners[:i]:
+                    live[rank_of[cleared]] = 1
+                raise KeyError(f"partners {list(partners)} include {p}, not remaining")
+            live[r] = 0
+        self.count -= len(partners)
+        # a cursor moves only when its own flag was cleared
+        if self.count and not live[self._first + 1]:
+            self._first = live.find(1, self._first + 2) - 1
+        if self.count and not live[self._last + 1]:
+            self._last = live.rfind(1, 0, self._last + 1) - 1
 
     def at_or_worse(self, quantile_index: int) -> list[int]:
         """Remaining partners whose quantile index is >= the given one, in rank order."""
         return self._remaining_in(max((quantile_index - 1) * self.deg // self.k, self._first), self._last + 1)
 
+    def __contains__(self, partner: int) -> bool:
+        return self.live[self.rank_of.get(partner, 0)] == 1
+
     def __len__(self) -> int:
-        return len(self.remaining)
+        return self.count
 
 
-def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Mapping[int, int] | None = None) -> QuantizedPrefs:
+def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Mapping[int, int]) -> QuantizedPrefs:
     """Split an ordered partner list into k quantile buckets (empty list allowed)."""
     return QuantizedPrefs(prefs_of_player, k, rank_of)
 

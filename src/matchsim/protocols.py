@@ -202,7 +202,7 @@ class QuantileProtocol:
         mm_rounds = (("mm", 4 * fixed),) if fixed else ()
         self._pr_shape = (("propose", 1), ("accept", 1)) + mm_rounds + (("reject", 1),)
 
-        self.good_count = sum(1 for st in self.men if not st.quantized.remaining)
+        self.good_count = sum(1 for st in self.men if not st.quantized)
         self._last_good_count = self.good_count
         self._frozen_active: list[int] = list(range(profile.n))
 
@@ -240,7 +240,7 @@ class QuantileProtocol:
         was_good = st.p is not None
         if was_good and st.p in rejected:
             st.p = None
-        now_good = st.p is not None or not st.quantized.remaining
+        now_good = st.p is not None or not st.quantized
         self.good_count += int(now_good) - int(was_good)
 
     def _close_quantile_match_for(self, idx: int, st: ManState) -> None:
@@ -250,7 +250,7 @@ class QuantileProtocol:
             st.A = set()
         if st.a_entry is not None:
             matched_inside = st.p is not None and st.p in st.a_entry
-            fully_rejected = not (st.a_entry & st.quantized.remaining)
+            fully_rejected = not any(map(st.quantized.__contains__, st.a_entry))
             if not (matched_inside or fully_rejected):
                 self._violate(
                     f"man {idx} neither matched inside his entering active set nor rejected by all of it"
@@ -265,7 +265,7 @@ class QuantileProtocol:
         st = self.men[ctx.index]
         self._settle_man(st, ctx)
         if outer_index is not None:
-            st.active = len(st.quantized.remaining) >= (1 << outer_index)
+            st.active = len(st.quantized) >= (1 << outer_index)
         if qm_start:
             self._close_quantile_match_for(ctx.index, st)
             if st.active and not st.removed and st.p is None:
@@ -286,8 +286,8 @@ class QuantileProtocol:
         proposers = ctx.take(MsgKind.PROPOSE)
         if not proposers:
             return
-        if not st.quantized.remaining.issuperset(proposers):
-            pruned = next(m for m in proposers if m not in st.quantized.remaining)
+        if not all(map(st.quantized.__contains__, proposers)):
+            pruned = next(m for m in proposers if m not in st.quantized)
             raise InconsistentState(f"{ctx.self_id} got a proposal from pruned {ctx.peer(pruned)}")
         if st.removed:
             raise InconsistentState(f"removed {ctx.self_id} received a proposal")
@@ -342,7 +342,7 @@ class QuantileProtocol:
                 st.quantized.remove_many(targets)
                 st.removed = True
         elif partner is not None:
-            was_good = st.p is not None or not st.quantized.remaining
+            was_good = st.p is not None or not st.quantized
             st.p = partner
             st.A = set()
             self.good_count += 1 - int(was_good)
@@ -364,7 +364,7 @@ class QuantileProtocol:
 
     def _any_assignable(self, ignore_active: bool = False) -> bool:
         return any(
-            (ignore_active or st.active) and not st.removed and st.p is None and st.quantized.remaining
+            (ignore_active or st.active) and not st.removed and st.p is None and st.quantized
             for st in self.men
         )
 
@@ -373,7 +373,7 @@ class QuantileProtocol:
             return range(len(self.men))
         return [
             i for i, st in enumerate(self.men)
-            if st.A or (qm_start and (st.a_entry is not None or (not st.removed and st.p is None and st.quantized.remaining)))
+            if st.A or (qm_start and (st.a_entry is not None or (not st.removed and st.p is None and st.quantized)))
         ]
 
     def _after_qm_boundary(self) -> None:
@@ -445,11 +445,7 @@ class QuantileProtocol:
         for m_idx in candidates:
             st = self.men[m_idx]
             gone = set(pending.get(m_idx, ()))
-            partner = st.p
-            if partner is not None and partner in gone:
-                partner = None
-            remaining = len(st.quantized.remaining) - len(gone)
-            if partner is None and remaining > 0:
+            if (st.p is None or st.p in gone) and len(st.quantized) > len(gone):
                 bad += 1
         return bad
 
@@ -473,7 +469,7 @@ class QuantileProtocol:
         for i in range(p.outer_iterations):
             if self._quantile_matches(eng, p.inner_iterations, i) == p.inner_iterations:
                 # the whole rung was skipped, so no propose round froze its active men
-                self._frozen_active = [m for m, st in enumerate(self.men) if len(st.quantized.remaining) >= (1 << i)]
+                self._frozen_active = [m for m, st in enumerate(self.men) if len(st.quantized) >= (1 << i)]
             self._record_outer(eng, i, self._frozen_active)
 
     def _run_serial(self, eng: Engine) -> None:
@@ -513,10 +509,10 @@ class QuantileProtocol:
             matching=Matching.of(pairs),
             trace=eng.trace,
             men=tuple(
-                PlayerFinal(st.p, frozenset(st.quantized.remaining), st.removed) for st in self.men
+                PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in self.men
             ),
             women=tuple(
-                PlayerFinal(st.p, frozenset(st.quantized.remaining), st.removed) for st in self.women
+                PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in self.women
             ),
             params=self.params,
             outer_records=tuple(self.outer_records),

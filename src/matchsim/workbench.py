@@ -218,11 +218,11 @@ class _SharedInts(dict):
 
 def _read_json(path: str | Path, error: type[MatchsimError]):
     """The text of a file whose numbers must all be integers, and what it parses to;
-    ``error`` on any other number, on text that is not UTF-8 and on nesting too deep
-    to parse."""
+    ``error``, naming the file, on any other number, on an integer longer than
+    ``int()`` converts, on text that is not UTF-8 and on nesting too deep to parse."""
 
     def no_floats(token: str):  # called for float tokens only, so integer-only files pay nothing
-        raise error(f"{path}: expected an integer, got {token}")
+        raise ValueError(f"expected an integer, got {token}")
 
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -231,6 +231,8 @@ def _read_json(path: str | Path, error: type[MatchsimError]):
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # from no_floats, or from int() on a token of too many digits
+        raise error(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> PreferenceProfile:

@@ -10,16 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchsim import (
+    GeneratorSpec,
     InvalidMatching,
     InvalidProfile,
     Matching,
     PreferenceProfile,
     Side,
+    generate,
     man,
-    quantize,
     woman,
 )
+from matchsim import model
 from matchsim.workbench import load_instance
+
+
+def quantize(order, k):
+    """A quantized list over its own rank table, the table a profile would give it."""
+    return model.quantize(order, k, dict(zip(order, range(1, len(order) + 1))))
 
 
 def _buckets(q):
@@ -94,7 +101,7 @@ def test_quantize_same_bucket_width_bound():
 def test_quantize_removal_only():
     q = quantize([5, 6, 7, 8], 2)
     q.remove(6)
-    assert 6 not in q.remaining
+    assert 6 not in q.remaining and 6 not in q
     assert q.best_nonempty_bucket() == [5]
     with pytest.raises(KeyError):
         q.remove(6)
@@ -169,7 +176,10 @@ def test_quantize_matches_reference_under_removals(case):
             assert q.at_or_worse(i) == ref.at_or_worse(i)
         for p in order:
             assert q.quantile(p) == ref.quantile_of[p]
+            assert (p in q) == (p in ref.buckets[ref.quantile_of[p] - 1])
         assert len(q) == sum(len(b) for b in ref.buckets)
+        assert 99 not in q  # not on the list
+        assert q.remaining == frozenset(p for b in ref.buckets for p in b)
 
     agree()
     for batch in batches:
@@ -212,6 +222,17 @@ def test_rank_position_example():
     assert prof._man_rank[0].get(1) == 2
     assert prof._man_rank[0].get(0) is None
     assert prof._man_rank[3].get(7) == 1
+
+
+def test_rank_tables_share_their_int_objects():
+    # Python keeps one object per int only up to 256; above that, each table entry
+    # of a given rank, on either side, is still the one object of the shared tuple
+    prof = generate(GeneratorSpec("complete", 512, seed=0))
+    for rank in (257, 400, 512):
+        first = prof._man_rank[0][prof.men_prefs[0][rank - 1]]
+        assert first == rank
+        assert first is prof._man_rank[511][prof.men_prefs[511][rank - 1]]
+        assert first is prof._woman_rank[3][prof.women_prefs[3][rank - 1]]
 
 
 def test_profile_validation_errors():

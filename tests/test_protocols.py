@@ -4,6 +4,7 @@ runtime invariants, determinism, and locality."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -509,3 +510,18 @@ def test_every_descriptor_is_sound_on_small_profiles(prof, descriptor, seed):
         assert rep.all_passed(), rep.to_json()
     if spec.name == "gs":
         assert res.matching == gale_shapley_oracle(prof)
+
+
+@pytest.mark.parametrize("algorithm", ["asm:0.5", "gs"])
+def test_per_run_player_state_stays_within_64_bytes_per_edge(algorithm):
+    # a player's remaining partners are one flag byte per rank; held as a set of
+    # ints, they made a run peak at about 160 bytes per edge on this instance
+    prof = generate(GeneratorSpec("complete", 128, seed=0))
+    run_algorithm(prof, algorithm)  # builds the profile's cached rank tables
+    tracemalloc.start()
+    try:
+        run_algorithm(prof, algorithm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * prof.num_edges

@@ -494,9 +494,14 @@ def test_cli_reports_errors(tmp_path, capsys):
         ('{"n": 1, "men": ' + "[" * 100_000 + "]" * 100_000 + ', "women": [[0]]}', {"pairs": []}, InvalidProfile),
         ({"n": 1, "men": [[0]], "women": [[0]]}, b'{"pairs": [[0, 0]]} \xff', InvalidMatching),
         (b'{"n": 1, "men": [[0]], "women": [[0]]} \xff', {"pairs": []}, InvalidProfile),
+        # an integer of more digits than int() converts once raised a bare ValueError,
+        # and the CLI's error line did not name the file
+        ({"n": 1, "men": [[0]], "women": [[0]]}, '{"pairs": [[' + "1" * 5_000 + ", 0]]}", InvalidMatching),
+        ('{"n": 1, "men": [[' + "1" * 5_000 + ']], "women": [[0]]}', {"pairs": []}, InvalidProfile),
     ],
     ids=["matching-without-pairs", "preference-list-is-int", "float-n", "float-entry", "float-pair",
-         "deeply-nested-matching", "deeply-nested-instance", "matching-not-utf8", "instance-not-utf8"],
+         "deeply-nested-matching", "deeply-nested-instance", "matching-not-utf8", "instance-not-utf8",
+         "too-long-int-in-matching", "too-long-int-in-instance"],
 )
 def test_cli_verify_rejects_malformed_files(tmp_path, capsys, instance, matching, error):
     inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
