@@ -7,9 +7,9 @@ from .analysis import (
     binomial_ci,
     blocking_pairs,
     classify_good_bad,
+    count_blocking_pairs,
     eps_blocking_pairs,
     gale_shapley_oracle,
-    is_eps_blocking,
     rate_within_claim,
     verify_run,
 )

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Sequence
 
-from .errors import InvalidMatching
 from .model import Matching, PreferenceProfile
 from .protocols import PlayerFinal, RunResult
 
@@ -49,56 +48,43 @@ def _partner_ranks(profile: PreferenceProfile, matching: Matching):
     return last[1], last[2]
 
 
-def _scan(profile: PreferenceProfile, matching: Matching, cutoff) -> list[tuple[int, int]]:
-    """Edges (m, w) on which both endpoints gain at least ``cutoff(deg)`` ranks over
-    their assigned partner, men in order and each man's in his list order.
-
-    A gain of c or more means the partner lies in the head ``lst[:cur - c]`` of the
-    list, so each man reads only his head and looks himself up in a set of each
-    woman's head.
-    """
+def _heads(profile: PreferenceProfile, matching: Matching, eps: float | None):
+    """Each man's list head, lazily, and a set of each woman's head, where a head
+    ``lst[:cur - c]`` holds the partners a player gains at least c = ``ceil(eps * deg)``
+    ranks on over their assigned partner (c = 1 with no eps). Both endpoints of an edge
+    gain c when each lies in the other's head; a gap is an integer, so this is
+    ``gap >= eps * deg``."""
+    if eps is None:
+        cutoff = lambda deg: 1
+    elif not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    else:
+        eps = min(max(eps, -1.0), 2.0)  # every gap lies in [1 - deg, deg], so the pairs are the same
+        cutoff = lambda deg: math.ceil(eps * deg)
     man_cur, woman_cur = _partner_ranks(profile, matching)
     heads = [set(lst[: max(0, cur - cutoff(len(lst)))]) for lst, cur in zip(profile.women_prefs, woman_cur)]
-    return [
-        (m_idx, w_idx)
-        for m_idx, lst, cur in zip(count(), profile.men_prefs, man_cur)
-        for w_idx in lst[: max(0, cur - cutoff(len(lst)))]
-        if m_idx in heads[w_idx]
-    ]
+    men = ((m_idx, lst[: max(0, cur - cutoff(len(lst)))]) for m_idx, lst, cur in zip(count(), profile.men_prefs, man_cur))
+    return men, heads
 
 
 def blocking_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple[int, int]]:
-    """All edges (m, w) outside the matching that both endpoints prefer to
-    their assigned partners, i.e. gain at least one rank on."""
-    return _scan(profile, matching, lambda deg: 1)
+    """All edges (m, w) outside the matching that both endpoints prefer to their
+    assigned partners, men in order and each man's in his list order."""
+    men, heads = _heads(profile, matching, None)
+    return [(m_idx, w_idx) for m_idx, head in men for w_idx in head if m_idx in heads[w_idx]]
 
 
-def is_eps_blocking(
-    profile: PreferenceProfile, matching: Matching, edge: tuple[int, int], eps: float
-) -> bool:
-    """True when both endpoints of the edge improve on their assigned partner
-    by at least an eps-fraction of their own list length."""
-    m_idx, w_idx = edge
-    if not profile.is_edge(m_idx, w_idx):
-        raise InvalidMatching(f"({m_idx}, {w_idx}) is not an edge of the instance")
-    m_list, w_list = profile.men_prefs[m_idx], profile.women_prefs[w_idx]
-    gap_m = _rank_in(m_list, matching.man_partner.get(m_idx)) - _rank_in(m_list, w_idx)
-    gap_w = _rank_in(w_list, matching.woman_partner.get(w_idx)) - _rank_in(w_list, m_idx)
-    return gap_m >= eps * len(m_list) and gap_w >= eps * len(w_list)
+def eps_blocking_pairs(profile: PreferenceProfile, matching: Matching, eps: float) -> list[tuple[int, int]]:
+    """All edges on which both endpoints improve on their assigned partner by at least
+    an eps-fraction of their own list length, in :func:`blocking_pairs`' order."""
+    men, heads = _heads(profile, matching, eps)
+    return [(m_idx, w_idx) for m_idx, head in men for w_idx in head if m_idx in heads[w_idx]]
 
 
-def eps_blocking_pairs(
-    profile: PreferenceProfile, matching: Matching, eps: float
-) -> list[tuple[int, int]]:
-    """All edges satisfying the eps-blocking inequalities at threshold eps.
-
-    A gap is an integer, so ``gap >= eps * deg`` holds exactly when
-    ``gap >= ceil(eps * deg)``, the cutoff each side's scan uses.
-    """
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
-    eps = min(max(eps, -1.0), 2.0)  # every gap lies in [1 - deg, deg], so the pairs are the same
-    return _scan(profile, matching, lambda deg: math.ceil(eps * deg))
+def count_blocking_pairs(profile: PreferenceProfile, matching: Matching, eps: float | None = None) -> int:
+    """The number of blocking pairs, or of eps-blocking pairs with an eps, not listed."""
+    men, heads = _heads(profile, matching, eps)
+    return sum(m_idx in heads[w_idx] for m_idx, head in men for w_idx in head)
 
 
 def classify_good_bad(men: Sequence[PlayerFinal]) -> tuple[set[int], set[int]]:

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .analysis import blocking_pairs, eps_blocking_pairs
+from .analysis import count_blocking_pairs
 from .errors import MatchsimError
 from .maximal import MatchingSubroutineSpec
 from .protocols import AlgorithmSpec
@@ -25,8 +25,11 @@ from .workbench import (
     generate,
     load_instance,
     load_matching,
+    open_output,
     run_experiment,
     save_instance,
+    write_csv,
+    write_long_csv,
 )
 
 
@@ -73,11 +76,10 @@ def cmd_run(args) -> int:
         csv_path=args.output,
         message_log_path=args.message_log,
     )
-    outcome = run_experiment(config)
-    if args.plot_data:
-        from .workbench import write_long_csv
-
-        write_long_csv(outcome.csv_rows(), args.plot_data)
+    with open_output(args.plot_data) as plot_file:  # the CSV and log open in run_experiment
+        outcome = run_experiment(config)
+        if plot_file:
+            write_long_csv(outcome.csv_rows(), plot_file)
     failures = sum(1 for r in outcome.rows if r.failed)
     print(f"{len(outcome.rows)} runs, {failures} failed rows -> {args.output}")
     return 0 if outcome.ok else 1
@@ -89,20 +91,20 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} must be a finite number, got {value}")
     profile = load_instance(args.instance)
     matching = load_matching(args.matching)
-    blocking = blocking_pairs(profile, matching)
+    blocking = count_blocking_pairs(profile, matching)
     bound = args.eps * profile.num_edges
-    passed = len(blocking) <= bound + 1e-9
+    passed = blocking <= bound + 1e-9
     payload = {
         "n": profile.n,
         "edges": profile.num_edges,
         "matching_size": len(matching),
         "eps": args.eps,
-        "blocking_pairs": len(blocking),
+        "blocking_pairs": blocking,
         "bound": bound,
         "passed": passed,
     }
     if args.threshold is not None:
-        payload["eps_blocking_pairs"] = len(eps_blocking_pairs(profile, matching, args.threshold))
+        payload["eps_blocking_pairs"] = count_blocking_pairs(profile, matching, args.threshold)
         payload["threshold"] = args.threshold
     print(json.dumps(payload, indent=2))
     return 0 if passed else 1
@@ -111,21 +113,18 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     spec = _algorithm_from_args(args)
     seeds = parse_seeds(args.seeds)
+    generators = (GeneratorSpec.parse(args.family, n=int(n), seed=0) for n in args.n_list.split(","))
+    configs = [ExperimentConfig(spec, seeds, generator, round_cap=args.round_cap) for generator in generators]
     all_rows = []
     ok = True
-    for n in [int(x) for x in args.n_list.split(",")]:
-        generator = GeneratorSpec.parse(args.family, n=n, seed=0)
-        config = ExperimentConfig(
-            algorithm=spec, seeds=seeds, generator=generator, round_cap=args.round_cap
-        )
-        outcome = run_experiment(config)
-        ok = ok and outcome.ok
-        all_rows.extend(outcome.csv_rows())
-        rounds = [r.row["rounds"] for r in outcome.rows if r.row["rounds"] != ""]
-        print(f"n={n}: rounds={rounds}")
-    from .workbench import write_csv
-
-    write_csv(all_rows, args.output)
+    with open_output(args.output) as out:
+        for config in configs:
+            outcome = run_experiment(config)
+            ok = ok and outcome.ok
+            all_rows.extend(outcome.csv_rows())
+            rounds = [r.row["rounds"] for r in outcome.rows if r.row["rounds"] != ""]
+            print(f"n={config.generator.n}: rounds={rounds}")
+        write_csv(all_rows, out)
     print(f"wrote {args.output}")
     return 0 if ok else 1
 

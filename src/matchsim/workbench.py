@@ -194,17 +194,25 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
 # ---------------------------------------------------------------------------
 
 
+def _instance_text(profile: PreferenceProfile):
+    """The canonical instance file in pieces, one per preference list: together,
+    ``json.dumps`` of the file's object with sorted keys and no spaces, plus a newline."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    for head, prefs in (('{"men":[', profile.men_prefs), (f'],"n":{profile.n},"women":[', profile.women_prefs)):
+        yield head
+        for i, lst in enumerate(prefs):
+            yield "," + encode(lst) if i else encode(lst)
+    yield "]}\n"
+
+
 def instance_to_json(profile: PreferenceProfile) -> str:
-    obj = {
-        "n": profile.n,
-        "men": [list(lst) for lst in profile.men_prefs],
-        "women": [list(lst) for lst in profile.women_prefs],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(_instance_text(profile))
 
 
 def save_instance(profile: PreferenceProfile, path: str | Path) -> None:
-    Path(path).write_text(instance_to_json(profile), encoding="utf-8")
+    """Write the instance file piece by piece, never holding its whole text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_instance_text(profile))
 
 
 class _SharedInts(dict):
@@ -237,18 +245,25 @@ def _read_json(path: str | Path, error: type[MatchsimError]):
 
 def load_instance(path: str | Path) -> PreferenceProfile:
     text, obj = _read_json(path, InvalidProfile)
+    plain = "true" not in text and "false" not in text
+    del text  # freed before any preference tuple is built
     if not isinstance(obj, dict):
         raise InvalidProfile(f"{path}: expected a JSON object")
     for key in ("n", "men", "women"):
         if key not in obj:
             raise InvalidProfile(f"{path}: missing key {key!r}")
     n, men, women = obj["n"], obj["men"], obj["women"]
-    if type(n) is int and "true" not in text and "false" not in text:
+    if plain and type(n) is int and type(men) is list and type(women) is list:
         # Without booleans, an entry is an int, a string, a null or a container, and
         # the profile's checks accept only ints in range: a file they pass needs no
-        # conversion. The entry-by-entry path below words any error.
+        # conversion. Each list becomes a tuple in place, so it is freed as its tuple
+        # is built; a tuple iterates as its source did, so the entry-by-entry path
+        # below words any error as it would have.
         try:
-            return PreferenceProfile(n=n, men_prefs=tuple(map(tuple, men)), women_prefs=tuple(map(tuple, women)))
+            for prefs in (men, women):
+                for i, lst in enumerate(prefs):
+                    prefs[i] = tuple(lst)
+            return PreferenceProfile(n=n, men_prefs=tuple(men), women_prefs=tuple(women))
         except (TypeError, ValueError):
             pass
     try:
@@ -361,24 +376,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Run errors are captured per row without aborting the batch; the overall
     ``ok`` flag clears when any row errors out or a deterministic-guarantee
-    check fails. The message log file is opened before the first run, so an
-    unwritable path fails before any work; each run's records are written and
-    dropped after that run.
+    check fails. The CSV and message log files are opened before the first run,
+    so an unwritable path fails before any work; each run's records are written
+    and dropped after that run.
     """
     fixed_profile = load_instance(config.instance_path) if config.instance_path else None
     log_path = config.message_log_path
     message_log: list | None = [] if log_path else None
     rows: list[ExperimentRow] = []
-    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_file:
+    with open_output(log_path) as log_file, open_output(config.csv_path) as csv_file:
         for seed in config.seeds:
             profile = fixed_profile if fixed_profile is not None else generate(replace(config.generator, seed=seed))
             rows.append(_run_seed(config, profile, seed, message_log))
             if message_log:
                 log_file.writelines(map(log_ndjson, message_log))
                 message_log.clear()
-    outcome = ExperimentResult(rows=rows, ok=not any(r.failed for r in rows))
-    if config.csv_path:
-        write_csv(outcome.csv_rows(), config.csv_path)
+        outcome = ExperimentResult(rows=rows, ok=not any(r.failed for r in rows))
+        if csv_file:
+            write_csv(outcome.csv_rows(), csv_file)
     return outcome
 
 
@@ -425,12 +440,16 @@ def _run_seed(config: ExperimentConfig, profile: PreferenceProfile, seed: int, m
     return ExperimentRow(seed=seed, row=row, report=report, result=result, failed=failed)
 
 
-def write_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def open_output(path: str | Path | None):
+    """``path`` opened for writing UTF-8 text, as ``csv`` needs it (no newline
+    translation), or a context giving None when there is no path."""
+    return open(path, "w", newline="", encoding="utf-8") if path else nullcontext()
+
+
+def write_csv(rows: list[dict], fh) -> None:
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 _LONG_METRICS = (
@@ -465,9 +484,7 @@ def to_long_format(rows: list[dict]) -> list[dict]:
     return out
 
 
-def write_long_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["algorithm", "n", "seed", "metric", "value"])
-        writer.writeheader()
-        for row in to_long_format(rows):
-            writer.writerow(row)
+def write_long_csv(rows: list[dict], fh) -> None:
+    writer = csv.DictWriter(fh, fieldnames=["algorithm", "n", "seed", "metric", "value"])
+    writer.writeheader()
+    writer.writerows(to_long_format(rows))

@@ -3,6 +3,7 @@ maximality, the centralized oracle, and statistics helpers."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from matchsim import (
     blocking_pairs,
     check_maximal,
     classify_good_bad,
+    count_blocking_pairs,
     eps_blocking_pairs,
     gale_shapley_oracle,
     generate,
-    is_eps_blocking,
     man,
     rate_within_claim,
     woman,
@@ -31,6 +32,22 @@ from matchsim import (
 def edges(prof):
     """Every (man, woman) edge of the profile: men in order, each man's in his list order."""
     return [(m, w) for m, lst in enumerate(prof.men_prefs) for w in lst]
+
+
+def is_eps_blocking(profile, matching, edge, eps):
+    """Reference check of one edge: True when both endpoints improve on their assigned
+    partner (rank deg + 1 when unmatched) by at least an eps-fraction of their own list length."""
+    m_idx, w_idx = edge
+    if not profile.is_edge(m_idx, w_idx):
+        raise InvalidMatching(f"({m_idx}, {w_idx}) is not an edge of the instance")
+
+    def rank(lst, partner):
+        return len(lst) + 1 if partner is None else lst.index(partner) + 1
+
+    m_list, w_list = profile.men_prefs[m_idx], profile.women_prefs[w_idx]
+    gap_m = rank(m_list, matching.man_partner.get(m_idx)) - rank(m_list, w_idx)
+    gap_w = rank(w_list, matching.woman_partner.get(w_idx)) - rank(w_list, m_idx)
+    return gap_m >= eps * len(m_list) and gap_w >= eps * len(w_list)
 
 
 def complete_profile(men_orders, women_orders):
@@ -287,6 +304,7 @@ def test_blocking_scans_equal_the_definition(case):
     prof, m, extra = case
     gains = list(_definition_gains(prof, m))
     assert blocking_pairs(prof, m) == [(i, j) for i, j, gi, gj in gains if gi > 0 and gj > 0]
+    assert count_blocking_pairs(prof, m) == len(blocking_pairs(prof, m))
     degrees = {len(lst) for lst in prof.men_prefs + prof.women_prefs} - {0}
     # 0, 1, the tight thresholds 2/k, every eps with an integer eps * deg, and one arbitrary value
     thresholds = [0.0, 1.0, *(2 / k for k in range(1, 13)), *(a / d for d in degrees for a in range(-d, d + 2)), extra]
@@ -296,6 +314,7 @@ def test_blocking_scans_equal_the_definition(case):
             if gi >= eps * len(prof.men_prefs[i]) and gj >= eps * len(prof.women_prefs[j])
         ]
         assert eps_blocking_pairs(prof, m, eps) == expected
+        assert count_blocking_pairs(prof, m, eps) == len(expected)
         assert [e for e in edges(prof) if is_eps_blocking(prof, m, e, eps)] == expected
 
 
@@ -319,6 +338,24 @@ def test_eps_blocking_rejects_non_finite_threshold(eps):
     prof, m = _eps_fixture()
     with pytest.raises(ValueError, match="finite"):
         eps_blocking_pairs(prof, m, eps)
+    with pytest.raises(ValueError, match="finite"):
+        count_blocking_pairs(prof, m, eps)
+
+
+def test_counting_builds_no_pair_list():
+    # every other pair of a stable matching leaves about 0.3 |E| blocking pairs; listing
+    # them as tuples on top of the head sets peaked at about 41 bytes per edge
+    prof = generate(GeneratorSpec.parse("complete", n=256, seed=0))
+    m = Matching.of(gale_shapley_oracle(prof).sorted_pairs()[::2])
+    expected = (len(blocking_pairs(prof, m)), len(eps_blocking_pairs(prof, m, 0.125)))
+    prof.__dict__.pop("_last_partner_ranks")  # the partner ranks are rebuilt inside the trace
+    tracemalloc.start()
+    try:
+        assert (count_blocking_pairs(prof, m), count_blocking_pairs(prof, m, 0.125)) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * prof.num_edges
 
 
 def test_oracle_stable_and_man_optimal_exhaustively():

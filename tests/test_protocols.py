@@ -196,6 +196,20 @@ def test_rand_asm_reproducible():
     assert c.trace.rounds == a.trace.rounds  # schedule is seed-independent
 
 
+def test_run_seed_reaches_the_rand_subroutine():
+    # k = ceil(8 / 0.5) = 16: complete n=32 puts two partners in each quantile bucket,
+    # so a rand subroutine graph has choices and the seed changes the matching
+    prof = generate(GeneratorSpec.parse("complete", n=32, seed=0))
+    runs = [run_algorithm(prof, "randasm:0.5,0.1", seed=seed) for seed in range(4)]
+    assert len({tuple(r.matching.sorted_pairs()) for r in runs}) >= 2
+    # bounded:8 degrees are below k, so each bucket holds at most one partner, every
+    # subroutine graph is a matching, and rand has one choice whatever the seed
+    prof = generate(GeneratorSpec.parse("bounded:8", n=64, seed=0))
+    runs = [run_algorithm(prof, "randasm:0.5,0.1", seed=seed) for seed in range(4)]
+    assert len({tuple(r.matching.sorted_pairs()) for r in runs}) == 1
+    assert all(r.trace.as_dict() == runs[0].trace.as_dict() for r in runs)
+
+
 def test_rand_mm_iteration_formula_scaling():
     # randasm sizes rand:s by a union bound: calls * vertices in place of the vertex count
     base = iterations_for_maximal(1000 * 128, 0.1)

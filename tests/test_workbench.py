@@ -4,6 +4,7 @@ import csv
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -102,15 +103,60 @@ def test_generator_spec_validation():
 
 
 def test_instance_round_trip_is_byte_identical(tmp_path):
-    prof = generate(GeneratorSpec.parse("random:0.5", n=8, seed=2))
+    # every family, n=1, and players with empty lists; the file is written one list at a
+    # time and must equal the canonical dump of the whole object
+    profiles = [generate(GeneratorSpec.parse(family, n=n, seed=3))
+                for family in ("complete", "random:0.5", "bounded:3", "aregular:2,1") for n in (1, 8)]
+    profiles += [PreferenceProfile.from_lists([[], [1, 2], [1]], [[], [2, 1], [1]]),
+                 PreferenceProfile.from_lists([[], []], [[], []])]
     path = tmp_path / "inst.json"
-    save_instance(prof, path)
-    raw = path.read_bytes()
-    again = load_instance(path)
-    assert again == prof
-    save_instance(again, path)
-    assert path.read_bytes() == raw
-    assert instance_to_json(prof).encode() == raw
+    for prof in profiles:
+        save_instance(prof, path)
+        raw = path.read_bytes()
+        again = load_instance(path)
+        assert again == prof
+        save_instance(again, path)
+        assert path.read_bytes() == raw
+        obj = {"n": prof.n, "men": [list(l) for l in prof.men_prefs], "women": [list(l) for l in prof.women_prefs]}
+        assert raw == instance_to_json(prof).encode() == (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _complete_files(tmp_path, n=256):
+    """A complete instance saved to a file, and a file of every other pair of its stable matching."""
+    from matchsim import gale_shapley_oracle
+
+    prof = generate(GeneratorSpec.parse("complete", n=n, seed=0))
+    inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
+    save_instance(prof, inst)
+    save_matching(Matching.of(gale_shapley_oracle(prof).sorted_pairs()[::2]), mfile)
+    return prof, inst, mfile
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_instance_streams_the_file(tmp_path):
+    # built as one JSON string from list copies, saving peaked at about 73 bytes per edge
+    prof, inst, _ = _complete_files(tmp_path)
+    assert _traced_peak(save_instance, prof, inst) <= 8 * prof.num_edges
+
+
+def test_cli_verify_holds_no_whole_file_or_pair_list(tmp_path, capsys):
+    # with the file text, the parsed lists and the listed pairs alive, verify peaked at
+    # about 74 bytes per edge; the per-woman sets of the profile check remain
+    prof, inst, mfile = _complete_files(tmp_path)
+    argv = ["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0.25", "--threshold", "0.125"]
+    assert _traced_peak(main, argv) <= 60 * prof.num_edges
+    printed = json.loads(capsys.readouterr().out)
+    matching = load_matching(mfile)
+    assert printed["blocking_pairs"] == len(blocking_pairs(prof, matching)) > 0
+    assert printed["eps_blocking_pairs"] == len(eps_blocking_pairs(prof, matching, 0.125)) > 0
 
 
 def test_load_instance_names_violated_invariant(tmp_path):
@@ -166,8 +212,15 @@ def test_verify_scans_on_a_loaded_profile_build_no_rank_table(tmp_path):
         ({"n": "1", "men": [[0]], "women": [[0]]}, 'expected an integer, got "1"'),
         # a list-count error still comes from the profile once every entry is an integer
         ({"n": 3, "men": [[0]], "women": [[0]]}, "expected 3 men preference lists, got 1"),
+        # containers other than a list of lists are read as the entry-by-entry path iterates them
+        ({"n": 1, "men": {"0": [0]}, "women": [[0]]}, 'expected an integer, got "0"'),
+        ({"n": 1, "men": "0", "women": [[0]]}, 'expected an integer, got "0"'),
+        ({"n": 2, "men": [[0], 1], "women": [[0], []]}, "'int' object is not iterable"),
+        ({"n": 2, "men": [[0], {"1": 1}], "women": [[0], [1]]}, 'expected an integer, got "1"'),
+        ({"n": 2, "men": [[0], "1"], "women": [[0], [1]]}, 'expected an integer, got "1"'),
     ],
-    ids=["negative", "index-n", "nested-list", "null", "string", "bool", "bool-n", "string-n", "list-count"],
+    ids=["negative", "index-n", "nested-list", "null", "string", "bool", "bool-n", "string-n", "list-count",
+         "men-object", "men-string", "entry-int", "entry-object", "entry-string"],
 )
 def test_load_instance_rejects_non_integer_and_out_of_range_entries(tmp_path, instance, message):
     path = tmp_path / "inst.json"
@@ -412,6 +465,28 @@ def test_cli_unwritable_message_log_fails_before_any_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--alg", "gs", "--family", "complete", "--n", "8", "--seeds", "0..2", "-o", "{bad}"],
+        ["run", "--alg", "gs", "--family", "complete", "--n", "8", "--seeds", "0..2", "-o", "{ok}",
+         "--plot-data", "{bad}"],
+        ["bench", "--alg", "gs", "--n-list", "4,8", "--seeds", "0..1", "-o", "{bad}"],
+    ],
+    ids=["run-output", "run-plot-data", "bench-output"],
+)
+def test_cli_unwritable_output_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    real_run = workbench.run_algorithm
+    monkeypatch.setattr(workbench, "run_algorithm", lambda *a, **kw: calls.append(1) or real_run(*a, **kw))
+    paths = {"bad": str(tmp_path / "missing" / "x.csv"), "ok": str(tmp_path / "runs.csv")}
+    rc = main([arg.format(**paths) for arg in command])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
+    assert out == "" and calls == []
 
 
 def test_cli_rejects_invalid_algorithm_parameter_up_front(tmp_path, capsys):
