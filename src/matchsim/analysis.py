@@ -36,16 +36,12 @@ def _rank_in(lst: Sequence[int], partner: int | None) -> int:
 def _partner_ranks(profile: PreferenceProfile, matching: Matching):
     """Per-player rank of the assigned partner, with unmatched at deg + 1, read from
     the lists once the matching is checked against the profile; no rank table is
-    built. The profile keeps the last matching's ranks, so the blocking and
-    eps-blocking scans of one verify share them."""
-    last = profile.__dict__.get("_last_partner_ranks")
-    if last is None or last[0] is not matching:
-        matching.validate_for(profile)
-        ids = range(profile.n)
-        man_cur = list(map(_rank_in, profile.men_prefs, map(matching.man_partner.get, ids)))
-        woman_cur = list(map(_rank_in, profile.women_prefs, map(matching.woman_partner.get, ids)))
-        last = profile.__dict__["_last_partner_ranks"] = (matching, man_cur, woman_cur)
-    return last[1], last[2]
+    built."""
+    matching.validate_for(profile)
+    ids = range(profile.n)
+    man_cur = map(_rank_in, profile.men_prefs, map(matching.man_partner.get, ids))
+    woman_cur = map(_rank_in, profile.women_prefs, map(matching.woman_partner.get, ids))
+    return man_cur, woman_cur
 
 
 def _heads(profile: PreferenceProfile, matching: Matching, eps: float | None):
@@ -125,6 +121,11 @@ class BoundCheck:
     observed: float
     passed: bool
 
+    @classmethod
+    def of(cls, bound: float, observed: float) -> "BoundCheck":
+        """The check of an observed count against its bound, up to float rounding."""
+        return cls(bound=bound, observed=observed, passed=observed <= bound + 1e-9)
+
 
 @dataclass
 class VerificationReport:
@@ -136,24 +137,16 @@ class VerificationReport:
     eps: float | None
     k: int | None
     delta: float | None
-    blocking: list[tuple[int, int]] = field(default_factory=list)
+    blocking_pairs: int = 0
     tight_threshold: float | None = None  # 2 / k
-    tight_blocking: list[tuple[int, int]] = field(default_factory=list)
+    tight_blocking_pairs: int = 0
     good_men: frozenset[int] = frozenset()
     bad_men: frozenset[int] = frozenset()
     bounds: dict[str, BoundCheck] = field(default_factory=dict)
 
     @property
-    def blocking_pairs(self) -> int:
-        return len(self.blocking)
-
-    @property
-    def tight_blocking_pairs(self) -> int:
-        return len(self.tight_blocking)
-
-    @property
     def loose_blocking_pairs(self) -> int:
-        return len(self.blocking) - len(self.tight_blocking)
+        return self.blocking_pairs - self.tight_blocking_pairs
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.bounds.values())
@@ -183,9 +176,7 @@ class VerificationReport:
         )
 
 
-def verify_run(
-    profile: PreferenceProfile, run: RunResult, eps: float | None = None
-) -> VerificationReport:
+def verify_run(profile: PreferenceProfile, run: RunResult) -> VerificationReport:
     """Evaluate every stability claim a finished run is supposed to satisfy.
 
     With protocol parameters available the report covers: the total blocking
@@ -194,13 +185,11 @@ def verify_run(
     pairs from bad men; the per-rung bad-fraction records; and bad men's
     tight blocking partners all sitting on their remaining lists. Without
     parameters (deferred acceptance) only the blocking budget is checked,
-    against eps = 0 unless an explicit budget is passed.
+    against eps = 0.
     """
     params = run.params
-    if eps is None:
-        eps = params.eps if params is not None else 0.0
+    eps = params.eps if params is not None else 0.0
     edges = profile.num_edges
-    blocking = blocking_pairs(profile, run.matching)
     good, bad = classify_good_bad(run.men)
     report = VerificationReport(
         algorithm=run.algorithm,
@@ -209,46 +198,25 @@ def verify_run(
         eps=eps,
         k=params.k if params else None,
         delta=params.delta if params else None,
-        blocking=blocking,
+        blocking_pairs=len(blocking_pairs(profile, run.matching)),
         good_men=frozenset(good),
         bad_men=frozenset(bad),
     )
-    bounds: dict[str, BoundCheck] = {}
-    bounds[CLAIM_TOTAL_BLOCKING] = BoundCheck(
-        bound=eps * edges, observed=len(blocking), passed=len(blocking) <= eps * edges + 1e-9
-    )
+    bounds = report.bounds
+    bounds[CLAIM_TOTAL_BLOCKING] = BoundCheck.of(eps * edges, report.blocking_pairs)
     if params is not None:
         k = params.k
-        t = 2.0 / k
-        report.tight_threshold = t
-        tight = eps_blocking_pairs(profile, run.matching, t)
-        report.tight_blocking = tight
-        tight_set = set(tight)
-        tight_good = [e for e in tight if e[0] in good]
-        bounds[CLAIM_GOOD_MEN_CLEAN] = BoundCheck(
-            bound=0, observed=len(tight_good), passed=not tight_good
-        )
-        loose = [e for e in blocking if e not in tight_set]
-        bounds[CLAIM_LOOSE_BLOCKING] = BoundCheck(
-            bound=4 * edges / k, observed=len(loose), passed=len(loose) <= 4 * edges / k + 1e-9
-        )
-        tight_bad = [e for e in tight if e[0] in bad]
-        bound44 = 4 * params.delta * edges
-        bounds[CLAIM_BAD_MEN_BUDGET] = BoundCheck(
-            bound=bound44, observed=len(tight_bad), passed=len(tight_bad) <= bound44 + 1e-9
-        )
-        failing_rungs = [r for r in run.outer_records if not r.passed]
-        bounds[CLAIM_BAD_FRACTION] = BoundCheck(
-            bound=0, observed=len(failing_rungs), passed=not failing_rungs
-        )
-        tight_partners: dict[int, set[int]] = {}
-        for m_idx, w_idx in tight_bad:
-            tight_partners.setdefault(m_idx, set()).add(w_idx)
-        local_violations = sum(not ws.issubset(run.men[m].remaining) for m, ws in tight_partners.items())
-        bounds[CLAIM_BAD_MEN_LOCAL] = BoundCheck(
-            bound=0, observed=local_violations, passed=local_violations == 0
-        )
-    report.bounds = bounds
+        report.tight_threshold = 2.0 / k
+        # a tight pair gains at least 2/k > 0 on both sides, so it is also a blocking pair
+        tight = eps_blocking_pairs(profile, run.matching, report.tight_threshold)
+        tight_bad = [(m, w) for m, w in tight if m in bad]
+        report.tight_blocking_pairs = len(tight)
+        bounds[CLAIM_GOOD_MEN_CLEAN] = BoundCheck.of(0, len(tight) - len(tight_bad))
+        bounds[CLAIM_LOOSE_BLOCKING] = BoundCheck.of(4 * edges / k, report.loose_blocking_pairs)
+        bounds[CLAIM_BAD_MEN_BUDGET] = BoundCheck.of(4 * params.delta * edges, len(tight_bad))
+        bounds[CLAIM_BAD_FRACTION] = BoundCheck.of(0, sum(not r.passed for r in run.outer_records))
+        off_list = {m for m, w in tight_bad if w not in run.men[m].remaining}
+        bounds[CLAIM_BAD_MEN_LOCAL] = BoundCheck.of(0, len(off_list))
     return report
 
 

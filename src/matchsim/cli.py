@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .analysis import count_blocking_pairs
+from .analysis import BoundCheck, count_blocking_pairs
 from .errors import MatchsimError
 from .maximal import MatchingSubroutineSpec
 from .protocols import AlgorithmSpec
@@ -79,9 +79,8 @@ def cmd_run(args) -> int:
     with open_output(args.plot_data) as plot_file:  # the CSV and log open in run_experiment
         outcome = run_experiment(config)
         if plot_file:
-            write_long_csv(outcome.csv_rows(), plot_file)
-    failures = sum(1 for r in outcome.rows if r.failed)
-    print(f"{len(outcome.rows)} runs, {failures} failed rows -> {args.output}")
+            write_long_csv(outcome.rows, plot_file)
+    print(f"{len(outcome.rows)} runs, {outcome.failures} failed rows -> {args.output}")
     return 0 if outcome.ok else 1
 
 
@@ -91,23 +90,24 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} must be a finite number, got {value}")
     profile = load_instance(args.instance)
     matching = load_matching(args.matching)
-    blocking = count_blocking_pairs(profile, matching)
     bound = args.eps * profile.num_edges
-    passed = blocking <= bound + 1e-9
+    if not math.isfinite(bound):
+        raise ValueError(f"--eps {args.eps} times {profile.num_edges} edges is not a finite budget")
+    check = BoundCheck.of(bound, count_blocking_pairs(profile, matching))
     payload = {
         "n": profile.n,
         "edges": profile.num_edges,
         "matching_size": len(matching),
         "eps": args.eps,
-        "blocking_pairs": blocking,
-        "bound": bound,
-        "passed": passed,
+        "blocking_pairs": check.observed,
+        "bound": check.bound,
+        "passed": check.passed,
     }
     if args.threshold is not None:
         payload["eps_blocking_pairs"] = count_blocking_pairs(profile, matching, args.threshold)
         payload["threshold"] = args.threshold
     print(json.dumps(payload, indent=2))
-    return 0 if passed else 1
+    return 0 if check.passed else 1
 
 
 def cmd_bench(args) -> int:
@@ -121,8 +121,8 @@ def cmd_bench(args) -> int:
         for config in configs:
             outcome = run_experiment(config)
             ok = ok and outcome.ok
-            all_rows.extend(outcome.csv_rows())
-            rounds = [r.row["rounds"] for r in outcome.rows if r.row["rounds"] != ""]
+            all_rows.extend(outcome.rows)
+            rounds = [row["rounds"] for row in outcome.rows if row["rounds"] != ""]
             print(f"n={config.generator.n}: rounds={rounds}")
         write_csv(all_rows, out)
     print(f"wrote {args.output}")

@@ -56,8 +56,8 @@ class GeneratorSpec:
             if self.d is None or self.d < 1:
                 raise ValueError("bounded family needs degree bound d >= 1")
         elif self.family == "aregular":
-            if self.base_degree is None or self.base_degree < 1:
-                raise ValueError("aregular family needs base degree >= 1")
+            if self.base_degree is None or not (1 <= self.base_degree <= self.n):
+                raise ValueError("aregular family needs base degree in 1..n")
             # the degree cap is int(alpha * base degree), so it must be finite
             if self.alpha is None or not (1 <= self.alpha and math.isfinite(self.alpha * self.base_degree)):
                 raise ValueError("aregular family needs alpha >= 1 with a finite alpha * base degree")
@@ -155,9 +155,6 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
                 men_adj[m].add(w)
     else:  # aregular
         cap = min(int(spec.alpha * spec.base_degree), n)
-        cap = max(cap, spec.base_degree)
-        if spec.base_degree > n:
-            raise ValueError("base degree exceeds n")
         deck: list[int] = []
 
         def draw() -> int:
@@ -348,21 +345,13 @@ class ExperimentConfig:
 
 
 @dataclass
-class ExperimentRow:
-    seed: int
-    row: dict
-    report: VerificationReport | None
-    result: RunResult | None
-    failed: bool
-
-
-@dataclass
 class ExperimentResult:
-    rows: list[ExperimentRow]
-    ok: bool
+    rows: list[dict]
+    failures: int
 
-    def csv_rows(self) -> list[dict]:
-        return [r.row for r in self.rows]
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
 
 
 def _bool_cell(report: VerificationReport | None, claim: str) -> str:
@@ -374,30 +363,33 @@ def _bool_cell(report: VerificationReport | None, claim: str) -> str:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One run per seed: generate or load, run, verify, emit a CSV row.
 
-    Run errors are captured per row without aborting the batch; the overall
-    ``ok`` flag clears when any row errors out or a deterministic-guarantee
-    check fails. The CSV and message log files are opened before the first run,
-    so an unwritable path fails before any work; each run's records are written
-    and dropped after that run.
+    Run errors are captured per row without aborting the batch; a row fails
+    when it errors out or a deterministic-guarantee check fails, and the batch
+    is ``ok`` with no failed rows. Only the rows outlive their run. The CSV and
+    message log files are opened before the first run, so an unwritable path
+    fails before any work; each run's records are written and dropped after
+    that run.
     """
     fixed_profile = load_instance(config.instance_path) if config.instance_path else None
     log_path = config.message_log_path
     message_log: list | None = [] if log_path else None
-    rows: list[ExperimentRow] = []
+    outcome = ExperimentResult(rows=[], failures=0)
     with open_output(log_path) as log_file, open_output(config.csv_path) as csv_file:
         for seed in config.seeds:
             profile = fixed_profile if fixed_profile is not None else generate(replace(config.generator, seed=seed))
-            rows.append(_run_seed(config, profile, seed, message_log))
+            row, failed = _run_seed(config, profile, seed, message_log)
+            outcome.rows.append(row)
+            outcome.failures += failed
             if message_log:
                 log_file.writelines(map(log_ndjson, message_log))
                 message_log.clear()
-        outcome = ExperimentResult(rows=rows, ok=not any(r.failed for r in rows))
         if csv_file:
-            write_csv(outcome.csv_rows(), csv_file)
+            write_csv(outcome.rows, csv_file)
     return outcome
 
 
-def _run_seed(config: ExperimentConfig, profile: PreferenceProfile, seed: int, message_log: list | None) -> ExperimentRow:
+def _run_seed(config: ExperimentConfig, profile: PreferenceProfile, seed: int, message_log: list | None) -> tuple[dict, bool]:
+    """One seed's CSV row, and whether the row failed."""
     spec = config.algorithm
     status = "ok"
     result: RunResult | None = None
@@ -437,7 +429,7 @@ def _run_seed(config: ExperimentConfig, profile: PreferenceProfile, seed: int, m
         "status": status,
     }
     failed = status != "ok" or (spec.deterministic and report is not None and not report.all_passed())
-    return ExperimentRow(seed=seed, row=row, report=report, result=result, failed=failed)
+    return row, failed
 
 
 def open_output(path: str | Path | None):

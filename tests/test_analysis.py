@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchsim import (
+    AsmParams,
     GeneratorSpec,
     InvalidMatching,
     Matching,
+    OuterRecord,
     PlayerFinal,
     PreferenceProfile,
+    RoundTrace,
+    RunResult,
     binomial_ci,
     blocking_pairs,
     check_maximal,
@@ -25,6 +29,7 @@ from matchsim import (
     generate,
     man,
     rate_within_claim,
+    verify_run,
     woman,
 )
 
@@ -319,7 +324,7 @@ def test_blocking_scans_equal_the_definition(case):
 
 
 def test_scans_follow_each_new_matching_on_one_profile():
-    # the profile keeps the last matching's partner ranks, which a new matching must replace
+    # one profile scanned under many matchings: each scan reads its own matching's partners
     prof = generate(GeneratorSpec.parse("complete", n=4, seed=1))
     for perm in itertools.permutations(range(4)):
         for size in (0, 2, 4):
@@ -348,7 +353,6 @@ def test_counting_builds_no_pair_list():
     prof = generate(GeneratorSpec.parse("complete", n=256, seed=0))
     m = Matching.of(gale_shapley_oracle(prof).sorted_pairs()[::2])
     expected = (len(blocking_pairs(prof, m)), len(eps_blocking_pairs(prof, m, 0.125)))
-    prof.__dict__.pop("_last_partner_ranks")  # the partner ranks are rebuilt inside the trace
     tracemalloc.start()
     try:
         assert (count_blocking_pairs(prof, m), count_blocking_pairs(prof, m, 0.125)) == expected
@@ -412,6 +416,107 @@ def test_report_serializes_to_json():
     assert parsed["blocking_pairs"] == rep.blocking_pairs
     assert set(parsed["bounds"]) == {"thm41", "lemma42", "lemma43", "lemma44", "lemma45", "lemma47"}
     assert parsed["tight_blocking_pairs"] + parsed["loose_blocking_pairs"] == parsed["blocking_pairs"]
+
+
+def _listed_report(profile, run):
+    """Reference verifier that lists every pair before counting it: the tight pairs
+    split by the men's class, the loose pairs as a set difference, and each bad man's
+    tight partners. Returns the counts and each claim's (bound, observed, passed)."""
+    params, edges = run.params, profile.num_edges
+    eps = params.eps if params is not None else 0.0
+    blocking = blocking_pairs(profile, run.matching)
+    good, bad = classify_good_bad(run.men)
+    claims = {"thm41": (eps * edges, len(blocking), len(blocking) <= eps * edges + 1e-9)}
+    tight = []
+    if params is not None:
+        k = params.k
+        tight = eps_blocking_pairs(profile, run.matching, 2.0 / k)
+        tight_set = set(tight)
+        loose = [e for e in blocking if e not in tight_set]
+        tight_good = [e for e in tight if e[0] in good]
+        tight_bad = [e for e in tight if e[0] in bad]
+        partners = {}
+        for m, w in tight_bad:
+            partners.setdefault(m, set()).add(w)
+        local = sum(not ws.issubset(run.men[m].remaining) for m, ws in partners.items())
+        failing = [r for r in run.outer_records if not r.passed]
+        bound44 = 4 * params.delta * edges
+        claims.update(
+            lemma42=(0, len(tight_good), not tight_good),
+            lemma43=(4 * edges / k, len(loose), len(loose) <= 4 * edges / k + 1e-9),
+            lemma44=(bound44, len(tight_bad), len(tight_bad) <= bound44 + 1e-9),
+            lemma45=(0, len(failing), not failing),
+            lemma47=(0, local, local == 0),
+        )
+    counts = (len(blocking), len(tight), len(blocking) - len(tight), good, bad)
+    return counts, claims
+
+
+def _report_counts(report):
+    counts = (report.blocking_pairs, report.tight_blocking_pairs, report.loose_blocking_pairs,
+              report.good_men, report.bad_men)
+    # the bound's type too: an int 0 and a float 0.0 print differently in the report's JSON
+    claims = {name: (c.bound, c.observed, c.passed) for name, c in report.bounds.items()}
+    types = {name: (type(c.bound), type(c.observed)) for name, c in report.bounds.items()}
+    return counts, claims, types
+
+
+def _finished_run(profile, matching, men, eps, outer_records=()):
+    """A RunResult carrying just what the verifier reads."""
+    n = profile.n
+    return RunResult(
+        algorithm="test", matching=matching, trace=RoundTrace(), men=tuple(men),
+        women=tuple(PlayerFinal(None, frozenset(), False) for _ in range(n)),
+        params=None if eps is None else AsmParams.for_instance(eps, n),
+        outer_records=tuple(outer_records), mm_failures=0, violations=(),
+    )
+
+
+@st.composite
+def _finished_runs(draw):
+    """A small profile with an arbitrary matching and arbitrary final states for its men."""
+    prof, m, _ = draw(_profile_and_matching())
+    men = []
+    for lst in prof.men_prefs:
+        kept = draw(st.lists(st.booleans(), min_size=len(lst), max_size=len(lst)))
+        partner = draw(st.none() | st.sampled_from(lst)) if lst else None
+        men.append(PlayerFinal(partner, frozenset(w for w, keep in zip(lst, kept) if keep), draw(st.booleans())))
+    eps = draw(st.none() | st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]))
+    records = [OuterRecord(i, 1, 1, 0.5, passed) for i, passed in enumerate(draw(st.lists(st.booleans(), max_size=3)))]
+    return prof, _finished_run(prof, m, men, eps, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finished_runs())
+def test_verify_run_counts_equal_the_listing_reference(case):
+    prof, run = case
+    counts, claims = _listed_report(prof, run)
+    got_counts, got_claims, types = _report_counts(verify_run(prof, run))
+    assert got_counts == counts
+    assert got_claims == claims
+    assert types == {name: (type(bound), type(observed)) for name, (bound, observed, _) in claims.items()}
+
+
+def test_verify_run_counts_every_claim_it_can_break():
+    # complete n=5 with shared orders and nobody matched: every edge blocks, and at eps = 1
+    # (k = 8) a tight pair needs a gain of ceil(5 / 4) = 2 on both sides, so the 9 edges
+    # at a man's or a woman's last place are loose and the 16 others are tight
+    prof = complete_profile([list(range(5))] * 5, [list(range(5))] * 5)
+    men = [
+        PlayerFinal(None, frozenset(), False),  # good: exhausted, yet tight with women 0..3
+        PlayerFinal(None, frozenset(range(5)), False),  # bad, every tight partner on his list
+        PlayerFinal(None, frozenset({0}), False),  # bad, tight partners 1..3 off his list
+        PlayerFinal(None, frozenset({4}), False),  # bad, tight partners 0..3 off his list
+        PlayerFinal(None, frozenset({0}), False),  # bad, last on every list: no tight pair
+    ]
+    run = _finished_run(prof, Matching.of([]), men, 1.0, [OuterRecord(0, 5, 4, 0.625, False)])
+    report = verify_run(prof, run)
+    assert (report.blocking_pairs, report.tight_blocking_pairs, report.loose_blocking_pairs) == (25, 16, 9)
+    observed = {name: c.observed for name, c in report.bounds.items()}
+    assert observed == {"thm41": 25, "lemma42": 4, "lemma43": 9, "lemma44": 12, "lemma45": 1, "lemma47": 2}
+    passed = {name for name, c in report.bounds.items() if c.passed}
+    assert passed == {"thm41", "lemma43", "lemma44"}
+    assert _report_counts(report)[:2] == _listed_report(prof, run)
 
 
 def test_binomial_ci_basics():

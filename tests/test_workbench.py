@@ -97,7 +97,7 @@ def test_generator_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec.parse("nope", n=4, seed=0)
     # extra text, and alphas whose degree cap int(alpha * base) does not exist
-    for text in ("complete:7", "aregular:inf,2", "aregular:nan,2", "aregular:1e308,2"):
+    for text in ("complete:7", "aregular:inf,2", "aregular:nan,2", "aregular:1e308,2", "aregular:2,5"):
         with pytest.raises(ValueError):
             GeneratorSpec.parse(text, n=4, seed=0)
 
@@ -286,11 +286,28 @@ def test_run_experiment_rows_and_pass_flags(tmp_path):
     )
     assert len(outcome.rows) == 10
     assert outcome.ok
-    for r in outcome.rows:
-        assert r.row["thm41_pass"] == "true"
-        assert r.row["status"] == "ok"
+    for row in outcome.rows:
+        assert row["thm41_pass"] == "true"
+        assert row["status"] == "ok"
     header = (tmp_path / "out.csv").read_text().splitlines()[0]
     assert header.split(",") == CSV_COLUMNS
+
+
+def test_batch_keeps_only_its_rows(tmp_path):
+    # a batch that held every seed's run and report retained about 5.6 MB here
+    prof = generate(GeneratorSpec.parse("complete", n=128, seed=0))
+    inst = tmp_path / "inst.json"
+    save_instance(prof, inst)
+    del prof
+    config = ExperimentConfig(algorithm=AlgorithmSpec.parse("gs"), seeds=list(range(10)), instance_path=str(inst))
+    tracemalloc.start()
+    try:
+        outcome = run_experiment(config)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert outcome.ok and len(outcome.rows) == 10
+    assert retained <= 0.5e6
 
 
 def test_generation_gives_up_on_hopeless_density():
@@ -302,14 +319,15 @@ def test_run_experiment_deterministic(tmp_path):
     a = run_experiment(_config(tmp_path, csv_path=str(tmp_path / "a.csv")))
     b = run_experiment(_config(tmp_path, csv_path=str(tmp_path / "b.csv")))
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
-    assert [r.row for r in a.rows] == [r.row for r in b.rows]
+    assert a.rows == b.rows
 
 
 def test_run_experiment_round_cap_row_isolated(tmp_path):
     outcome = run_experiment(_config(tmp_path, round_cap=2, seeds=[0, 1]))
     assert not outcome.ok
-    assert all(r.row["status"] == "round_cap" for r in outcome.rows)
-    assert all(r.row["rounds"] == 2 for r in outcome.rows)
+    assert outcome.failures == 2
+    assert all(row["status"] == "round_cap" for row in outcome.rows)
+    assert all(row["rounds"] == 2 for row in outcome.rows)
 
 
 def test_run_experiment_schedule_overflow_is_a_row_error(tmp_path):
@@ -318,7 +336,7 @@ def test_run_experiment_schedule_overflow_is_a_row_error(tmp_path):
     generator = GeneratorSpec.parse("bounded:2", n=1024, seed=0)
     outcome = run_experiment(_config(tmp_path, algorithm=spec, seeds=[0], generator=generator))
     assert not outcome.ok
-    assert outcome.rows[0].row["status"].startswith("error:cannot build a schedule for randasm:1e-100,0.1 with n=1024")
+    assert outcome.rows[0]["status"].startswith("error:cannot build a schedule for randasm:1e-100,0.1 with n=1024")
 
 
 def test_run_experiment_config_validation(tmp_path):
@@ -545,6 +563,42 @@ def test_cli_verify_rejects_non_finite_parameters_up_front(tmp_path, capsys, fla
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {flag} must be a finite number, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("eps", ["1e308", "-1e308"])
+def test_cli_verify_rejects_a_budget_that_is_not_finite(tmp_path, capsys, monkeypatch, eps):
+    # each eps is finite, but eps * |E| overflows; the budget is checked before any counting
+    import matchsim.cli as cli
+
+    inst, mfile = tmp_path / "i.json", tmp_path / "m.json"
+    save_instance(generate(GeneratorSpec.parse("complete", n=4, seed=0)), inst)
+    save_matching(Matching.of([]), mfile)
+    monkeypatch.setattr(cli, "count_blocking_pairs", lambda *a: pytest.fail("counted"))
+    rc = main(["verify", "--instance", str(inst), "--matching", str(mfile), f"--eps={eps}"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --eps {float(eps)} times 16 edges is not a finite budget\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--alg", "asm:0.5", "--family", "aregular:2,16", "--n", "8", "--seeds", "0..1",
+         "-o", "{csv}", "--message-log", "{log}", "--plot-data", "{plot}"],
+        ["bench", "--alg", "asm:0.5", "--family", "aregular:2,16", "--n-list", "32,8", "-o", "{csv}"],
+    ],
+    ids=["run", "bench"],
+)
+def test_cli_base_degree_above_n_fails_before_touching_outputs(tmp_path, capsys, command):
+    paths = {name: tmp_path / f"{name}.out" for name in ("csv", "log", "plot")}
+    for name, path in paths.items():
+        path.write_text(f"earlier {name}\n")
+    rc = main([arg.format(**paths) for arg in command])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: aregular family needs base degree in 1..n\n"
+    assert {name: path.read_text() for name, path in paths.items()} == {name: f"earlier {name}\n" for name in paths}
 
 
 def test_cli_reports_errors(tmp_path, capsys):
