@@ -13,9 +13,10 @@ side, as the preference lists do; adjacency is the profile's own lists.
 
 The engine is a sequential simulator of a parallel network: processors step
 in deterministic id order within a round, and the inbox/outbox separation
-guarantees no behavior can depend on that order. Per-processor RNG streams
-are derived from (global seed, player id) so runs are bit-reproducible and
-adding processors never perturbs existing streams.
+guarantees no behavior can depend on that order. Each processor's random
+stream is exactly the draws of ``random.Random(f"{seed}:{side}:{index}")``,
+held as a few buffered words and re-seeded only when they run out, so runs are
+bit-reproducible and adding processors never perturbs existing streams.
 """
 
 from __future__ import annotations
@@ -104,6 +105,40 @@ class Topology:
         return cls(profile)
 
 
+class RandomStream:
+    """The draws of ``random.Random(text)``, held as a block of buffered 32-bit words."""
+
+    __slots__ = ("text", "_used", "_left", "_words")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._used = self._left = self._words = 0
+
+    def choice(self, seq: Sequence):
+        """The item ``random.Random(text).choice(seq)`` picks, by the same rejection draws."""
+        n = len(seq)
+        if not 0 < n < 1 << 32:
+            raise ValueError(f"a stream chooses among 1 to 2**32 - 1 items, not {n}")
+        shift = 32 - n.bit_length()
+        while True:
+            if not self._left:
+                self._refill()
+            self._left -= 1
+            r = (self._words & 0xFFFFFFFF) >> shift
+            self._words >>= 32
+            if r < n:
+                return seq[r]
+
+    def _refill(self) -> None:
+        """Seed a generator for the moment, skip the words already used and take as
+        many more (16 at first), so a stream is seeded O(log draws) times."""
+        gen = random.Random(self.text)
+        gen.getrandbits(32 * self._used)
+        self._left = max(16, self._used)
+        self._words = gen.getrandbits(32 * self._left)
+        self._used += self._left
+
+
 class ProcessorContext:
     """Engine-facing view of one processor during a round.
 
@@ -112,10 +147,10 @@ class ProcessorContext:
     other side, best first. ``inbox`` maps each kind received this round to
     its senders' indices in ascending order, one entry per message.
     A step sends via :meth:`send` or :meth:`send_many`, addressing partners
-    by index. The rng stream is a pure function of (engine seed, player id).
+    by index. ``rng`` is the processor's :class:`RandomStream`.
     """
 
-    __slots__ = ("id", "side", "index", "neighbors", "inbox", "_ranks", "_peer_base", "_engine", "_rng", "_seed")
+    __slots__ = ("id", "side", "index", "neighbors", "inbox", "rng", "_ranks", "_peer_base", "_engine")
 
     def __init__(self, side: Side, index: int, n: int, profile: PreferenceProfile, engine: "Engine", seed: int):
         self.side = side
@@ -127,8 +162,7 @@ class ProcessorContext:
         self.inbox: Mapping[MsgKind, list] = _NO_MAIL
         # a proxy, not a reference: no cycle keeps a finished engine alive until the next gc pass
         self._engine = weakref.proxy(engine)
-        self._rng: random.Random | None = None
-        self._seed = seed
+        self.rng = RandomStream(f"{seed}:{int(side)}:{index}")
 
     @property
     def self_id(self) -> PlayerId:
@@ -137,12 +171,6 @@ class ProcessorContext:
     def peer(self, index: int) -> PlayerId:
         """The partner a step addresses as ``index``."""
         return PlayerId(Side(1 - self.side), index)
-
-    @property
-    def rng(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(f"{self._seed}:{int(self.side)}:{self.index}")
-        return self._rng
 
     def take(self, kind: MsgKind) -> list:
         """The inbox entries of ``kind`` (a new empty list if none); any other kind is an error."""

@@ -118,9 +118,6 @@ class MatchingSubroutineSpec:
             return iterations_for_almost_maximal(self.eta, self.delta)
         return None
 
-    def removes_unmatched(self) -> bool:
-        return self.flavor == "amm"
-
     def describe(self) -> str:
         if self.flavor == "det":
             return "det"

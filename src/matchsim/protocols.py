@@ -320,7 +320,7 @@ class QuantileProtocol:
         partner, residual_here = (None, False) if node is None else (node.matched, node.live)
         # only players with no partner at all leave the game; a matched woman
         # the subroutine failed to upgrade simply keeps her current partner
-        removed_now = residual_here and self.mm_spec.removes_unmatched() and st.p is None
+        removed_now = residual_here and self.mm_spec.flavor == "amm" and st.p is None
         if ctx.side is Side.WOMAN:
             if partner is not None:
                 q0 = st.quantized.quantile(partner)
@@ -504,16 +504,13 @@ class QuantileProtocol:
                 "mm_failures": self.mm_failures,
             }
         )
+        finals = lambda states: tuple(PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in states)
         return RunResult(
             algorithm=self.algorithm_label,
             matching=Matching.of(pairs),
             trace=eng.trace,
-            men=tuple(
-                PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in self.men
-            ),
-            women=tuple(
-                PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in self.women
-            ),
+            men=finals(self.men),
+            women=finals(self.women),
             params=self.params,
             outer_records=tuple(self.outer_records),
             mm_failures=self.mm_failures,

@@ -444,36 +444,18 @@ def write_csv(rows: list[dict], fh) -> None:
     writer.writerows(rows)
 
 
-_LONG_METRICS = (
-    "rounds",
-    "messages",
-    "matching_size",
-    "blocking_pairs",
-    "two_over_k_blocking",
-    "good_men",
-    "bad_men",
-)
+_LONG_METRICS = CSV_COLUMNS[CSV_COLUMNS.index("rounds") : CSV_COLUMNS.index("thm41_pass")]
 
 
 def to_long_format(rows: list[dict]) -> list[dict]:
     """Tidy long-format view of a batch, one (metric, value) record per row,
     for plotting with external tools."""
-    out = []
-    for row in rows:
-        for metric in _LONG_METRICS:
-            value = row.get(metric, "")
-            if value == "":
-                continue
-            out.append(
-                {
-                    "algorithm": row["algorithm"],
-                    "n": row["n"],
-                    "seed": row["seed"],
-                    "metric": metric,
-                    "value": value,
-                }
-            )
-    return out
+    return [
+        {"algorithm": row["algorithm"], "n": row["n"], "seed": row["seed"], "metric": metric, "value": row[metric]}
+        for row in rows
+        for metric in _LONG_METRICS
+        if row.get(metric, "") != ""
+    ]
 
 
 def write_long_csv(rows: list[dict], fh) -> None:

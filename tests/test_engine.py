@@ -1,6 +1,8 @@
 """Round engine contract: delivery timing, accounting, errors, determinism."""
 
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from matchsim import (
     PreferenceProfile,
     RoundCapExceeded,
 )
-from matchsim.engine import KIND_BITS, Engine, Topology, log_ndjson
+from matchsim.engine import KIND_BITS, Engine, RandomStream, Topology, log_ndjson
 
 # processor ids: with n players per side, man i is i and woman j is n + j
 
@@ -107,13 +109,54 @@ def test_rng_streams_are_stable_per_player():
     a = _pair_engine(seed=99)
     b = _pair_engine(seed=99)
     c = _pair_engine(seed=100)
-    draws_a = [a.contexts[0].rng.random() for _ in range(3)]
-    draws_b = [b.contexts[0].rng.random() for _ in range(3)]
-    draws_c = [c.contexts[0].rng.random() for _ in range(3)]
+    draws_a = [a.contexts[0].rng.choice(range(2**31)) for _ in range(3)]
+    draws_b = [b.contexts[0].rng.choice(range(2**31)) for _ in range(3)]
+    draws_c = [c.contexts[0].rng.choice(range(2**31)) for _ in range(3)]
     assert draws_a == draws_b
     assert draws_a != draws_c
     # different players, different streams
-    assert a.contexts[0].rng.random() != a.contexts[1].rng.random()
+    assert a.contexts[0].rng.choice(range(2**31)) != a.contexts[1].rng.choice(range(2**31))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(max_size=12),
+    st.lists(st.one_of(st.integers(1, 3), st.integers(1, 2**32 - 1)), min_size=1, max_size=8),
+)
+def test_stream_makes_the_draws_of_a_seeded_generator(text, lengths):
+    # 40 choices take at least 40 words: past the first 16-word block and its 16-word refill;
+    # every fifth chooses from one item, which still uses up words (half of them rejected)
+    stream, reference = RandomStream(text), random.Random(text)
+    for i in range(40):
+        seq = range(1 if i % 5 == 0 else lengths[i % len(lengths)])
+        assert stream.choice(seq) == reference.choice(seq)
+    assert stream.choice(range(2**32 - 1)) == reference.choice(range(2**32 - 1))
+
+
+def test_stream_rejects_sequences_it_cannot_index():
+    stream = RandomStream("0:0:0")
+    for n in (0, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            stream.choice(range(n))
+    # a refused choice uses up no words: with 2**32 - 1 items each word is one draw
+    reference, seq = random.Random("0:0:0"), range(2**32 - 1)
+    assert [stream.choice(seq) for _ in range(20)] == [reference.choice(seq) for _ in range(20)]
+
+
+def test_streams_hold_a_few_words_per_processor():
+    # a Mersenne Twister per drawing processor held about 2.7 KB each
+    prof = PreferenceProfile.from_lists([[i] for i in range(512)], [[i] for i in range(512)])
+    Engine(Topology.from_profile(prof))  # builds the profile's rank tables before tracing
+    tracemalloc.start()
+    try:
+        eng = Engine(Topology.from_profile(prof))
+        for ctx in eng.contexts:
+            for _ in range(8):
+                ctx.rng.choice((0, 1, 2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 512 * len(eng.contexts)
 
 
 def test_inbox_sorted_by_sender():
