@@ -504,13 +504,13 @@ class QuantileProtocol:
                 "mm_failures": self.mm_failures,
             }
         )
-        finals = lambda states: tuple(PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in states)
+        men, women = (tuple(PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in players) for players in (self.men, self.women))
         return RunResult(
             algorithm=self.algorithm_label,
             matching=Matching.of(pairs),
             trace=eng.trace,
-            men=finals(self.men),
-            women=finals(self.women),
+            men=men,
+            women=women,
             params=self.params,
             outer_records=tuple(self.outer_records),
             mm_failures=self.mm_failures,
