@@ -4,13 +4,11 @@ round simulator, with exact verification of their stability guarantees."""
 from .analysis import (
     BoundCheck,
     VerificationReport,
-    binomial_ci,
     blocking_pairs,
     classify_good_bad,
     count_blocking_pairs,
     eps_blocking_pairs,
     gale_shapley_oracle,
-    rate_within_claim,
     verify_run,
 )
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
@@ -62,7 +60,6 @@ from .workbench import (
     ExperimentResult,
     GeneratorSpec,
     generate,
-    instance_to_json,
     load_instance,
     load_matching,
     run_experiment,

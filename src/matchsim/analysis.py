@@ -1,6 +1,5 @@
 """Ground-truth verification: blocking-pair counting, stability checks,
-good/bad classification, a centralized deferred-acceptance oracle, and the
-statistical helpers used for randomized claims.
+good/bad classification and a centralized deferred-acceptance oracle.
 
 Conventions match the protocol side: ranks are 1-based and an unmatched
 player ranks at deg + 1, i.e. below every acceptable partner, so an
@@ -219,29 +218,3 @@ def verify_run(profile: PreferenceProfile, run: RunResult) -> VerificationReport
         bounds[CLAIM_BAD_MEN_LOCAL] = BoundCheck.of(0, len(off_list))
     return report
 
-
-# ---------------------------------------------------------------------------
-# statistics for randomized claims
-# ---------------------------------------------------------------------------
-
-Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-def binomial_ci(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not (0 <= successes <= trials):
-        raise ValueError("successes out of range")
-    phat = successes / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def rate_within_claim(failures: int, trials: int, claimed: float, z: float = Z_99) -> bool:
-    """A probabilistic bound only fails when the CI lower bound of the
-    observed failure rate exceeds the claimed rate."""
-    lo, _ = binomial_ci(failures, trials, z)
-    return lo <= claimed

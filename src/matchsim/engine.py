@@ -15,8 +15,9 @@ The engine is a sequential simulator of a parallel network: processors step
 in deterministic id order within a round, and the inbox/outbox separation
 guarantees no behavior can depend on that order. Each processor's random
 stream is exactly the draws of ``random.Random(f"{seed}:{side}:{index}")``,
-held as a few buffered words and re-seeded only when they run out, so runs are
-bit-reproducible and adding processors never perturbs existing streams.
+held as a few buffered words, so runs are bit-reproducible and adding
+processors never perturbs existing streams. A stream seeds a generator only
+when a choice among two or more items needs words it does not hold.
 """
 
 from __future__ import annotations
@@ -106,28 +107,37 @@ class Topology:
 
 
 class RandomStream:
-    """The draws of ``random.Random(text)``, held as a block of buffered 32-bit words."""
+    """The draws of ``random.Random(text)``, held as a block of buffered 32-bit words.
 
-    __slots__ = ("text", "_used", "_left", "_words")
+    A choice among one item is owed, not drawn, until a choice among two or more
+    items needs words: a stream with no such choice never seeds a generator."""
+
+    __slots__ = ("text", "_used", "_left", "_words", "_owed")
 
     def __init__(self, text: str):
         self.text = text
-        self._used = self._left = self._words = 0
+        self._used = self._left = self._words = self._owed = 0
 
     def choice(self, seq: Sequence):
         """The item ``random.Random(text).choice(seq)`` picks, by the same rejection draws."""
         n = len(seq)
         if not 0 < n < 1 << 32:
             raise ValueError(f"a stream chooses among 1 to 2**32 - 1 items, not {n}")
+        if n == 1:
+            self._owed += 1
+            return seq[0]
         shift = 32 - n.bit_length()
         while True:
             if not self._left:
                 self._refill()
             self._left -= 1
-            r = (self._words & 0xFFFFFFFF) >> shift
+            word = self._words & 0xFFFFFFFF
             self._words >>= 32
-            if r < n:
-                return seq[r]
+            if self._owed:
+                # an owed one-item draw ends on its first word with a top bit of 0
+                self._owed -= word < 0x80000000
+            elif word >> shift < n:
+                return seq[word >> shift]
 
     def _refill(self) -> None:
         """Seed a generator for the moment, skip the words already used and take as
@@ -182,7 +192,9 @@ class ProcessorContext:
         return [] if got is None else got
 
     def send(self, to: int, kind: MsgKind) -> None:
-        self.send_many((to,), kind)
+        if to not in self._ranks:
+            raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {self.peer(to)}")
+        self._engine._stage(self, (to,), kind)
 
     def send_many(self, targets: Sequence[int], kind: MsgKind) -> None:
         """Send ``kind`` to each target, in order; same as one ``send`` per target."""
@@ -232,8 +244,8 @@ class Engine:
         if not self._in_round:
             raise InconsistentState("send outside of a round")
         entry, boxes, base = sender.index, self._staged[kind], sender._peer_base
-        for to in [base + t for t in targets] if base else targets:
-            boxes[to].append(entry)
+        for to in targets:
+            boxes[base + to].append(entry)
         self._staged_count += len(targets)
         self.trace.max_payload_bits = KIND_BITS
         if self.message_log is not None:

@@ -169,30 +169,38 @@ class MmPhase:
         self.iterations = spec.fixed_iterations()  # None: the greedy, run to quiescence
         self.nodes = {} if nodes is None else nodes
         self.join = join
+        # the vertices live after the last point round, in id order. Only point and
+        # resolve end a vertex's liveness and nothing restores it, so this holds every
+        # live vertex; one that resolve matched since has its partner's MM_MATCHED
+        # pending, so the next point round steps it either way
+        self._live: list[int] = []
 
     def any_live(self) -> bool:
-        return any(node.live for node in self.nodes.values())
+        return any(self.nodes[v].live for v in self._live)
 
-    def _live(self) -> list[int]:
-        # recomputed every round: men join during the first point round
-        return [v for v, node in self.nodes.items() if node.live]
+    def _point_round(self, engine: Engine) -> int:
+        # point lists the vertices it leaves live
+        stepped, self._live = self._live, []
+        return engine.run_round(self.point, "mm", stepped)
 
     def run(self, engine: Engine) -> int:
         """Greedy: step to quiescence and return the iterations that sent.
         Randomized: run the fixed iterations, 4 rounds each, skipping the
         rest once no vertex is live, and return their count."""
+        self._live = [v for v, node in self.nodes.items() if node.live]
         if self.iterations is None:
             iterations = 0
-            while engine.run_round(self.point, "mm", self._live()):
-                engine.run_round(self.resolve, "mm", self._live())
+            while self._point_round(engine):
+                engine.run_round(self.resolve, "mm", self._live)
                 iterations += 1
             if self.any_live():
                 raise InconsistentState("greedy subroutine left a vertex with residual neighbors")
             return iterations
 
         def iteration(_):
-            for step in (self.point, self.keep, self.choose, self.resolve):
-                engine.run_round(step, "mm", self._live())
+            self._point_round(engine)
+            for step in (self.keep, self.choose, self.resolve):
+                engine.run_round(step, "mm", self._live)
 
         engine.repeat(self.iterations, (("mm", 4),), iteration, lambda _: not self.any_live())
         return self.iterations
@@ -226,6 +234,7 @@ class MmPhase:
         node.residual.difference_update(announcers)
         node.pointing = node.kept_in = node.chosen = None
         if node.live:
+            self._live.append(ctx.id)
             node.pointing = min(node.residual) if self.iterations is None else ctx.rng.choice(sorted(node.residual))
             ctx.send(node.pointing, MsgKind.MM_POINT)
 

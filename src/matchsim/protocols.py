@@ -205,6 +205,14 @@ class QuantileProtocol:
         self.good_count = sum(1 for st in self.men if not st.quantized)
         self._last_good_count = self.good_count
         self._frozen_active: list[int] = list(range(profile.n))
+        # kept where the state changes, so no quiet check or actor list scans every
+        # man: the men neither removed, matched nor out of partners; the men who
+        # sent PROPOSE in the last propose round (every man with a nonempty A is
+        # one); and those of the last round that opened a quantile match (every
+        # man with an a_entry is one)
+        self._unsettled = {i for i, st in enumerate(self.men) if st.quantized}
+        self._proposers: list[int] = []
+        self._opened: list[int] = []
 
         self.pr_count = 0
         self.qm_count = 0
@@ -242,6 +250,9 @@ class QuantileProtocol:
             st.p = None
         now_good = st.p is not None or not st.quantized
         self.good_count += int(now_good) - int(was_good)
+        # a man leaves the unsettled when his list runs out, and rejoins when his partner rejects him
+        if now_good != was_good:
+            (self._unsettled.discard if now_good else self._unsettled.add)(ctx.index)
 
     def _close_quantile_match_for(self, idx: int, st: ManState) -> None:
         """Checks due when a quantile match ends (run post-settle)."""
@@ -275,6 +286,7 @@ class QuantileProtocol:
                     st.a_entry = frozenset(bucket)
         if st.A:
             ctx.send_many(sorted(st.A), MsgKind.PROPOSE)
+            self._proposers.append(ctx.index)
 
     def _step_accept(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         if ctx.side is Side.MAN:
@@ -346,9 +358,11 @@ class QuantileProtocol:
             st.p = partner
             st.A = set()
             self.good_count += 1 - int(was_good)
+            self._unsettled.discard(ctx.index)
         elif removed_now:
             st.removed = True
             st.A = set()
+            self._unsettled.discard(ctx.index)
 
     def _step_flush(self, ctx: ProcessorContext) -> None:
         if ctx.side is Side.MAN:
@@ -360,21 +374,26 @@ class QuantileProtocol:
     # schedule orchestration (simulator-global; never mutates player state)
 
     def _any_A(self) -> bool:
-        return any(st.A for st in self.men)
+        return any(self.men[i].A for i in self._proposers)
 
     def _any_assignable(self, ignore_active: bool = False) -> bool:
-        return any(
-            (ignore_active or st.active) and not st.removed and st.p is None and st.quantized
-            for st in self.men
-        )
+        return any(ignore_active or self.men[i].active for i in self._unsettled)
 
     def _propose_actors(self, qm_start: bool, outer_index: int | None) -> Iterable[int]:
         if outer_index is not None:
             return range(len(self.men))
-        return [
-            i for i, st in enumerate(self.men)
-            if st.A or (qm_start and (st.a_entry is not None or (not st.removed and st.p is None and st.quantized)))
-        ]
+        if qm_start:
+            # the men to close (an a_entry, maybe a nonempty A) or to open (unsettled)
+            return self._unsettled.union(self._opened)
+        return [i for i in self._proposers if self.men[i].A]
+
+    def _propose_round(self, eng: Engine, qm_start: bool, outer_index: int | None) -> int:
+        actors = self._propose_actors(qm_start, outer_index)
+        self._proposers = []
+        sent = eng.run_round(lambda c: self._step_propose(c, qm_start, outer_index), "propose", actors)
+        if qm_start:
+            self._opened = self._proposers
+        return sent
 
     def _after_qm_boundary(self) -> None:
         if self.good_count < self._last_good_count:
@@ -400,8 +419,7 @@ class QuantileProtocol:
 
     def _proposal_round(self, eng: Engine, qm_start: bool, outer_index: int | None) -> None:
         self.pr_count += 1
-        actors = self._propose_actors(qm_start, outer_index)
-        eng.run_round(lambda c: self._step_propose(c, qm_start, outer_index), "propose", actors)
+        self._propose_round(eng, qm_start, outer_index)
         if outer_index is not None:
             self._frozen_active = [i for i, st in enumerate(self.men) if st.active]
         if qm_start:
@@ -473,10 +491,7 @@ class QuantileProtocol:
             self._record_outer(eng, i, self._frozen_active)
 
     def _run_serial(self, eng: Engine) -> None:
-        while True:
-            actors = self._propose_actors(qm_start=True, outer_index=None)
-            if not eng.run_round(lambda c: self._step_propose(c, True, None), "propose", actors):
-                break
+        while self._propose_round(eng, qm_start=True, outer_index=None):
             self.pr_count += 1
             self._match_and_reject(eng)
 

@@ -202,10 +202,6 @@ def _instance_text(profile: PreferenceProfile):
     yield "]}\n"
 
 
-def instance_to_json(profile: PreferenceProfile) -> str:
-    return "".join(_instance_text(profile))
-
-
 def save_instance(profile: PreferenceProfile, path: str | Path) -> None:
     """Write the instance file piece by piece, never holding its whole text."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,0 +1,34 @@
+"""Helpers that only tests read: confidence bounds for randomized claims, and an
+instance file's whole text."""
+
+import math
+
+from matchsim.model import PreferenceProfile
+from matchsim.workbench import _instance_text
+
+Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+
+def binomial_ci(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if not (0 <= successes <= trials):
+        raise ValueError("successes out of range")
+    phat = successes / trials
+    denom = 1 + z * z / trials
+    center = (phat + z * z / (2 * trials)) / denom
+    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
+def rate_within_claim(failures: int, trials: int, claimed: float, z: float = Z_99) -> bool:
+    """A probabilistic bound only fails when the CI lower bound of the
+    observed failure rate exceeds the claimed rate."""
+    lo, _ = binomial_ci(failures, trials, z)
+    return lo <= claimed
+
+
+def instance_to_json(profile: PreferenceProfile) -> str:
+    """The text ``save_instance`` writes for ``profile``."""
+    return "".join(_instance_text(profile))

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from helpers import rate_within_claim
 from matchsim import (
     AlgorithmSpec,
     GeneratorSpec,
@@ -24,7 +25,6 @@ from matchsim import (
     iterations_for_maximal,
     man,
     maximal_matching,
-    rate_within_claim,
     run_algorithm,
     verify_run,
     woman,

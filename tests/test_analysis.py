@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import binomial_ci, rate_within_claim
 from matchsim import (
     AsmParams,
     GeneratorSpec,
@@ -19,7 +20,6 @@ from matchsim import (
     PreferenceProfile,
     RoundTrace,
     RunResult,
-    binomial_ci,
     blocking_pairs,
     check_maximal,
     classify_good_bad,
@@ -28,7 +28,6 @@ from matchsim import (
     gale_shapley_oracle,
     generate,
     man,
-    rate_within_claim,
     verify_run,
     woman,
 )

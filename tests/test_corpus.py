@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import pytest
 
+from helpers import instance_to_json
 from matchsim import (
     AlgorithmSpec,
     RoundCapExceeded,
@@ -37,7 +38,7 @@ from matchsim import cli
 from matchsim.analysis import verify_run
 from matchsim.model import Matching
 from matchsim.engine import Engine
-from matchsim.workbench import instance_to_json, save_instance, save_matching, write_message_log
+from matchsim.workbench import save_instance, save_matching, write_message_log
 
 CORPUS_PATH = Path(__file__).resolve().parent / "corpus.json"
 

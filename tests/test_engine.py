@@ -141,6 +141,46 @@ def test_stream_rejects_sequences_it_cannot_index():
     # a refused choice uses up no words: with 2**32 - 1 items each word is one draw
     reference, seq = random.Random("0:0:0"), range(2**32 - 1)
     assert [stream.choice(seq) for _ in range(20)] == [reference.choice(seq) for _ in range(20)]
+    # nor is it owed like a one-item draw
+    assert stream.choice("a") == reference.choice("a")
+    for n in (0, 2**32):
+        with pytest.raises(ValueError):
+            stream.choice(range(n))
+    assert [stream.choice(seq) for _ in range(20)] == [reference.choice(seq) for _ in range(20)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(max_size=12),
+    st.lists(st.tuples(st.integers(0, 100), st.integers(2, 2**32 - 1)), max_size=6),
+)
+def test_stream_owes_one_item_draws_until_a_choice_needs_words(text, runs):
+    # the last run owes at least 100 draws, which take more words than the first two blocks
+    stream, reference = RandomStream(text), random.Random(text)
+    for ones, n in [*runs, (100, 2**32 - 1)]:
+        for i in range(ones):
+            assert stream.choice((i,)) == reference.choice((i,)) == i
+        assert stream.choice(range(n)) == reference.choice(range(n))
+
+
+def test_stream_of_one_item_choices_never_seeds_a_generator(monkeypatch):
+    reference = random.Random("0:1:7")
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    stream = RandomStream("0:1:7")
+    assert [stream.choice((i,)) for i in range(1000)] == list(range(1000))
+    assert built == []
+    # the first choice among two items pays every owed draw
+    for i in range(1000):
+        reference.choice((i,))
+    assert stream.choice("ab") == reference.choice("ab")
+    assert built and set(built) == {("0:1:7",)}
 
 
 def test_streams_hold_a_few_words_per_processor():

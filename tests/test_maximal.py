@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rate_within_claim
 from matchsim import (
     Engine,
     InconsistentState,
@@ -128,8 +129,6 @@ def test_iteration_formula_values():
 def test_iterated_rounds_failure_rate_within_budget():
     # with s sized for eta = 0.01 on 256 vertices, non-maximal outcomes
     # should stay within the claimed rate across 500 seeded graphs
-    from matchsim import rate_within_claim
-
     s = iterations_for_maximal(256, eta=0.01)
     assert s == 198
     rng = random.Random(3)
@@ -159,8 +158,6 @@ def test_almost_maximal_empty_graph():
 def test_almost_maximal_k44_leaves_few_residuals():
     # 8 vertices, eta = 0.25: more than 2 residual vertices may happen in at
     # most a delta = 0.1 fraction of runs (99% CI judgement)
-    from matchsim import rate_within_claim
-
     g = bipartite([(m, w) for m in range(4) for w in range(4)])
     over_budget = 0
     trials = 500

@@ -30,7 +30,7 @@ from matchsim import (
     verify_run,
     woman,
 )
-from matchsim.engine import ProcessorContext, log_ndjson
+from matchsim.engine import Engine, log_ndjson
 
 
 def test_params_eps_half():
@@ -77,19 +77,19 @@ def test_single_pair_message_sequence():
 
 
 def test_message_log_has_one_record_per_fan_out(monkeypatch):
-    # every send, single or batched, goes through send_many; an empty batch logs nothing
+    # every send, single or batched, is staged by Engine._stage; an empty batch logs nothing
     calls = []
-    send_many = ProcessorContext.send_many
+    stage = Engine._stage
 
-    def counting(ctx, targets, kind):
+    def counting(eng, ctx, targets, kind):
         before = len(log)
-        send_many(ctx, [], kind)
+        ctx.send_many([], kind)
         assert len(log) == before
-        send_many(ctx, targets, kind)
+        stage(eng, ctx, targets, kind)
         if targets:
             calls.append(len(targets))
 
-    monkeypatch.setattr(ProcessorContext, "send_many", counting)
+    monkeypatch.setattr(Engine, "_stage", counting)
     log = []
     res = run_algorithm(generate(GeneratorSpec.parse("complete", n=16, seed=0)), "asm:0.5", message_log=log)
     lines_per_record = [log_ndjson(record).count("\n") for record in log]
@@ -307,7 +307,6 @@ def test_asm_with_randomized_subroutine_override():
 def test_fast_forward_equals_stepping_every_round(monkeypatch):
     # skipping provably silent stretches must be observationally identical
     # to stepping them one round at a time
-    from matchsim.engine import Engine
     from matchsim.protocols import QuantileProtocol
 
     prof = generate(GeneratorSpec.parse("random:0.6", n=4, seed=2))
@@ -372,7 +371,6 @@ def _schedule_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(_schedule_case())
 def test_fast_forward_equals_stepping_every_round_for_every_schedule(case):
-    from matchsim.engine import Engine
     from matchsim.protocols import QuantileProtocol
 
     prof, mode, mm, inner, seed = case
@@ -405,6 +403,96 @@ def test_fast_forward_equals_stepping_every_round_for_every_schedule(case):
     assert fast.outer_records == slow.outer_records
     assert fast.violations == slow.violations
     assert fast.mm_failures == slow.mm_failures
+
+
+def _scanned_actors(proto, qm_start, outer_index):
+    """A propose round's actors as a scan of every man, the expression the kept sets replace."""
+    if outer_index is not None:
+        return set(range(len(proto.men)))
+    return {
+        i for i, st in enumerate(proto.men)
+        if st.A or (qm_start and (st.a_entry is not None or (not st.removed and st.p is None and st.quantized)))
+    }
+
+
+def _scanned_unsettled(proto):
+    return {i for i, st in enumerate(proto.men) if not st.removed and st.p is None and st.quantized}
+
+
+# with eps = 1, k = 8: the complete and random lists here are longer, so quantiles
+# hold several partners and accepted graphs have choices
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("family, n, algorithm, mm", [
+    ("random:0.5", 20, "gs", None),
+    ("random:0.8", 12, "asm:1", None),
+    ("complete", 12, "randasm:1,0.5", "rand:3"),
+    ("aregular:1,9", 10, "aregasm:1,0.5,1", None),
+])
+def test_kept_schedule_sets_equal_a_scan_of_every_player(monkeypatch, family, n, algorithm, mm, fast):
+    from collections import Counter
+
+    from matchsim.maximal import MmPhase
+    from matchsim.protocols import QuantileProtocol
+
+    checked = Counter()
+    propose_actors, any_A, any_assignable = (
+        QuantileProtocol._propose_actors, QuantileProtocol._any_A, QuantileProtocol._any_assignable
+    )
+    run_round, any_live = Engine.run_round, MmPhase.any_live
+
+    def checked_actors(proto, qm_start, outer_index):
+        actors = propose_actors(proto, qm_start, outer_index)
+        assert set(actors) == _scanned_actors(proto, qm_start, outer_index)
+        assert proto._unsettled == _scanned_unsettled(proto)
+        checked["propose"] += 1
+        return actors
+
+    def checked_any_A(proto):
+        got = any_A(proto)
+        assert got == any(st.A for st in proto.men)
+        checked["quiet"] += 1
+        return got
+
+    def checked_any_assignable(proto, ignore_active=False):
+        got = any_assignable(proto, ignore_active)
+        assert proto._unsettled == _scanned_unsettled(proto)
+        assert got == any(
+            (ignore_active or st.active) and not st.removed and st.p is None and st.quantized for st in proto.men
+        )
+        checked["quiet"] += 1
+        return got
+
+    def checked_round(eng, step_fn, label="round", actors=None):
+        if label == "mm":
+            phase = step_fn.__self__
+            live = {v for v, node in phase.nodes.items() if node.live}
+            if step_fn.__func__ is MmPhase.point:
+                # the vertices matched since the last point round are stepped anyway: they are told so
+                pending = set().union(*eng._pending.values())
+                assert set(actors) | pending == live | pending
+            else:
+                assert set(actors) == live
+            checked["mm"] += 1
+        return run_round(eng, step_fn, label, actors)
+
+    def checked_any_live(phase):
+        got = any_live(phase)
+        assert got == any(node.live for node in phase.nodes.values())
+        checked["mm quiet"] += 1
+        return got
+
+    monkeypatch.setattr(QuantileProtocol, "_propose_actors", checked_actors)
+    monkeypatch.setattr(QuantileProtocol, "_any_A", checked_any_A)
+    monkeypatch.setattr(QuantileProtocol, "_any_assignable", checked_any_assignable)
+    monkeypatch.setattr(Engine, "run_round", checked_round)
+    monkeypatch.setattr(MmPhase, "any_live", checked_any_live)
+    monkeypatch.setattr(Engine, "fast_forward", fast)
+    profile = generate(GeneratorSpec.parse(family, n=n, seed=3))
+    spec = AlgorithmSpec.parse(algorithm, mm=None if mm is None else MatchingSubroutineSpec.parse(mm))
+    run_algorithm(profile, spec, seed=5)
+    assert checked["propose"] and checked["mm"] and checked["mm quiet"]
+    # stepping every round, or in serial mode, the schedule makes no quiet check
+    assert bool(checked["quiet"]) == (fast and algorithm != "gs")
 
 
 def test_weak_almost_maximal_subroutine_keeps_partners():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import instance_to_json
 from matchsim import (
     AlgorithmSpec,
     DegenerateInstance,
@@ -21,7 +22,6 @@ from matchsim import (
     MatchingSubroutineSpec,
     PreferenceProfile,
     generate,
-    instance_to_json,
     load_instance,
     load_matching,
     men_degree_ratio,
