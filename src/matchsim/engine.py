@@ -5,7 +5,10 @@ delivered at the end of the previous round (its inbox), then performs local
 computation, then stages outgoing messages. Staged messages are checked for
 edge adjacency and delivered atomically when the round ends. A message is its
 3-bit kind token alone: the sender is implicit in the edge, and no protocol
-step needs more, so there is no payload and no budget to check.
+step needs more, so there is no payload and no budget to check. Every round
+of the schedule has one purpose, so a round carries one kind: the first send
+fixes it, a send of another kind raises ``InconsistentState``, and an inbox
+is just the senders.
 
 Processors are ints: with n players per side, man i is processor i and woman
 j is processor n + j. A step addresses partners by their index on the other
@@ -26,10 +29,8 @@ import random
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from enum import IntEnum
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentState, NonNeighborSend, RoundCapExceeded
 from .model import PlayerId, PreferenceProfile, Side
@@ -58,14 +59,6 @@ def log_ndjson(record: tuple) -> str:
     head = f'{{"round":{rnd},"from":"{sender!r}","to":"{"WM"[sender.side]}'
     tail = f'","kind":"{kind.name}","payload_bits":{KIND_BITS}}}\n'
     return head + (tail + head).join(map(str, targets)) + tail
-
-
-# kind -> receiver id -> inbox entries, each level created on first use
-_mailbags = partial(defaultdict, partial(defaultdict, list))
-
-
-# the inbox of a processor that received nothing; read-only, so one serves all
-_NO_MAIL: Mapping[MsgKind, list] = MappingProxyType({})
 
 
 @dataclass
@@ -154,8 +147,10 @@ class ProcessorContext:
 
     ``id`` is the processor number, ``side`` and ``index`` the player it
     runs, and ``neighbors`` its preference list: partner indices on the
-    other side, best first. ``inbox`` maps each kind received this round to
-    its senders' indices in ascending order, one entry per message.
+    other side, best first. ``inbox`` holds the senders' indices of the
+    messages delivered this round, in ascending order, one entry per message;
+    all are of the round's one kind, which :meth:`take` checks. With no mail
+    it is an empty tuple, so no step can fill a list that others share.
     A step sends via :meth:`send` or :meth:`send_many`, addressing partners
     by index. ``rng`` is the processor's :class:`RandomStream`.
     """
@@ -169,7 +164,7 @@ class ProcessorContext:
         self._peer_base = 0 if side else n  # the id of the partner with index 0
         self.neighbors = (profile.men_prefs, profile.women_prefs)[side][index]
         self._ranks = (profile._man_rank, profile._woman_rank)[side][index]
-        self.inbox: Mapping[MsgKind, list] = _NO_MAIL
+        self.inbox: Sequence[int] = ()
         # a proxy, not a reference: no cycle keeps a finished engine alive until the next gc pass
         self._engine = weakref.proxy(engine)
         self.rng = RandomStream(f"{seed}:{int(side)}:{index}")
@@ -183,13 +178,11 @@ class ProcessorContext:
         return PlayerId(Side(1 - self.side), index)
 
     def take(self, kind: MsgKind) -> list:
-        """The inbox entries of ``kind`` (a new empty list if none); any other kind is an error."""
-        inbox = self.inbox
-        got = inbox.get(kind)
-        if len(inbox) > (got is not None):
-            other = next(k for k in inbox if k is not kind)
-            raise InconsistentState(f"{self.self_id} received {other.name} where only {kind.name} is expected")
-        return [] if got is None else got
+        """The inbox, whose senders sent ``kind`` (a new empty list if none); mail of another kind is an error."""
+        inbox, got = self.inbox, self._engine._pending_kind
+        if inbox and got is not kind:
+            raise InconsistentState(f"{self.self_id} received {got.name} where only {kind.name} is expected")
+        return inbox or []
 
     def send(self, to: int, kind: MsgKind) -> None:
         if to not in self._ranks:
@@ -231,34 +224,38 @@ class Engine:
         self.contexts: list[ProcessorContext] = [
             ProcessorContext(side, i, n, profile, self, seed) for side in Side for i in range(n)
         ]
-        # delivered at the end of the last round, and staged in this one
-        self._pending: dict[MsgKind, dict[int, list]] = _mailbags()
-        self._staged: dict[MsgKind, dict[int, list]] = _mailbags()
-        self._staged_count = 0
-        self._in_round = False
+        # receiver id -> senders, delivered at the end of the last round and
+        # staged in this one (None outside a round), each with the one kind it
+        # holds (None while empty)
+        self._pending: dict[int, list] = {}
+        self._staged: dict[int, list] | None = None
+        self._pending_kind = self._staged_kind = None
 
     # -- message plumbing -------------------------------------------------
 
     def _stage(self, sender: ProcessorContext, targets: Sequence[int], kind: MsgKind) -> None:
         """Stage ``kind`` from ``sender`` to every target index; the round check runs once per call."""
-        if not self._in_round:
+        boxes = self._staged
+        if boxes is None:
             raise InconsistentState("send outside of a round")
-        entry, boxes, base = sender.index, self._staged[kind], sender._peer_base
+        if self._staged_kind is None:
+            self._staged_kind = kind
+        elif kind is not self._staged_kind:
+            raise InconsistentState(f"{sender.self_id} sent {kind.name} in a {self._staged_kind.name} round")
+        entry, base = sender.index, sender._peer_base
         for to in targets:
             boxes[base + to].append(entry)
-        self._staged_count += len(targets)
-        self.trace.max_payload_bits = KIND_BITS
         if self.message_log is not None:
             self.message_log.append((self.trace.rounds + 1, sender.self_id, kind, tuple(targets)))
 
     @property
     def in_flight(self) -> int:
         """Messages delivered but not yet consumed by a round."""
-        return sum(len(box) for boxes in self._pending.values() for box in boxes.values())
+        return sum(map(len, self._pending.values()))
 
     def peek_pending(self, kind: MsgKind) -> dict[int, list]:
         """A copy of the undelivered ``kind`` traffic, receiver id -> inbox entries; for instrumentation only."""
-        return dict(self._pending.get(kind, {}))
+        return dict(self._pending) if kind is self._pending_kind else {}
 
     def _check_cap(self, new_rounds: int) -> None:
         if self.round_cap is not None and self.trace.rounds + new_rounds > self.round_cap:
@@ -277,36 +274,23 @@ class Engine:
         """
         self._check_cap(1)
         pending = self._pending
-        if actors is None:
-            to_step = range(len(self.contexts))
-        else:
-            combined = set(actors)
-            for boxes in pending.values():
-                combined.update(boxes)
-            to_step = sorted(combined)
-        contexts, kinds = self.contexts, list(pending.items())
-        self._in_round = True
+        to_step = range(len(self.contexts)) if actors is None else sorted({*actors, *pending})
+        contexts = self.contexts
+        self._staged = defaultdict(list)
         for v in to_step:
             ctx = contexts[v]
-            for kind, boxes in kinds:
-                got = boxes.pop(v, None)
-                if got is not None:
-                    if ctx.inbox is _NO_MAIL:
-                        ctx.inbox = {}
-                    ctx.inbox[kind] = got
+            ctx.inbox = pending.pop(v, ())
             step_fn(ctx)
-            ctx.inbox = _NO_MAIL
-        self._in_round = False
-        for boxes in pending.values():
-            if boxes:
-                # processors outside the actor set would have dropped messages
-                raise InconsistentState(f"undelivered messages for unstepped processor {next(iter(boxes))}")
-        sent = self._staged_count
-        self._pending = self._staged
-        self._staged = _mailbags()
-        self._staged_count = 0
+            ctx.inbox = ()
+        staged, self._staged = self._staged, None
+        if pending:
+            # processors outside the actor set would have dropped messages
+            raise InconsistentState(f"undelivered messages for unstepped processor {next(iter(pending))}")
+        sent = sum(map(len, staged.values()))
+        self._pending, self._pending_kind, self._staged_kind = staged, self._staged_kind, None
         self.trace.messages_sent += sent
         if sent:
+            self.trace.max_payload_bits = KIND_BITS
             self.trace.messages_by_phase[label] = self.trace.messages_by_phase.get(label, 0) + sent
         self.trace.add_phase(label, 1)
         return sent

@@ -35,22 +35,22 @@ def test_single_propose_delivered_next_round():
     seen = {}
 
     def round_one(ctx):
-        seen[ctx.id] = dict(ctx.inbox)
+        seen[ctx.id] = ctx.take(MsgKind.PROPOSE)
         if ctx.id == 0:
             ctx.send(0, MsgKind.PROPOSE)
 
     sent = eng.run_round(round_one)
     # the send is staged, not visible within the same round
     assert sent == 1
-    assert seen[1] == {}
+    assert seen[1] == []
     assert eng.trace.rounds == 1
 
     def round_two(ctx):
-        seen[ctx.id] = dict(ctx.inbox)
+        seen[ctx.id] = ctx.take(MsgKind.PROPOSE)
 
     eng.run_round(round_two)
-    assert seen[1] == {MsgKind.PROPOSE: [0]}
-    assert seen[0] == {}
+    assert seen[1] == [0]
+    assert seen[0] == []
     assert eng.trace.rounds == 2
     assert eng.trace.messages_sent == 1
 
@@ -209,7 +209,7 @@ def test_inbox_sorted_by_sender():
 
     eng.run_round(send_all)
     got = {}
-    eng.run_round(lambda ctx: got.update({ctx.id: ctx.inbox.get(MsgKind.PROPOSE, [])}))
+    eng.run_round(lambda ctx: got.update({ctx.id: ctx.take(MsgKind.PROPOSE)}))
     assert got[3] == [0, 1, 2]
 
 
@@ -269,7 +269,7 @@ def test_actor_restriction_never_drops_messages():
     eng.run_round(step, actors=[0])
     received = []
     # W0 is not in the actor list but holds pending traffic: stepped anyway
-    eng.run_round(lambda ctx: received.extend(ctx.inbox.get(MsgKind.PROPOSE, [])), actors=[])
+    eng.run_round(lambda ctx: received.extend(ctx.take(MsgKind.PROPOSE)), actors=[])
     assert received == [0]
 
 
@@ -283,24 +283,35 @@ def test_send_many_equals_a_send_loop():
     for batched in (False, True):
         log = []
         eng = _complete_engine(message_log=log)
+        inboxes = {}
 
-        def step(ctx):
+        def fan_out(ctx, kind):
+            targets = [2, 0]
+            if batched:
+                ctx.send_many(targets, kind)
+            else:
+                for to in targets:
+                    ctx.send(to, kind)
+
+        def receive(ctx, kind):
+            if ctx.inbox:
+                inboxes.setdefault(ctx.id, {})[kind] = ctx.take(kind)
+
+        def reject(ctx):
             if ctx.id == 4:  # W1
-                targets = [2, 0]
-                if batched:
-                    ctx.send_many(targets, MsgKind.REJECT)
-                    ctx.send_many(targets, MsgKind.MM_MATCHED)
-                else:
-                    for to in targets:
-                        ctx.send(to, MsgKind.REJECT)
-                    for to in targets:
-                        ctx.send(to, MsgKind.MM_MATCHED)
+                fan_out(ctx, MsgKind.REJECT)
             elif ctx.id == 3:  # W0
                 ctx.send(2, MsgKind.REJECT)
 
-        eng.run_round(step, "reject")
-        inboxes = {}
-        eng.run_round(lambda ctx: inboxes.update({ctx.id: dict(ctx.inbox)}), "flush")
+        def announce(ctx):
+            receive(ctx, MsgKind.REJECT)
+            if ctx.id == 4:  # W1
+                fan_out(ctx, MsgKind.MM_MATCHED)
+
+        # a round carries one kind, so W1's MM_MATCHED fan-out follows its REJECTs a round later
+        eng.run_round(reject, "reject")
+        eng.run_round(announce, "reject")
+        eng.run_round(lambda ctx: receive(ctx, MsgKind.MM_MATCHED), "flush")
         # a send loop and one send_many make different records with the same lines
         runs.append((inboxes, "".join(map(log_ndjson, log)), eng.trace.as_dict()))
     assert runs[0] == runs[1]
@@ -311,6 +322,22 @@ def test_send_many_equals_a_send_loop():
     ]
     assert trace["messages_by_phase"] == {"reject": 5}
     assert trace["max_payload_bits"] == KIND_BITS
+
+
+def test_a_round_carries_one_kind():
+    log = []
+    eng = _complete_engine(message_log=log)
+
+    def step(ctx):
+        if ctx.id == 3:  # W0
+            ctx.send(0, MsgKind.REJECT)
+        elif ctx.id == 4:  # W1
+            ctx.send_many([1, 2], MsgKind.MM_MATCHED)
+
+    with pytest.raises(InconsistentState, match="W1 sent MM_MATCHED in a REJECT round"):
+        eng.run_round(step)
+    # the refused fan-out logged nothing
+    assert _messages(log) == [{"round": 1, "from": "W0", "to": "M0", "kind": "REJECT", "payload_bits": 3}]
 
 
 def test_send_many_rejects_any_non_neighbor():
@@ -354,8 +381,9 @@ def test_send_many_to_no_one_changes_nothing():
 
 class _ReferenceNetwork:
     """The engine's contract written out plainly: every message is a
-    (receiver, sender, kind) tuple, and an inbox is the stable sort of the
-    receiver's messages by sender, split by kind, each entry a sender index."""
+    (receiver, sender, kind) tuple, a round's messages all have the kind of
+    its first, and an inbox is the stable sort of the receiver's messages by
+    sender, split by kind, each entry a sender index."""
 
     def __init__(self, profile: PreferenceProfile, log: list):
         self.n = n = profile.n
@@ -375,9 +403,8 @@ class _ReferenceNetwork:
         peer_base = self.n if sender < self.n else 0
         if any(t not in self.adjacent[sender] for t in targets):
             raise NonNeighborSend
-        if staged is None:
+        if staged is None or staged and staged[0][2] is not kind:
             raise InconsistentState
-        self.trace["max_payload_bits"] = 3
         self.fanouts += 1
         for t in targets:
             staged.append((peer_base + t, sender % self.n, kind))
@@ -402,6 +429,7 @@ class _ReferenceNetwork:
         self.trace["messages_sent"] += len(staged)
         self.trace["phase_breakdown"][label] = self.trace["phase_breakdown"].get(label, 0) + 1
         if staged:
+            self.trace["max_payload_bits"] = 3
             self.trace["messages_by_phase"][label] = self.trace["messages_by_phase"].get(label, 0) + len(staged)
         return len(staged)
 
@@ -414,26 +442,28 @@ def _network_script(draw):
     women = [draw(st.permutations(sorted(m for m, w in edges if w == j))) for j in range(n)]
     profile = PreferenceProfile.from_lists(men, women)
 
-    def send(v):
+    def send(v, kind):
         neighbours = (men + women)[v]
         # mostly valid sends; now and then a non-neighbour, and index n is never one
         stray = not neighbours or draw(st.integers(0, 9)) == 0
         return st.tuples(
             st.lists(st.integers(0, n) if stray else st.sampled_from(neighbours), max_size=4),
-            st.sampled_from(list(MsgKind)),
+            # mostly the round's kind; now and then a second kind, which the round refuses
+            st.integers(0, 9).flatmap(lambda i: st.sampled_from(list(MsgKind)) if i == 0 else st.just(kind)),
             st.booleans(),  # one send per target instead of one send_many
         )
 
     def ops():
+        kind = draw(st.sampled_from(list(MsgKind)))
         senders = draw(st.sets(st.integers(0, 2 * n - 1), max_size=2 * n))
-        return {v: draw(st.lists(send(v), max_size=2)) for v in senders}
+        return {v: draw(st.lists(send(v, kind), max_size=2)) for v in senders}
 
     rounds = [
         (ops(), draw(st.sampled_from(["a", "b"])), draw(st.none() | st.lists(st.integers(0, 2 * n - 1), max_size=3)))
         for _ in range(draw(st.integers(1, 4)))
     ]
     outsider = draw(st.integers(0, 2 * n - 1))
-    return profile, rounds, (outsider, draw(send(outsider)))
+    return profile, rounds, (outsider, draw(send(outsider, draw(st.sampled_from(list(MsgKind))))))
 
 
 @settings(max_examples=400, deadline=None)
@@ -450,11 +480,21 @@ def test_engine_matches_reference_network(script):
         except (NonNeighborSend, InconsistentState) as exc:
             return None, type(exc)
 
+    def by_kind(ctx):
+        # the inbox split as the reference splits it: take hands it over for
+        # the kind it holds and raises for any other
+        inbox = {}
+        for kind in MsgKind:
+            senders, error = outcome(lambda: ctx.take(kind))
+            if error is None and senders:
+                inbox[kind] = list(senders)
+        return inbox
+
     for ops, label, actors in rounds:
         got, want = {}, {}
 
         def step(ctx):
-            got[ctx.id] = {kind: list(entries) for kind, entries in ctx.inbox.items()}
+            got[ctx.id] = by_kind(ctx)
             for targets, kind, single in ops.get(ctx.id, ()):
                 if single:
                     for t in targets:

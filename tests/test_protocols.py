@@ -468,7 +468,7 @@ def test_kept_schedule_sets_equal_a_scan_of_every_player(monkeypatch, family, n,
             live = {v for v, node in phase.nodes.items() if node.live}
             if step_fn.__func__ is MmPhase.point:
                 # the vertices matched since the last point round are stepped anyway: they are told so
-                pending = set().union(*eng._pending.values())
+                pending = set().union(*map(eng.peek_pending, MsgKind))
                 assert set(actors) | pending == live | pending
             else:
                 assert set(actors) == live

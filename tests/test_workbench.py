@@ -427,10 +427,12 @@ def test_message_log_lines_equal_json_dumps(tmp_path):
 
     def step(ctx):
         r = eng.trace.rounds
-        if ctx.side is Side.MAN:
+        # a round carries one kind: from round 10 on, every other round is W11's REJECT
+        if r >= 9 and r % 2:
+            if ctx.side is Side.WOMAN and ctx.index == 11:
+                ctx.send(10, MsgKind.REJECT)
+        elif ctx.side is Side.MAN:
             ctx.send_many([(ctx.index + r + j) % n for j in range(2)], MsgKind.PROPOSE)
-        elif r >= 9 and ctx.index == 11:
-            ctx.send(10, MsgKind.REJECT)
 
     for _ in range(12):
         eng.run_round(step)
