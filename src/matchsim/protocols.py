@@ -64,17 +64,10 @@ class AsmParams:
     """
 
     eps: float
-    n: int
     k: int
     delta: float
     inner_iterations: int
     outer_iterations: int
-
-    def __post_init__(self):
-        if not (0 < self.eps <= 1):
-            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        if self.k < 8 or not (0 < self.delta <= 0.125):
-            raise ValueError("derived parameters out of range (need k >= 8, 0 < delta <= 1/8)")
 
     @classmethod
     def for_instance(cls, eps: float, n: int) -> "AsmParams":
@@ -84,7 +77,7 @@ class AsmParams:
         delta = eps / 8
         inner = math.ceil(2 * k / delta)
         outer = (math.ceil(math.log2(n)) if n > 1 else 0) + 1
-        return cls(eps=eps, n=n, k=k, delta=delta, inner_iterations=inner, outer_iterations=outer)
+        return cls(eps=eps, k=k, delta=delta, inner_iterations=inner, outer_iterations=outer)
 
 
 class ManState:
@@ -140,29 +133,30 @@ class RunResult:
     women: tuple[PlayerFinal, ...]
     params: AsmParams | None
     outer_records: tuple[OuterRecord, ...]
-    mm_failures: int
     violations: tuple[str, ...]
 
 
 class QuantileProtocol:
-    """One run of the proposal machinery in one of three modes.
+    """One run of the proposal machinery, on one engine, in the mode its
+    schedule implies.
 
-    * ``ladder``: the full doubly nested loop; men whose remaining list has
-      at least 2^i entries participate in rung i.
-    * ``flat``: a fixed number of quantile matches with every man eligible
-      throughout; players the subroutine leaves unmatched in an accepted
-      graph are removed from play.
-    * ``serial``: per-player singleton quantiles iterated to quiescence,
-      which reduces the machinery to classical deferred acceptance.
+    * ``params`` None (serial): per-player singleton quantiles iterated to
+      quiescence, which reduces the machinery to classical deferred acceptance.
+    * ``flat_quantile_matches`` set (flat): that many quantile matches with
+      every man eligible throughout; players the subroutine leaves unmatched
+      in an accepted graph are removed from play.
+    * otherwise (ladder): the full doubly nested loop; men whose remaining
+      list has at least 2^i entries participate in rung i.
 
     With ``strict`` set, invariant failures are raised; otherwise they are
-    logged in ``violations``.
+    logged in ``violations``. The schedule's totals (proposal rounds,
+    quantile matches, subroutine calls and failures) are counted in the
+    trace's ``extras``.
     """
 
     def __init__(
         self,
         profile: PreferenceProfile,
-        mode: str,
         mm_spec: MatchingSubroutineSpec,
         params: AsmParams | None = None,
         flat_quantile_matches: int | None = None,
@@ -172,25 +166,17 @@ class QuantileProtocol:
         message_log: list | None = None,
         algorithm_label: str = "",
     ):
-        if mode not in ("ladder", "flat", "serial"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode in ("ladder", "flat") and params is None:
-            raise ValueError("ladder and flat modes need params")
-        if mode == "flat" and flat_quantile_matches is None:
-            raise ValueError("flat mode needs a quantile match count")
-        self.profile = profile
-        self.mode = mode
         self.mm_spec = mm_spec
         self.params = params
         self.flat_quantile_matches = flat_quantile_matches
-        self.seed = seed
-        self.round_cap = round_cap
         self.strict = strict
-        self.message_log = message_log
         self.algorithm_label = algorithm_label
+        self.eng = Engine(Topology.from_profile(profile), seed=seed, round_cap=round_cap, message_log=message_log)
+        self.totals = self.eng.trace.extras
+        self.totals.update(dict.fromkeys(("proposal_rounds", "quantile_matches", "mm_invocations", "mm_failures"), 0))
 
         def quantized(prefs, ranks):  # each list shares the profile's cached rank table
-            return [quantize(lst, max(1, len(lst)) if mode == "serial" else params.k, r) for lst, r in zip(prefs, ranks)]
+            return [quantize(lst, params.k if params else max(1, len(lst)), r) for lst, r in zip(prefs, ranks)]
 
         # men are processors 0..n-1, so a man's index is also his engine id
         self.men = list(map(ManState, quantized(profile.men_prefs, profile._man_rank)))
@@ -214,10 +200,6 @@ class QuantileProtocol:
         self._proposers: list[int] = []
         self._opened: list[int] = []
 
-        self.pr_count = 0
-        self.qm_count = 0
-        self.mm_calls = 0
-        self.mm_failures = 0
         self.outer_records: list[OuterRecord] = []
         self.violations: list[str] = []
 
@@ -387,10 +369,10 @@ class QuantileProtocol:
             return self._unsettled.union(self._opened)
         return [i for i in self._proposers if self.men[i].A]
 
-    def _propose_round(self, eng: Engine, qm_start: bool, outer_index: int | None) -> int:
+    def _propose_round(self, qm_start: bool, outer_index: int | None) -> int:
         actors = self._propose_actors(qm_start, outer_index)
         self._proposers = []
-        sent = eng.run_round(lambda c: self._step_propose(c, qm_start, outer_index), "propose", actors)
+        sent = self.eng.run_round(lambda c: self._step_propose(c, qm_start, outer_index), "propose", actors)
         if qm_start:
             self._opened = self._proposers
         return sent
@@ -403,62 +385,61 @@ class QuantileProtocol:
             )
         self._last_good_count = self.good_count
 
-    def _match_and_reject(self, eng: Engine) -> None:
+    def _match_and_reject(self) -> None:
         """The tail of every proposal round: accept round, subroutine phase, reject round."""
         phase = MmPhase(self.mm_spec, join=self._join_man)
-        accepted = eng.run_round(lambda c: self._step_accept(c, phase), "accept", actors=())
-        if accepted:
-            self.mm_calls += 1
+        accepted = self.eng.run_round(lambda c: self._step_accept(c, phase), "accept", actors=())
+        self.totals["mm_invocations"] += bool(accepted)
         # the greedy takes no rounds on an empty graph; a fixed schedule always does
         if accepted or phase.iterations:
-            phase.run(eng)
-        eng.run_round(lambda c: self._step_reject(c, phase), "reject", actors=phase.nodes)
+            phase.run(self.eng)
+        self.eng.run_round(lambda c: self._step_reject(c, phase), "reject", actors=phase.nodes)
         # the reject round pruned every node, so a live one is a residual the subroutine left
-        if phase.any_live():
-            self.mm_failures += 1
+        self.totals["mm_failures"] += phase.any_live()
 
-    def _proposal_round(self, eng: Engine, qm_start: bool, outer_index: int | None) -> None:
-        self.pr_count += 1
-        self._propose_round(eng, qm_start, outer_index)
+    def _proposal_round(self, qm_start: bool, outer_index: int | None) -> None:
+        self.totals["proposal_rounds"] += 1
+        self._propose_round(qm_start, outer_index)
         if outer_index is not None:
             self._frozen_active = [i for i, st in enumerate(self.men) if st.active]
         if qm_start:
             self._after_qm_boundary()
-        self._match_and_reject(eng)
+        self._match_and_reject()
 
-    def _quantile_match(self, eng: Engine, outer_index: int | None) -> None:
-        self.qm_count += 1
-        skipped = eng.repeat(
+    def _quantile_match(self, outer_index: int | None) -> None:
+        self.totals["quantile_matches"] += 1
+        # the proposal rounds count themselves, so the skipped ones are added after them
+        skipped = self.eng.repeat(
             self.params.k,
             self._pr_shape,
-            lambda r: self._proposal_round(eng, qm_start=(r == 0), outer_index=(outer_index if r == 0 else None)),
+            lambda r: self._proposal_round(qm_start=(r == 0), outer_index=(outer_index if r == 0 else None)),
             lambda r: r > 0 and not self._any_A(),
         )
-        self.pr_count += skipped
+        self.totals["proposal_rounds"] += skipped
 
-    def _quantile_matches(self, eng: Engine, count: int, rung: int | None) -> int:
+    def _quantile_matches(self, count: int, rung: int | None) -> int:
         """Run ``count`` quantile matches, the first opening ``rung`` of the
         ladder (None in flat mode); return how many were skipped."""
         k = self.params.k
-        skipped = eng.repeat(
+        skipped = self.eng.repeat(
             count,
             [(label, k * rounds) for label, rounds in self._pr_shape],
-            lambda j: self._quantile_match(eng, outer_index=(rung if j == 0 else None)),
+            lambda j: self._quantile_match(outer_index=(rung if j == 0 else None)),
             # a rung's first propose round sets the active flags; before it,
             # every man counts
             lambda j: not self._any_assignable(ignore_active=(j == 0 and rung is not None)),
         )
-        self.qm_count += skipped
-        self.pr_count += k * skipped
+        self.totals["quantile_matches"] += skipped
+        self.totals["proposal_rounds"] += k * skipped
         return skipped
 
     # -- bad-man accounting at ladder rung boundaries ----------------------
 
-    def _settled_bad_men(self, eng: Engine, candidates: Iterable[int]) -> int:
+    def _settled_bad_men(self, candidates: Iterable[int]) -> int:
         """Count bad men among candidates as of the settled state, i.e. with
         in-flight rejections applied. Read-only instrumentation."""
         # only men receive REJECT, and a man's engine id is his index
-        pending = eng.peek_pending(MsgKind.REJECT)
+        pending = self.eng.peek_pending(MsgKind.REJECT)
         bad = 0
         for m_idx in candidates:
             st = self.men[m_idx]
@@ -467,8 +448,8 @@ class QuantileProtocol:
                 bad += 1
         return bad
 
-    def _record_outer(self, eng: Engine, index: int, active: list[int]) -> None:
-        bad = self._settled_bad_men(eng, active)
+    def _record_outer(self, index: int, active: list[int]) -> None:
+        bad = self._settled_bad_men(active)
         bound = self.params.delta * len(active)
         passed = bad <= bound + 1e-9
         self.outer_records.append(
@@ -482,27 +463,27 @@ class QuantileProtocol:
     # ------------------------------------------------------------------
     # top-level schedules
 
-    def _run_ladder(self, eng: Engine) -> None:
+    def _run_ladder(self) -> None:
         p = self.params
         for i in range(p.outer_iterations):
-            if self._quantile_matches(eng, p.inner_iterations, i) == p.inner_iterations:
+            if self._quantile_matches(p.inner_iterations, i) == p.inner_iterations:
                 # the whole rung was skipped, so no propose round froze its active men
                 self._frozen_active = [m for m, st in enumerate(self.men) if len(st.quantized) >= (1 << i)]
-            self._record_outer(eng, i, self._frozen_active)
+            self._record_outer(i, self._frozen_active)
 
-    def _run_serial(self, eng: Engine) -> None:
-        while self._propose_round(eng, qm_start=True, outer_index=None):
-            self.pr_count += 1
-            self._match_and_reject(eng)
+    def _run_serial(self) -> None:
+        while self._propose_round(qm_start=True, outer_index=None):
+            self.totals["proposal_rounds"] += 1
+            self._match_and_reject()
 
-    def _flush(self, eng: Engine) -> None:
-        if eng.in_flight:
-            eng.run_round(self._step_flush, "flush", actors=())
+    def _flush(self) -> None:
+        if self.eng.in_flight:
+            self.eng.run_round(self._step_flush, "flush", actors=())
         for idx, st in enumerate(self.men):
             self._close_quantile_match_for(idx, st)
         self._after_qm_boundary()
 
-    def _assemble(self, eng: Engine, partial: bool = False) -> RunResult:
+    def _assemble(self, partial: bool = False) -> RunResult:
         pairs = []
         for w_idx, st in enumerate(self.women):
             if st.p is not None:
@@ -511,46 +492,31 @@ class QuantileProtocol:
                         f"woman {w_idx} holds man {st.p} but he holds {self.men[st.p].p}"
                     )
                 pairs.append((st.p, w_idx))
-        eng.trace.extras.update(
-            {
-                "proposal_rounds": self.pr_count,
-                "quantile_matches": self.qm_count,
-                "mm_invocations": self.mm_calls,
-                "mm_failures": self.mm_failures,
-            }
-        )
         men, women = (tuple(PlayerFinal(st.p, st.quantized.remaining, st.removed) for st in players) for players in (self.men, self.women))
         return RunResult(
             algorithm=self.algorithm_label,
             matching=Matching.of(pairs),
-            trace=eng.trace,
+            trace=self.eng.trace,
             men=men,
             women=women,
             params=self.params,
             outer_records=tuple(self.outer_records),
-            mm_failures=self.mm_failures,
             violations=tuple(self.violations),
         )
 
     def run(self) -> RunResult:
-        eng = Engine(
-            Topology.from_profile(self.profile),
-            seed=self.seed,
-            round_cap=self.round_cap,
-            message_log=self.message_log,
-        )
         try:
-            if self.mode == "ladder":
-                self._run_ladder(eng)
-            elif self.mode == "flat":
-                self._quantile_matches(eng, self.flat_quantile_matches, rung=None)
+            if self.params is None:
+                self._run_serial()
+            elif self.flat_quantile_matches is not None:
+                self._quantile_matches(self.flat_quantile_matches, rung=None)
             else:
-                self._run_serial(eng)
-            self._flush(eng)
+                self._run_ladder()
+            self._flush()
         except RoundCapExceeded as exc:
-            exc.partial = self._assemble(eng, partial=True)
+            exc.partial = self._assemble(partial=True)
             raise
-        return self._assemble(eng)
+        return self._assemble()
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +584,11 @@ class AlgorithmSpec:
         params = ",".join(f"{getattr(self, param):g}" for param in _REQUIRED[self.name])
         return f"{self.name}:{params}" if params else self.name
 
-    def _schedule(self, n: int) -> tuple[str, AsmParams | None, int | None, MatchingSubroutineSpec]:
-        """The mode, ladder parameters, flat quantile-match count and subroutine
-        of a run with n players a side.
+    def _schedule(self, n: int) -> tuple[AsmParams | None, int | None, MatchingSubroutineSpec]:
+        """The ladder parameters, flat quantile-match count and subroutine of
+        a run with n players a side; ``QuantileProtocol`` reads its mode from them.
 
-        * ``gs``: serial mode with the greedy subroutine.
+        * ``gs``: no parameters (serial deferred acceptance) with the greedy subroutine.
         * ``asm``: the degree ladder, greedy subroutine unless overridden.
         * ``randasm``: the ladder with ``rand:s`` sized so that, by a union
           bound over every subroutine call the schedule can make, all of them
@@ -633,19 +599,19 @@ class AlgorithmSpec:
         """
         mm = self.mm or MatchingSubroutineSpec.deterministic()
         if self.name == "gs":
-            return "serial", None, None, mm
+            return None, None, mm
         try:  # a tiny eps can overflow a count or underflow a probability
             params = AsmParams.for_instance(self.eps, n)
             if self.name == "aregasm":
                 flat = math.ceil(8 * self.alpha * params.k / self.eps)
                 eta = self.eps**4 / (64 * self.alpha)
-                return "flat", params, flat, MatchingSubroutineSpec.almost_maximal(eta, self.delta_fail / (flat * params.k))
+                return params, flat, MatchingSubroutineSpec.almost_maximal(eta, self.delta_fail / (flat * params.k))
             if self.name == "randasm" and self.mm is None:
                 total_calls = params.outer_iterations * params.inner_iterations * params.k
                 mm = MatchingSubroutineSpec.randomized(iterations_for_maximal(total_calls * 2 * n, self.delta_fail))
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"cannot build a schedule for {self.describe()} with n={n}: {exc}") from None
-        return "ladder", params, None, mm
+        return params, None, mm
 
 
 def run_algorithm(
@@ -667,7 +633,7 @@ def run_algorithm(
         ratio = men_degree_ratio(profile)
         if ratio > spec.alpha:
             raise NotAlmostRegular(ratio, spec.alpha)
-    mode, params, flat, mm = spec._schedule(profile.n)
+    params, flat, mm = spec._schedule(profile.n)
     label = spec.describe()
     if spec.mm is not None and (spec.name == "randasm" or spec.mm.flavor != "det"):
         label += f"/{spec.mm.describe()}"
@@ -675,7 +641,6 @@ def run_algorithm(
         round_cap = 6 * (profile.n * profile.n + profile.n) + 8
     return QuantileProtocol(
         profile,
-        mode=mode,
         mm_spec=mm,
         params=params,
         flat_quantile_matches=flat,

@@ -467,7 +467,7 @@ def _finished_run(profile, matching, men, eps, outer_records=()):
         algorithm="test", matching=matching, trace=RoundTrace(), men=tuple(men),
         women=tuple(PlayerFinal(None, frozenset(), False) for _ in range(n)),
         params=None if eps is None else AsmParams.for_instance(eps, n),
-        outer_records=tuple(outer_records), mm_failures=0, violations=(),
+        outer_records=tuple(outer_records), violations=(),
     )
 
 
