@@ -146,23 +146,22 @@ class ProcessorContext:
     """Engine-facing view of one processor during a round.
 
     ``id`` is the processor number, ``side`` and ``index`` the player it
-    runs, and ``neighbors`` its preference list: partner indices on the
-    other side, best first. ``inbox`` holds the senders' indices of the
-    messages delivered this round, in ascending order, one entry per message;
-    all are of the round's one kind, which :meth:`take` checks. With no mail
-    it is an empty tuple, so no step can fill a list that others share.
-    A step sends via :meth:`send` or :meth:`send_many`, addressing partners
-    by index. ``rng`` is the processor's :class:`RandomStream`.
+    runs; its neighbours are the partners on the player's preference list.
+    ``inbox`` holds the senders' indices of the messages delivered this
+    round, in ascending order, one entry per message; all are of the round's
+    one kind, which :meth:`take` checks. With no mail it is an empty tuple,
+    so no step can fill a list that others share. A step sends via
+    :meth:`send` or :meth:`send_many`, addressing partners by their index on
+    the other side. ``rng`` is the processor's :class:`RandomStream`.
     """
 
-    __slots__ = ("id", "side", "index", "neighbors", "inbox", "rng", "_ranks", "_peer_base", "_engine")
+    __slots__ = ("id", "side", "index", "inbox", "rng", "_ranks", "_peer_base", "_engine")
 
     def __init__(self, side: Side, index: int, n: int, profile: PreferenceProfile, engine: "Engine", seed: int):
         self.side = side
         self.index = index
         self.id = side * n + index
         self._peer_base = 0 if side else n  # the id of the partner with index 0
-        self.neighbors = (profile.men_prefs, profile.women_prefs)[side][index]
         self._ranks = (profile._man_rank, profile._woman_rank)[side][index]
         self.inbox: Sequence[int] = ()
         # a proxy, not a reference: no cycle keeps a finished engine alive until the next gc pass
@@ -328,8 +327,6 @@ class Engine:
         observe an empty inbox, and the caller asserts none would send.
         Counters advance exactly as if the rounds had been executed.
         """
-        if count <= 0:
-            return
         if self._pending:
             raise InconsistentState("cannot skip rounds while messages are in flight")
         self._check_cap(count)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
 from .errors import InconsistentState, InvalidMatching
-from .model import Matching, PlayerId, PreferenceProfile, Side, man, woman
+from .model import Matching, PlayerId, PreferenceProfile, Side, describe_descriptor, man, parse_descriptor, woman
 
 # the expected factor by which one randomized iteration shrinks the residual
 DEFAULT_SHRINK_C = 0.95
@@ -69,8 +69,10 @@ class MatchingSubroutineSpec:
     eta: float | None = None  # amm: tolerated unmatched vertex fraction
     delta: float | None = None  # amm: failure probability
 
+    _GRAMMAR = {"det": (), "rand": (("iterations", int),), "amm": (("eta", float), ("delta", float))}
+
     def __post_init__(self):
-        if self.flavor not in ("det", "rand", "amm"):
+        if self.flavor not in self._GRAMMAR:
             raise ValueError(f"unknown subroutine flavor {self.flavor!r}")
         if self.flavor == "rand":
             if self.iterations is None or self.iterations < 1:
@@ -86,29 +88,10 @@ class MatchingSubroutineSpec:
                 raise ValueError(f"amm flavor cannot size its schedule: {exc}") from None
 
     @classmethod
-    def deterministic(cls) -> "MatchingSubroutineSpec":
-        return cls(flavor="det")
-
-    @classmethod
-    def randomized(cls, iterations: int) -> "MatchingSubroutineSpec":
-        return cls(flavor="rand", iterations=iterations)
-
-    @classmethod
-    def almost_maximal(cls, eta: float, delta: float) -> "MatchingSubroutineSpec":
-        return cls(flavor="amm", eta=eta, delta=delta)
-
-    @classmethod
     def parse(cls, text: str) -> "MatchingSubroutineSpec":
         """Parse descriptor strings: ``det``, ``rand:S``, ``amm:ETA,DELTA``."""
-        head, _, rest = text.partition(":")
-        if text == "det":
-            return cls.deterministic()
-        if head == "rand":
-            return cls.randomized(int(rest))
-        if head == "amm":
-            eta_s, _, delta_s = rest.partition(",")
-            return cls.almost_maximal(float(eta_s), float(delta_s))
-        raise ValueError(f"unknown subroutine descriptor {text!r}")
+        flavor, fields = parse_descriptor(text, cls._GRAMMAR, "subroutine")
+        return cls(flavor, **fields)
 
     def fixed_iterations(self) -> int | None:
         """Iteration count of the fixed schedule, or None for the adaptive greedy."""
@@ -119,11 +102,7 @@ class MatchingSubroutineSpec:
         return None
 
     def describe(self) -> str:
-        if self.flavor == "det":
-            return "det"
-        if self.flavor == "rand":
-            return f"rand:{self.iterations}"
-        return f"amm:{self.eta:g},{self.delta:g}"
+        return describe_descriptor(self.flavor, self._GRAMMAR, self)
 
 
 class MmNode:
@@ -205,15 +184,15 @@ class MmPhase:
         engine.repeat(self.iterations, (("mm", 4),), iteration, lambda _: not self.any_live())
         return self.iterations
 
-    def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode | None, list[int]]:
+    def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode, list[int]]:
         """This vertex's node and the senders in its inbox, all of which must be of
-        ``kind``; a pointer must come from the residual neighborhood."""
+        ``kind``; a vertex without a node is never stepped, and a pointer must come
+        from the residual neighborhood."""
         senders = ctx.take(kind)
         node = self.nodes.get(ctx.id)
         if node is None:
-            if senders:
-                raise InconsistentState(f"{ctx.self_id} got {kind.name} outside the subroutine")
-        elif kind is MsgKind.MM_POINT:
+            raise InconsistentState(f"{ctx.self_id} was stepped for {kind.name} outside the subroutine")
+        if kind is MsgKind.MM_POINT:
             for p in senders:
                 if p not in node.residual:
                     raise InconsistentState(f"pointer from {p} outside residual neighborhood")
@@ -222,15 +201,10 @@ class MmPhase:
     def point(self, ctx: ProcessorContext) -> None:
         if self.join is not None and ctx.id not in self.nodes:
             # a vertex outside the phase joins with the ACCEPTs it gets (all in the first round)
-            accepts = ctx.take(MsgKind.ACCEPT)
-            if not accepts:
-                return
-            node = self.nodes[ctx.id] = self.join(ctx, accepts)
+            node = self.nodes[ctx.id] = self.join(ctx, ctx.take(MsgKind.ACCEPT))
             announcers = ()
         else:
             node, announcers = self.receive(ctx, MsgKind.MM_MATCHED)
-            if node is None:
-                return
         node.residual.difference_update(announcers)
         node.pointing = node.kept_in = node.chosen = None
         if node.live:
@@ -246,8 +220,6 @@ class MmPhase:
 
     def choose(self, ctx: ProcessorContext) -> None:
         node, keepers = self.receive(ctx, MsgKind.MM_KEEP)
-        if node is None:
-            return
         for kp in keepers:
             if kp != node.pointing:
                 raise InconsistentState(f"keep message from {kp}, but this vertex pointed at {node.pointing}")
@@ -263,8 +235,6 @@ class MmPhase:
         the greedy, its chosen edge in the randomized flavors."""
         greedy = self.iterations is None
         node, senders = self.receive(ctx, MsgKind.MM_POINT if greedy else MsgKind.MM_CHOOSE)
-        if node is None:
-            return
         offered = node.pointing if greedy else node.chosen
         if offered is not None and offered in senders:
             node.matched = offered

@@ -224,6 +224,30 @@ def as_index(value) -> int:
     raise TypeError(f"expected an integer, got {json.dumps(value, default=repr)}")
 
 
+# a descriptor grammar maps each head to its (field, type) arguments, in order
+Grammar = Mapping[str, Sequence[tuple[str, type]]]
+
+
+def parse_descriptor(text: str, grammar: Grammar, what: str) -> tuple[str, dict]:
+    """Split a ``head[:a,b,...]`` descriptor into its head and its typed fields by
+    name; anything ``grammar`` does not read is a ValueError naming ``what``."""
+    head, colon, rest = text.partition(":")
+    args = rest.split(",") if colon else []
+    fields = grammar.get(head)
+    try:
+        if fields is not None and len(args) == len(fields):
+            return head, {name: kind(arg) for (name, kind), arg in zip(fields, args)}
+    except ValueError:
+        pass
+    raise ValueError(f"cannot parse {what} descriptor {text!r}")
+
+
+def describe_descriptor(head: str, grammar: Grammar, spec) -> str:
+    """The descriptor of ``spec``'s ``head`` fields: floats with ``:g``, ints in full."""
+    args = ",".join(format(getattr(spec, name), "g" if kind is float else "") for name, kind in grammar[head])
+    return f"{head}:{args}" if args else head
+
+
 @dataclass(frozen=True)
 class Matching:
     """A set of (man index, woman index) pairs, at most one per player."""

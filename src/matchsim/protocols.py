@@ -50,7 +50,7 @@ from .errors import (
     RoundCapExceeded,
 )
 from .maximal import MatchingSubroutineSpec, MmNode, MmPhase, iterations_for_maximal
-from .model import Matching, PreferenceProfile, QuantizedPrefs, Side, quantize
+from .model import Matching, PreferenceProfile, QuantizedPrefs, Side, describe_descriptor, parse_descriptor, quantize
 
 
 @dataclass(frozen=True)
@@ -309,9 +309,8 @@ class QuantileProtocol:
     def _step_reject(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         st = self.men[ctx.index] if ctx.side is Side.MAN else self.women[ctx.index]
         node, announcers = phase.receive(ctx, MsgKind.MM_MATCHED)
-        if node is not None:
-            node.residual.difference_update(announcers)
-        partner, residual_here = (None, False) if node is None else (node.matched, node.live)
+        node.residual.difference_update(announcers)
+        partner, residual_here = node.matched, node.live
         # only players with no partner at all leave the game; a matched woman
         # the subroutine failed to upgrade simply keeps her current partner
         removed_now = residual_here and self.mm_spec.flavor == "amm" and st.p is None
@@ -529,10 +528,6 @@ def men_degree_ratio(profile: PreferenceProfile) -> float:
     return math.inf if min(degs) == 0 else max(degs) / min(degs)
 
 
-# the parameters each descriptor must carry, in field order
-_REQUIRED = {"gs": (), "asm": ("eps",), "randasm": ("eps", "delta_fail"), "aregasm": ("eps", "delta_fail", "alpha")}
-
-
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Parsed form of CLI algorithm descriptors.
@@ -549,10 +544,14 @@ class AlgorithmSpec:
     alpha: float | None = None
     mm: MatchingSubroutineSpec | None = None
 
+    # the parameters each descriptor must carry, in field order
+    _GRAMMAR = {"gs": (), "asm": (("eps", float),), "randasm": (("eps", float), ("delta_fail", float)),
+                "aregasm": (("eps", float), ("delta_fail", float), ("alpha", float))}
+
     def __post_init__(self):
-        if self.name not in _REQUIRED:
+        if self.name not in self._GRAMMAR:
             raise ValueError(f"unknown algorithm {self.name!r}")
-        missing = [param for param in _REQUIRED[self.name] if getattr(self, param) is None]
+        missing = [param for param, _ in self._GRAMMAR[self.name] if getattr(self, param) is None]
         if missing:
             raise ValueError(f"{self.name} needs {', '.join(missing)}")
         if self.eps is not None and not (0 < self.eps <= 1):
@@ -574,15 +573,11 @@ class AlgorithmSpec:
 
     @classmethod
     def parse(cls, text: str, mm: MatchingSubroutineSpec | None = None) -> "AlgorithmSpec":
-        head, colon, rest = text.partition(":")
-        args = rest.split(",") if colon else []
-        if head not in _REQUIRED or len(args) != len(_REQUIRED[head]):
-            raise ValueError(f"cannot parse algorithm descriptor {text!r}")
-        return cls(head, *map(float, args), mm=mm)
+        name, fields = parse_descriptor(text, cls._GRAMMAR, "algorithm")
+        return cls(name, **fields, mm=mm)
 
     def describe(self) -> str:
-        params = ",".join(f"{getattr(self, param):g}" for param in _REQUIRED[self.name])
-        return f"{self.name}:{params}" if params else self.name
+        return describe_descriptor(self.name, self._GRAMMAR, self)
 
     def _schedule(self, n: int) -> tuple[AsmParams | None, int | None, MatchingSubroutineSpec]:
         """The ladder parameters, flat quantile-match count and subroutine of
@@ -597,7 +592,7 @@ class AlgorithmSpec:
           almost-maximal subroutine, whose stragglers leave the game
           immediately.
         """
-        mm = self.mm or MatchingSubroutineSpec.deterministic()
+        mm = self.mm or MatchingSubroutineSpec("det")
         if self.name == "gs":
             return None, None, mm
         try:  # a tiny eps can overflow a count or underflow a probability
@@ -605,10 +600,10 @@ class AlgorithmSpec:
             if self.name == "aregasm":
                 flat = math.ceil(8 * self.alpha * params.k / self.eps)
                 eta = self.eps**4 / (64 * self.alpha)
-                return params, flat, MatchingSubroutineSpec.almost_maximal(eta, self.delta_fail / (flat * params.k))
+                return params, flat, MatchingSubroutineSpec("amm", eta=eta, delta=self.delta_fail / (flat * params.k))
             if self.name == "randasm" and self.mm is None:
                 total_calls = params.outer_iterations * params.inner_iterations * params.k
-                mm = MatchingSubroutineSpec.randomized(iterations_for_maximal(total_calls * 2 * n, self.delta_fail))
+                mm = MatchingSubroutineSpec("rand", iterations_for_maximal(total_calls * 2 * n, self.delta_fail))
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"cannot build a schedule for {self.describe()} with n={n}: {exc}") from None
         return params, None, mm

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .analysis import VerificationReport, verify_run
 from .engine import log_ndjson
 from .errors import DegenerateInstance, InvalidMatching, InvalidProfile, MatchsimError, RoundCapExceeded
-from .model import Matching, PreferenceProfile, as_index
+from .model import Matching, PreferenceProfile, as_index, describe_descriptor, parse_descriptor
 from .protocols import AlgorithmSpec, RunResult, run_algorithm
 
 _REPAIR_PASSES = 30
@@ -44,12 +44,15 @@ class GeneratorSpec:
     alpha: float | None = None
     base_degree: int | None = None
 
+    _GRAMMAR = {"complete": (), "random": (("p", float),), "bounded": (("d", int),),
+                "aregular": (("alpha", float), ("base_degree", int))}
+
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.family == "complete":
-            pass
-        elif self.family == "random":
+        if self.family not in self._GRAMMAR:
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "random":
             if self.p is None or not (0 < self.p <= 1):
                 raise ValueError("random family needs edge probability p in (0, 1]")
         elif self.family == "bounded":
@@ -61,31 +64,14 @@ class GeneratorSpec:
             # the degree cap is int(alpha * base degree), so it must be finite
             if self.alpha is None or not (1 <= self.alpha and math.isfinite(self.alpha * self.base_degree)):
                 raise ValueError("aregular family needs alpha >= 1 with a finite alpha * base degree")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
 
     @classmethod
     def parse(cls, text: str, n: int, seed: int) -> "GeneratorSpec":
-        head, _, rest = text.partition(":")
-        if text == "complete":
-            return cls(family="complete", n=n, seed=seed)
-        if head == "random":
-            return cls(family="random", n=n, seed=seed, p=float(rest))
-        if head == "bounded":
-            return cls(family="bounded", n=n, seed=seed, d=int(rest))
-        if head == "aregular":
-            alpha_s, _, base_s = rest.partition(",")
-            return cls(family="aregular", n=n, seed=seed, alpha=float(alpha_s), base_degree=int(base_s))
-        raise ValueError(f"unknown family descriptor {text!r}")
+        family, fields = parse_descriptor(text, cls._GRAMMAR, "family")
+        return cls(family, n, seed, **fields)
 
     def describe(self) -> str:
-        if self.family == "complete":
-            return "complete"
-        if self.family == "random":
-            return f"random:{self.p:g}"
-        if self.family == "bounded":
-            return f"bounded:{self.d}"
-        return f"aregular:{self.alpha:g},{self.base_degree}"
+        return describe_descriptor(self.family, self._GRAMMAR, self)
 
 
 def _shuffle(x: list, getrandbits) -> None:

@@ -258,7 +258,7 @@ def test_criterion_08_single_round_shrinkage():
         g = _er_bipartite(40, 0.15, rng)
         if len(g) < 64:
             continue
-        res = maximal_matching(g, MatchingSubroutineSpec.randomized(1), seed=len(ratios))
+        res = maximal_matching(g, MatchingSubroutineSpec("rand", 1), seed=len(ratios))
         ratios.append(len(res.residual_vertices) / len(g))
     mean = sum(ratios) / len(ratios)
     report(
@@ -276,7 +276,7 @@ def test_criterion_09_iterated_rounds_reach_maximality():
     trials = 500
     for seed in range(trials):
         g = _er_bipartite(64, 0.2, rng)
-        res = maximal_matching(g, MatchingSubroutineSpec.randomized(s), seed=seed)
+        res = maximal_matching(g, MatchingSubroutineSpec("rand", s), seed=seed)
         if not res.maximal:
             fails += 1
     ok = rate_within_claim(fails, trials, 0.05)

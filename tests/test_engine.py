@@ -245,7 +245,7 @@ def test_information_travels_one_hop_per_round():
         if ctx.take(MsgKind.MM_POINT):
             heard.add(ctx.id)
         if ctx.id in heard:
-            ctx.send_many(ctx.neighbors, MsgKind.MM_POINT)
+            ctx.send_many((prof.men_prefs, prof.women_prefs)[ctx.side][ctx.index], MsgKind.MM_POINT)
 
     # the edge set forms the path W0-M0-W1-M1-...-W5-M5
     def dist(a, b):

@@ -27,8 +27,8 @@ from matchsim import (
     woman,
 )
 
-DET = MatchingSubroutineSpec.deterministic()
-ONE_ROUND = MatchingSubroutineSpec.randomized(1)  # one randomized matching iteration
+DET = MatchingSubroutineSpec("det")
+ONE_ROUND = MatchingSubroutineSpec("rand", 1)  # one randomized matching iteration
 
 
 def bipartite(edges):
@@ -95,7 +95,7 @@ def test_randomized_runs_to_maximality_with_enough_iterations():
         if not g:
             continue
         s = iterations_for_maximal(len(g), eta=0.01)
-        res = maximal_matching(g, MatchingSubroutineSpec.randomized(s), seed=trial)
+        res = maximal_matching(g, MatchingSubroutineSpec("rand", s), seed=trial)
         assert res.maximal
         rep = check_maximal(g, res.matching)
         assert rep.maximal and not rep.violators
@@ -107,7 +107,7 @@ def test_randomized_result_is_always_a_valid_matching():
         g = random_bipartite(10, 0.25, rng)
         if not g:
             continue
-        res = maximal_matching(g, MatchingSubroutineSpec.randomized(2), seed=trial)
+        res = maximal_matching(g, MatchingSubroutineSpec("rand", 2), seed=trial)
         for m_idx, w_idx in res.matching.pairs:
             assert woman(w_idx) in g[man(m_idx)]
         # violators are exactly the unmatched vertices with unmatched neighbors
@@ -136,7 +136,7 @@ def test_iterated_rounds_failure_rate_within_budget():
     trials = 500
     for seed in range(trials):
         g = random_bipartite(128, 0.08, rng)
-        res = maximal_matching(g, MatchingSubroutineSpec.randomized(s), seed=seed)
+        res = maximal_matching(g, MatchingSubroutineSpec("rand", s), seed=seed)
         if not res.maximal:
             fails += 1
     assert rate_within_claim(fails, trials, 0.01), fails
@@ -144,13 +144,13 @@ def test_iterated_rounds_failure_rate_within_budget():
 
 def test_almost_maximal_eta_one_single_iteration():
     g = bipartite([(m, w) for m in range(4) for w in range(4)])
-    res = maximal_matching(g, MatchingSubroutineSpec.almost_maximal(1.0, 0.99), seed=0)
+    res = maximal_matching(g, MatchingSubroutineSpec("amm", eta=1.0, delta=0.99), seed=0)
     assert res.iterations == 1
     assert len(res.matching) >= 1
 
 
 def test_almost_maximal_empty_graph():
-    res = maximal_matching({}, MatchingSubroutineSpec.almost_maximal(0.5, 0.1), seed=0)
+    res = maximal_matching({}, MatchingSubroutineSpec("amm", eta=0.5, delta=0.1), seed=0)
     assert len(res.matching) == 0
     assert not res.residual_vertices
 
@@ -162,7 +162,7 @@ def test_almost_maximal_k44_leaves_few_residuals():
     over_budget = 0
     trials = 500
     for seed in range(trials):
-        res = maximal_matching(g, MatchingSubroutineSpec.almost_maximal(0.25, 0.1), seed=seed)
+        res = maximal_matching(g, MatchingSubroutineSpec("amm", eta=0.25, delta=0.1), seed=seed)
         if len(res.residual_vertices) > 0.25 * 8:
             over_budget += 1
     assert rate_within_claim(over_budget, trials, 0.1), over_budget
@@ -226,9 +226,9 @@ def test_subroutine_spec_parsing():
         with pytest.raises(ValueError):
             MatchingSubroutineSpec.parse(text)
     with pytest.raises(ValueError):
-        MatchingSubroutineSpec.randomized(0)
+        MatchingSubroutineSpec("rand", 0)
     with pytest.raises(ValueError):
-        MatchingSubroutineSpec.almost_maximal(0.0, 0.5)
+        MatchingSubroutineSpec("amm", eta=0.0, delta=0.5)
 
 
 def test_matching_round_determinism():
@@ -285,7 +285,7 @@ def test_maximality_agrees_with_networkx(case):
     assert check_maximal(adj, greedy).maximal
 
     for s in (1, 3):
-        res = maximal_matching(adj, MatchingSubroutineSpec.randomized(s), seed=seed)
+        res = maximal_matching(adj, MatchingSubroutineSpec("rand", s), seed=seed)
         assert nx.is_matching(g, _nx_matching(res.matching))
         assert res.maximal == nx.is_maximal_matching(g, _nx_matching(res.matching))
         assert check_maximal(adj, res.matching).maximal == res.maximal
@@ -304,7 +304,7 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Engine, "fast_forward", fast)
             mp.setattr(Engine, "run_round", lambda eng, *args: stepped.append(args[1]) or run_round(eng, *args))
-            res = maximal_matching(adj, MatchingSubroutineSpec.randomized(s), seed=seed)
+            res = maximal_matching(adj, MatchingSubroutineSpec("rand", s), seed=seed)
         if not fast:
             assert len(stepped) == res.trace.rounds  # no round was skipped
         return res.matching, res.residual_vertices, res.iterations, res.trace.as_dict()
@@ -371,6 +371,10 @@ def test_subroutine_message_to_a_vertex_outside_the_phase_is_inconsistent(kind, 
     engine.run_round(_sending(2, 1, kind))
     with pytest.raises(InconsistentState, match=f"M1.*{kind.name}"):
         engine.run_round(getattr(phase, step))
+    # a vertex without a node is never stepped, with mail or without
+    engine, phase = _phase_on_path(ONE_ROUND, {0: [0], 2: [0]})
+    with pytest.raises(InconsistentState, match=f"M1 was stepped for {kind.name} outside the subroutine"):
+        engine.run_round(getattr(phase, step), actors=[1])
 
 
 @pytest.mark.parametrize("receiver", [0, 1], ids=["inside", "outside"])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchsim import (
+    AlgorithmSpec,
     GeneratorSpec,
     InvalidMatching,
     InvalidProfile,
     Matching,
+    MatchingSubroutineSpec,
     PreferenceProfile,
     Side,
     generate,
@@ -381,3 +384,55 @@ def test_player_id_ordering_and_repr():
     assert repr(man(3)) == "M3"
     assert repr(woman(2)) == "W2"
     assert man(1).side is Side.MAN
+
+
+def _decimal(lo, hi, ok=lambda x: True):
+    """Floats in [lo, hi] with at most 6 significant digits, so that ``:g`` prints them exactly."""
+    return st.floats(lo, hi).map(lambda x: float(f"{x:.6g}")).filter(lambda x: lo <= x <= hi and ok(x))
+
+
+_UNIT, _OPEN_UNIT = _decimal(1e-9, 1), _decimal(1e-9, 1, lambda x: x < 1)
+# in-range arguments for every head of the three grammars; a generator's n is drawn
+# at least 10**6, so every base degree here is in range
+_ARGUMENTS = {
+    "complete": {},
+    "random": {"p": _UNIT},
+    "bounded": {"d": st.integers(1, 10**9)},
+    "aregular": {"alpha": _decimal(1, 1e6), "base_degree": st.integers(1, 10**6)},
+    "det": {},
+    "rand": {"iterations": st.integers(1, 10**9)},
+    "amm": {"eta": _UNIT, "delta": _OPEN_UNIT},
+    "gs": {},
+    "asm": {"eps": _decimal(1e-3, 1)},
+    "randasm": {"eps": _decimal(1e-3, 1), "delta_fail": _OPEN_UNIT},
+    "aregasm": {"eps": _decimal(1e-3, 1), "delta_fail": _OPEN_UNIT, "alpha": _decimal(1, 1e3)},
+}
+_KINDS = {GeneratorSpec: "family", MatchingSubroutineSpec: "subroutine", AlgorithmSpec: "algorithm"}
+
+
+@pytest.mark.parametrize(
+    "cls, head", [(cls, head) for cls in _KINDS for head in cls._GRAMMAR], ids=lambda x: getattr(x, "__name__", x)
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_descriptor_reads_back_as_its_spec_and_malformed_text_does_not(cls, head, data):
+    grammar = cls._GRAMMAR[head]
+    assert set(_ARGUMENTS[head]) == {name for name, _ in grammar}
+    fields = data.draw(st.fixed_dictionaries(_ARGUMENTS[head]))
+    # a generator spec also carries an n and a seed, which parse takes beside the text
+    where = {}
+    if cls is GeneratorSpec:
+        where = {"n": data.draw(st.integers(10**6, 10**9)), "seed": data.draw(st.integers(0, 2**64))}
+    spec = cls(head, **where, **fields)
+    text = spec.describe()
+    assert cls.parse(text, **where) == spec
+    malformed = [
+        "nope" + text,  # an unknown head
+        text + ("," if grammar else ":") + "1",  # one argument too many
+        head + ":",  # a bare trailing colon
+    ]
+    if grammar:
+        malformed.append(text.rpartition(",")[0] or head)  # one argument too few
+    for bad in malformed:
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse {_KINDS[cls]} descriptor {bad!r}")):
+            cls.parse(bad, **where)

@@ -299,7 +299,7 @@ def test_run_algorithm_dispatch():
 
 def test_asm_with_randomized_subroutine_override():
     prof = generate(GeneratorSpec.parse("complete", n=12, seed=9))
-    spec = MatchingSubroutineSpec.randomized(60)
+    spec = MatchingSubroutineSpec("rand", 60)
     res = run_algorithm(prof, AlgorithmSpec("asm", 0.5, mm=spec), seed=5)
     rep = verify_run(prof, res)
     assert rep.bounds["thm41"].passed
@@ -339,7 +339,7 @@ def test_fast_forward_equals_stepping_every_round(monkeypatch):
         assert (sum(skipped) > 0) == fast
         return result, log
 
-    for mm in (MatchingSubroutineSpec.deterministic(), MatchingSubroutineSpec.randomized(3)):
+    for mm in (MatchingSubroutineSpec("det"), MatchingSubroutineSpec("rand", 3)):
         fast, fast_log = run(mm, True)
         slow, slow_log = run(mm, False)
         assert fast.matching.pairs == slow.matching.pairs
@@ -498,7 +498,7 @@ def test_weak_almost_maximal_subroutine_keeps_partners():
     # hot; matched women must never be pulled out of play
     from matchsim.protocols import QuantileProtocol
 
-    spec = MatchingSubroutineSpec.almost_maximal(1.0, 0.96)
+    spec = MatchingSubroutineSpec("amm", eta=1.0, delta=0.96)
     assert spec.fixed_iterations() == 1
     failures = 0
     removals = 0
@@ -536,7 +536,7 @@ def _after_one_proposal_round():
     from matchsim.protocols import QuantileProtocol
 
     prof = generate(GeneratorSpec.parse("complete", n=8, seed=1))
-    proto = QuantileProtocol(prof, MatchingSubroutineSpec.deterministic(), params=AsmParams.for_instance(1.0, prof.n))
+    proto = QuantileProtocol(prof, MatchingSubroutineSpec("det"), params=AsmParams.for_instance(1.0, prof.n))
     proto._proposal_round(qm_start=True, outer_index=0)
     return proto, proto.eng.peek_pending(MsgKind.REJECT)
 

@@ -695,7 +695,7 @@ def test_cli_subroutine_override(tmp_path):
 
 @pytest.mark.parametrize("alg", ["gs", "aregasm:0.5,0.1,2"])
 def test_algorithm_spec_rejects_subroutine_override_for_gs_and_aregasm(alg):
-    rand = MatchingSubroutineSpec.randomized(3)
+    rand = MatchingSubroutineSpec("rand", 3)
     with pytest.raises(ValueError, match="asm and randasm only"):
         AlgorithmSpec.parse(alg, mm=rand)
     for name in ("asm:0.5", "randasm:0.5,0.1"):
