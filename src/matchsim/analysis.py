@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Sequence
 
-from .model import Matching, PreferenceProfile
+from .model import BoundCheck, Matching, PreferenceProfile
 from .protocols import PlayerFinal, RunResult
 
 # Claim identifiers, used as keys in reports and as CSV column stems.
@@ -112,18 +112,6 @@ def gale_shapley_oracle(profile: PreferenceProfile) -> Matching:
                 break
         # list exhausted: m stays unmatched
     return Matching.of((m, w) for w, m in holds.items())
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    bound: float
-    observed: float
-    passed: bool
-
-    @classmethod
-    def of(cls, bound: float, observed: float) -> "BoundCheck":
-        """The check of an observed count against its bound, up to float rounding."""
-        return cls(bound=bound, observed=observed, passed=observed <= bound + 1e-9)
 
 
 @dataclass

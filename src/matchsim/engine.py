@@ -183,8 +183,20 @@ class ProcessorContext:
             raise InconsistentState(f"{self.self_id} received {got.name} where only {kind.name} is expected")
         return inbox or []
 
+    def _is_neighbor(self, to: int) -> bool:
+        # on the list: a nonzero rank; a negative index is refused first, since a
+        # list rank row would read it from its end
+        try:
+            return to >= 0 and self._ranks[to] != 0
+        except LookupError:
+            return False
+
     def send(self, to: int, kind: MsgKind) -> None:
-        if to not in self._ranks:
+        try:
+            known = to >= 0 and self._ranks[to]
+        except LookupError:
+            known = False
+        if not known:
             raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {self.peer(to)}")
         self._engine._stage(self, (to,), kind)
 
@@ -192,9 +204,12 @@ class ProcessorContext:
         """Send ``kind`` to each target, in order; same as one ``send`` per target."""
         if not targets:
             return
-        ranks = self._ranks
-        if not all(map(ranks.__contains__, targets)):
-            to = next(t for t in targets if t not in ranks)
+        try:
+            known = min(targets) >= 0 and all(map(self._ranks.__getitem__, targets))
+        except LookupError:
+            known = False
+        if not known:
+            to = next(t for t in targets if not self._is_neighbor(t))
             raise NonNeighborSend(f"{self.self_id} tried to send {kind.name} to non-neighbor {self.peer(to)}")
         self._engine._stage(self, targets, kind)
 
@@ -282,9 +297,6 @@ class Engine:
             step_fn(ctx)
             ctx.inbox = ()
         staged, self._staged = self._staged, None
-        if pending:
-            # processors outside the actor set would have dropped messages
-            raise InconsistentState(f"undelivered messages for unstepped processor {next(iter(pending))}")
         sent = sum(map(len, staged.values()))
         self._pending, self._pending_kind, self._staged_kind = staged, self._staged_kind, None
         self.trace.messages_sent += sent

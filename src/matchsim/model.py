@@ -112,11 +112,26 @@ class PreferenceProfile:
             women_prefs=tuple(tuple(lst) for lst in women_prefs),
         )
 
-    def _rank_table(self, prefs: tuple[tuple[int, ...], ...]) -> tuple[dict[int, int], ...]:
-        # every value is an int of one tuple per profile, so a rank above 256 is one
-        # object shared by all lists of both sides rather than one object per entry
-        ranks = self.__dict__.setdefault("_ranks", tuple(range(1, self.n + 1)))
-        return tuple(dict(zip(lst, ranks)) for lst in prefs)
+    def _rank_table(self, prefs: tuple[tuple[int, ...], ...]) -> tuple[list[int] | dict[int, int], ...]:
+        """One rank row per list: ``row[p]`` is partner p's 1-based rank, and any other
+        index from 0 up reads 0 or raises LookupError."""
+        # A list with at least n / 4 partners gets a list of n ints, 0 off the list, which
+        # is then no larger than a {partner: rank} dict; a shorter one gets the dict. A
+        # list row reads a negative index from its end, so a reader that can meet one
+        # checks it first. Every rank is an int of one tuple per profile, so a rank above
+        # 256 is one object shared by all rows of both sides rather than one per entry.
+        n = self.n
+        ranks = self.__dict__.setdefault("_ranks", tuple(range(1, n + 1)))
+
+        def row(lst: tuple[int, ...]) -> list[int] | dict[int, int]:
+            if 4 * len(lst) < n:
+                return dict(zip(lst, ranks))
+            flat = [0] * n
+            for rank, p in zip(ranks, lst):
+                flat[p] = rank
+            return flat
+
+        return tuple(map(row, prefs))
 
     _man_rank = cached_property(lambda self: self._rank_table(self.men_prefs))
     _woman_rank = cached_property(lambda self: self._rank_table(self.women_prefs))
@@ -138,22 +153,22 @@ class QuantizedPrefs:
     bucket sizes within one of ``deg / k`` and leaves some empty when ``deg < k``. Bucket i
     is the rank slice ``order[(i - 1) * deg // k : i * deg // k]``, so no bucket is stored:
     a flag byte ``live[r]`` is 1 while the partner of rank r remains (``live[0]`` is a 0 pad
-    that ``rank_of.get(p, 0)`` reads for a stranger), with their ``count`` and cursors at the
-    first and last remaining positions. Slices are read with ``compress`` over the flags,
-    and a cursor whose flag is cleared moves with ``find``/``rfind``. The structure is
-    removal-only; ``rank_of`` (the profile's cached rank table for this list, only read)
-    and ``quantile`` describe the original list.
+    that a stranger reads: its ``rank_of[p]`` is 0 or raises LookupError), with their
+    ``count`` and cursors at the first and last remaining positions. Slices are read with
+    ``compress`` over the flags; a cursor whose flag is cleared moves with ``find``/``rfind``.
+    The structure is removal-only; ``rank_of`` (the profile's cached rank row for this list,
+    only read) and ``quantile`` describe the original list.
     """
 
     __slots__ = ("k", "deg", "order", "rank_of", "live", "count", "_first", "_last")
 
-    def __init__(self, ordered_partners: Sequence[int], k: int, rank_of: Mapping[int, int]):
+    def __init__(self, ordered_partners: Sequence[int], k: int, rank_of: Sequence[int] | Mapping[int, int]):
         if k < 1:
             raise ValueError(f"quantile count must be >= 1, got {k}")
         self.k = k
         self.order: tuple[int, ...] = tuple(ordered_partners)
         self.deg = self.count = deg = len(self.order)
-        self.rank_of: Mapping[int, int] = rank_of
+        self.rank_of = rank_of
         self.live = bytearray(b"\0" + b"\1" * deg)
         # the cursors only move inward, O(deg) over a whole run; once count is 0 they
         # stay where they were, and every flag they bound reads 0
@@ -185,8 +200,13 @@ class QuantizedPrefs:
         """Drop distinct remaining partners. On a KeyError the flags cleared so far
         are set again, so nothing is removed."""
         live, rank_of = self.live, self.rank_of
+        # a partner is an index of the other side, never negative, which a list row
+        # would read from its end
         for i, p in enumerate(partners):
-            r = rank_of.get(p, 0)
+            try:
+                r = rank_of[p]
+            except LookupError:
+                r = 0
             if not live[r]:
                 for cleared in partners[:i]:
                     live[rank_of[cleared]] = 1
@@ -204,13 +224,16 @@ class QuantizedPrefs:
         return self._remaining_in(max((quantile_index - 1) * self.deg // self.k, self._first), self._last + 1)
 
     def __contains__(self, partner: int) -> bool:
-        return self.live[self.rank_of.get(partner, 0)] == 1
+        try:
+            return self.live[self.rank_of[partner]] == 1
+        except LookupError:
+            return False
 
     def __len__(self) -> int:
         return self.count
 
 
-def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Mapping[int, int]) -> QuantizedPrefs:
+def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Sequence[int] | Mapping[int, int]) -> QuantizedPrefs:
     """Split an ordered partner list into k quantile buckets (empty list allowed)."""
     return QuantizedPrefs(prefs_of_player, k, rank_of)
 
@@ -246,6 +269,18 @@ def describe_descriptor(head: str, grammar: Grammar, spec) -> str:
     """The descriptor of ``spec``'s ``head`` fields: floats with ``:g``, ints in full."""
     args = ",".join(format(getattr(spec, name), "g" if kind is float else "") for name, kind in grammar[head])
     return f"{head}:{args}" if args else head
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    bound: float
+    observed: float
+    passed: bool
+
+    @classmethod
+    def of(cls, bound: float, observed: float) -> "BoundCheck":
+        """The check of an observed count against its bound, up to float rounding."""
+        return cls(bound=bound, observed=observed, passed=observed <= bound + 1e-9)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .errors import (
     RoundCapExceeded,
 )
 from .maximal import MatchingSubroutineSpec, MmNode, MmPhase, iterations_for_maximal
-from .model import Matching, PreferenceProfile, QuantizedPrefs, Side, describe_descriptor, parse_descriptor, quantize
+from .model import BoundCheck, Matching, PreferenceProfile, QuantizedPrefs, Side, describe_descriptor, parse_descriptor, quantize
 
 
 @dataclass(frozen=True)
@@ -252,9 +252,8 @@ class QuantileProtocol:
 
     def _step_propose(self, ctx: ProcessorContext, qm_start: bool, outer_index: int | None) -> None:
         if ctx.side is Side.WOMAN:
-            if ctx.inbox:
-                raise InconsistentState(f"{ctx.self_id} received messages in a propose round")
-            return
+            # the round steps the men and the receivers of mail
+            raise InconsistentState(f"{ctx.self_id} received messages in a propose round")
         st = self.men[ctx.index]
         self._settle_man(st, ctx)
         if outer_index is not None:
@@ -272,14 +271,11 @@ class QuantileProtocol:
 
     def _step_accept(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         if ctx.side is Side.MAN:
-            if ctx.inbox:
-                raise InconsistentState(f"{ctx.self_id} received messages in an accept round")
-            return
+            # the round steps only the receivers of mail
+            raise InconsistentState(f"{ctx.self_id} received messages in an accept round")
         st = self.women[ctx.index]
         # in sender order, so the accepted men come out sorted
         proposers = ctx.take(MsgKind.PROPOSE)
-        if not proposers:
-            return
         if not all(map(st.quantized.__contains__, proposers)):
             pruned = next(m for m in proposers if m not in st.quantized)
             raise InconsistentState(f"{ctx.self_id} got a proposal from pruned {ctx.peer(pruned)}")
@@ -449,15 +445,10 @@ class QuantileProtocol:
 
     def _record_outer(self, index: int, active: list[int]) -> None:
         bad = self._settled_bad_men(active)
-        bound = self.params.delta * len(active)
-        passed = bad <= bound + 1e-9
-        self.outer_records.append(
-            OuterRecord(index=index, active_men=len(active), bad_active_men=bad, bound=bound, passed=passed)
-        )
-        if not passed:
-            self._violate(
-                f"rung {index}: {bad} bad men among {len(active)} active exceeds {bound:g}"
-            )
+        check = BoundCheck.of(self.params.delta * len(active), bad)
+        self.outer_records.append(OuterRecord(index, len(active), bad, check.bound, check.passed))
+        if not check.passed:
+            self._violate(f"rung {index}: {bad} bad men among {len(active)} active exceeds {check.bound:g}")
 
     # ------------------------------------------------------------------
     # top-level schedules

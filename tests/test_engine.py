@@ -352,6 +352,36 @@ def test_send_many_rejects_any_non_neighbor():
         eng.run_round(step)
 
 
+@pytest.mark.parametrize("sender", [0, 1], ids=["list-row", "dict-row"])
+@pytest.mark.parametrize("bad", ["-1", "-n", "n", "n+5", "stranger"])
+def test_send_refuses_every_index_off_the_list_and_stages_nothing(sender, bad):
+    # n = 8: M0's list [7, 0, 1] gets a list rank row, which reads -1 as W7 and -8 as
+    # W0, both on his list; M1's list [0] gets a dict row. W3 is on neither list.
+    n = 8
+    men = [[7, 0, 1], [0]] + [[] for _ in range(n - 2)]
+    women = [[m for m in range(n) if w in men[m]] for w in range(n)]
+    prof = PreferenceProfile.from_lists(men, women)
+    assert type(prof._man_rank[0]) is list and type(prof._man_rank[1]) is dict
+    to = {"-1": -1, "-n": -n, "n": n, "n+5": n + 5, "stranger": 3}[bad]
+    log = []
+    eng = Engine(Topology.from_profile(prof), seed=0, message_log=log)
+    refused = []
+
+    def step(ctx):
+        if ctx.id != sender:
+            return
+        # send, then send_many alone, after a partner and before a later bad target,
+        # which is not the one named
+        for targets in (None, [to], [0, to], [0, to, 4]):
+            with pytest.raises(NonNeighborSend) as info:
+                ctx.send(to, MsgKind.PROPOSE) if targets is None else ctx.send_many(targets, MsgKind.PROPOSE)
+            refused.append(str(info.value))
+
+    eng.run_round(step, actors=[sender])
+    assert refused == [f"M{sender} tried to send PROPOSE to non-neighbor W{to}"] * 4
+    assert eng.in_flight == 0 and log == [] and eng.trace.messages_sent == 0
+
+
 def test_send_many_outside_round_rejected():
     eng = _complete_engine()
     with pytest.raises(InconsistentState):

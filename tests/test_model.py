@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,14 +206,23 @@ def _profile_2x2():
     return PreferenceProfile.from_lists([[0, 1], [0, 1]], [[0, 1], [0, 1]])
 
 
+def _rank(row, p):
+    """A rank row's entry for p, with 0 for an index the row has no entry for: a row
+    reads a non-partner as 0 or raises LookupError, and anything else escapes."""
+    try:
+        return row[p]
+    except LookupError:
+        return 0
+
+
 def test_rank_lookup():
-    # the rank tables that sends and quantiles read: 1-based, absent when unacceptable
+    # the rank tables that sends and quantiles read: 1-based, 0 or absent when unacceptable
     prof = PreferenceProfile.from_lists([[2, 0, 1], [0], [1, 2]], [[1, 0], [0, 2], [0, 2]])
-    assert prof._man_rank[0].get(1) == 3
-    assert prof._man_rank[0].get(2) == 1
-    assert prof._man_rank[1].get(2) is None
-    assert prof._man_rank[1].get(0) == 1
-    assert prof._woman_rank[2].get(0) == 1
+    assert _rank(prof._man_rank[0], 1) == 3
+    assert _rank(prof._man_rank[0], 2) == 1
+    assert _rank(prof._man_rank[1], 2) == 0
+    assert _rank(prof._man_rank[1], 0) == 1
+    assert _rank(prof._woman_rank[2], 0) == 1
 
 
 def test_rank_position_example():
@@ -222,9 +232,73 @@ def test_rank_position_example():
         [[3, 1, 2], [], [], [7], [], [], [], []],
         [[], [0], [0], [0], [], [], [], [3]],
     )
-    assert prof._man_rank[0].get(1) == 2
-    assert prof._man_rank[0].get(0) is None
-    assert prof._man_rank[3].get(7) == 1
+    assert _rank(prof._man_rank[0], 1) == 2
+    assert _rank(prof._man_rank[0], 0) == 0
+    assert _rank(prof._man_rank[3], 7) == 1
+
+
+@st.composite
+def _profile_with_both_row_kinds(draw):
+    """Up to 12 players a side; each man's list is empty, complete, exactly a quarter
+    of the women (when 4 divides n) or any subset, in a drawn order, and each woman
+    lists her suitors in a drawn order."""
+    n = draw(st.integers(1, 12))
+    sizes = ["empty", "complete", "any"] + (["quarter"] if n % 4 == 0 else [])
+    men = []
+    for _ in range(n):
+        size = draw(st.sampled_from(sizes))
+        if size == "empty":
+            chosen = []
+        elif size == "complete":
+            chosen = list(range(n))
+        elif size == "quarter":
+            chosen = draw(st.lists(st.integers(0, n - 1), min_size=n // 4, max_size=n // 4, unique=True))
+        else:
+            chosen = draw(st.lists(st.integers(0, n - 1), unique=True))
+        men.append(draw(st.permutations(chosen)))
+    women = [draw(st.permutations([m for m in range(n) if w in men[m]])) for w in range(n)]
+    return PreferenceProfile.from_lists(men, women)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_with_both_row_kinds(), st.integers(1, 5), st.data())
+def test_rank_rows_read_ranks_and_strangers_as_zero(prof, k, data):
+    n = prof.n
+    for prefs, table in ((prof.men_prefs, prof._man_rank), (prof.women_prefs, prof._woman_rank)):
+        for lst, row in zip(prefs, table):
+            # a list row at a quarter of the partners or more, a dict below
+            assert type(row) is (list if 4 * len(lst) >= n else dict)
+            assert all(row[p] == rank for rank, p in enumerate(lst, 1))
+            assert all(_rank(row, p) == 0 for p in [*range(n), n, n + 5] if p not in lst)
+            # p in q and remove_many agree with a set of the remaining partners
+            q, left = model.quantize(lst, k, row), set(lst)
+            batches = data.draw(st.lists(st.lists(st.integers(0, n + 1), max_size=3), max_size=4))
+            for batch in batches:
+                if len(set(batch)) == len(batch) and left.issuperset(batch):
+                    q.remove_many(batch)
+                    left.difference_update(batch)
+                else:
+                    with pytest.raises(KeyError):
+                        q.remove_many(batch)
+                assert [p in q for p in range(n + 2)] == [p in left for p in range(n + 2)]
+                assert len(q) == len(left) and q.remaining == left
+
+
+def _rank_tables_bytes(prof) -> int:
+    """The bytes tracemalloc sees allocated, and still held, while both rank tables are built."""
+    tracemalloc.start()
+    try:
+        prof._man_rank, prof._woman_rank
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_tables_fit_their_lists():
+    # complete n=512: a list row of 512 ints per player, where a dict row took 18.1 MiB
+    # for both tables; bounded:8 n=4096 keeps its dict rows, 2.96 MiB for both
+    assert _rank_tables_bytes(generate(GeneratorSpec("complete", 512, seed=0))) <= 5 * 2**20
+    assert _rank_tables_bytes(generate(GeneratorSpec("bounded", 4096, seed=0, d=8))) <= 3.0 * 2**20
 
 
 def test_rank_tables_share_their_int_objects():
