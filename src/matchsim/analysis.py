@@ -48,17 +48,19 @@ def _heads(profile: PreferenceProfile, matching: Matching, eps: float | None):
     ``lst[:cur - c]`` holds the partners a player gains at least c = ``ceil(eps * deg)``
     ranks on over their assigned partner (c = 1 with no eps). Both endpoints of an edge
     gain c when each lies in the other's head; a gap is an integer, so this is
-    ``gap >= eps * deg``."""
+    ``gap >= eps * deg``. A woman's head that is her whole list is ``range(n)``, with no
+    allocation: the profile is valid, so every man scanned against her is on her list."""
     if eps is None:
-        cutoff = lambda deg: 1
+        head_len = lambda lst, cur: cur - 1
     elif not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     else:
         eps = min(max(eps, -1.0), 2.0)  # every gap lies in [1 - deg, deg], so the pairs are the same
-        cutoff = lambda deg: math.ceil(eps * deg)
+        head_len = lambda lst, cur: max(0, cur - math.ceil(eps * len(lst)))
     man_cur, woman_cur = _partner_ranks(profile, matching)
-    heads = [set(lst[: max(0, cur - cutoff(len(lst)))]) for lst, cur in zip(profile.women_prefs, woman_cur)]
-    men = ((m_idx, lst[: max(0, cur - cutoff(len(lst)))]) for m_idx, lst, cur in zip(count(), profile.men_prefs, man_cur))
+    women, everyone = profile.women_prefs, range(profile.n)
+    heads = [everyone if h >= len(lst) else set(lst[:h]) for lst, h in zip(women, map(head_len, women, woman_cur))]
+    men = ((m_idx, lst[: head_len(lst, cur)]) for m_idx, lst, cur in zip(count(), profile.men_prefs, man_cur))
     return men, heads
 
 

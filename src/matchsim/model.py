@@ -67,17 +67,21 @@ class PreferenceProfile:
     def _passes_fast_checks(self) -> bool:
         """True exactly when the profile is valid. When men's lists are in range without
         repeats, men's edges lie among women's and the degree sums are equal, the edge
-        sets are equal, so women's lists are in range without repeats too."""
+        sets are equal, so women's lists are in range without repeats too. A woman's list
+        of n partners in range lists every man, as ``range(n)`` does with no allocation."""
         n, men, women = self.n, self.men_prefs, self.women_prefs
         if len(men) != n or len(women) != n or self.num_edges != sum(map(len, women)):
             return False
-        if list(map(len, map(set(range(n)).intersection, men))) != list(map(len, men)):
+        in_range = set(range(n)).intersection
+        if list(map(len, map(in_range, men))) != list(map(len, men)):
             return False
-        women_sets = list(map(set, women))
-        for m_idx, lst in enumerate(men):
-            for w_idx in lst:
-                if m_idx not in women_sets[w_idx]:
-                    return False
+        everyone = range(n)
+        women_sets = [everyone if len(lst) == n == len(in_range(lst)) else set(lst) for lst in women]
+        if any(s is not everyone for s in women_sets):  # else no man's edge can miss
+            for m_idx, lst in enumerate(men):
+                for w_idx in lst:
+                    if m_idx not in women_sets[w_idx]:
+                        return False
         return True
 
     def _raise_first_violation(self) -> None:

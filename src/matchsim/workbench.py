@@ -142,21 +142,13 @@ def generate(spec: GeneratorSpec) -> PreferenceProfile:
     else:  # aregular
         cap = min(int(spec.alpha * spec.base_degree), n)
         deck: list[int] = []
-
-        def draw() -> int:
-            if not deck:
-                deck.extend(range(n))
-                _shuffle(deck, rng.getrandbits)
-            return deck.pop()
-
         for m in range(n):
             want = rng.randint(spec.base_degree, cap)
-            guard = 0
             while len(men_adj[m]) < want:
-                men_adj[m].add(draw())
-                guard += 1
-                if guard > 4 * n + want:
-                    raise DegenerateInstance("degree assignment failed to converge")
+                if not deck:
+                    deck.extend(range(n))
+                    _shuffle(deck, rng.getrandbits)
+                men_adj[m].add(deck.pop())
 
     if spec.family == "complete":
         women_adj = men_adj

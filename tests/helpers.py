@@ -1,7 +1,8 @@
-"""Helpers that only tests read: confidence bounds for randomized claims, and an
-instance file's whole text."""
+"""Helpers that only tests read: confidence bounds for randomized claims, an
+instance file's whole text, and a call's traced memory peak."""
 
 import math
+import tracemalloc
 
 from matchsim.model import PreferenceProfile
 from matchsim.workbench import _instance_text
@@ -32,3 +33,13 @@ def rate_within_claim(failures: int, trials: int, claimed: float, z: float = Z_9
 def instance_to_json(profile: PreferenceProfile) -> str:
     """The text ``save_instance`` writes for ``profile``."""
     return "".join(_instance_text(profile))
+
+
+def traced_peak(fn, *args) -> int:
+    """The most bytes tracemalloc saw allocated at once during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from matchsim import (
     AlgorithmSpec,
     GeneratorSpec,
@@ -20,6 +21,7 @@ from matchsim import (
     MatchingSubroutineSpec,
     PreferenceProfile,
     Side,
+    count_blocking_pairs,
     generate,
     man,
     woman,
@@ -301,6 +303,18 @@ def test_rank_tables_fit_their_lists():
     assert _rank_tables_bytes(generate(GeneratorSpec("bounded", 4096, seed=0, d=8))) <= 3.0 * 2**20
 
 
+def test_full_lists_are_checked_and_scanned_without_sets():
+    # a set per woman, built by the profile check and by a scan with every woman
+    # unmatched, peaked at 16.1 MiB each on complete n=512; bounded:8 n=4096 has no
+    # full list and keeps its sets, 3.1 MiB (2.9 while the range check's set was
+    # freed before them)
+    prof = generate(GeneratorSpec("complete", 512, seed=0))
+    build = lambda p: PreferenceProfile(p.n, p.men_prefs, p.women_prefs)
+    assert traced_peak(build, prof) <= 2**20
+    assert traced_peak(count_blocking_pairs, prof, Matching.of([])) <= 2**20
+    assert traced_peak(build, generate(GeneratorSpec("bounded", 4096, seed=0, d=8))) <= 3.5 * 2**20
+
+
 def test_rank_tables_share_their_int_objects():
     # Python keeps one object per int only up to 256; above that, each table entry
     # of a given rank, on either side, is still the one object of the shared tuple
@@ -332,6 +346,12 @@ def test_profile_validation_errors():
         ([[], [], [], []], [[], [], [], [9]], "woman 3 ranks out-of-range partner 9"),
         ([[0], []], [[0, 1], []], "asymmetric pair: woman 0 lists man 1 but man 1 does not list woman 0"),
         ([[1], []], [[], []], "asymmetric pair: man 0 lists woman 1 but woman 1 does not list man 0"),
+        # equal degree sums, and every man's edge goes into a list of length n: such a
+        # list stands for every man only when it is in range without repeats
+        ([[0], [0]], [[0, 0], []], "woman 0 ranks partner 0 twice"),
+        ([[0], [0]], [[0, 2], []], "woman 0 ranks out-of-range partner 2"),
+        ([[0], [0]], [[0, -1], []], "woman 0 ranks out-of-range partner -1"),
+        ([[1], [0]], [[0, 1], []], "asymmetric pair: man 0 lists woman 1 but woman 1 does not list man 0"),
     ],
 )
 def test_profile_validation_messages_name_the_side(men, women, message):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import instance_to_json
+from helpers import instance_to_json, traced_peak
 from matchsim import (
     AlgorithmSpec,
     DegenerateInstance,
@@ -32,7 +32,7 @@ from matchsim import (
 from matchsim.cli import main, parse_seeds
 from matchsim.engine import Engine, MsgKind, Topology
 from matchsim.model import Side
-from matchsim.analysis import blocking_pairs, eps_blocking_pairs
+from matchsim.analysis import blocking_pairs, count_blocking_pairs, eps_blocking_pairs
 from matchsim import workbench
 from matchsim.workbench import _LONG_METRICS, CSV_COLUMNS, _shuffle, write_message_log
 
@@ -132,27 +132,19 @@ def _complete_files(tmp_path, n=256):
     return prof, inst, mfile
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_instance_streams_the_file(tmp_path):
     # built as one JSON string from list copies, saving peaked at about 73 bytes per edge
     prof, inst, _ = _complete_files(tmp_path)
-    assert _traced_peak(save_instance, prof, inst) <= 8 * prof.num_edges
+    assert traced_peak(save_instance, prof, inst) <= 8 * prof.num_edges
 
 
 def test_cli_verify_holds_no_whole_file_or_pair_list(tmp_path, capsys):
     # with the file text, the parsed lists and the listed pairs alive, verify peaked at
-    # about 74 bytes per edge; the per-woman sets of the profile check remain
+    # about 74 bytes per edge; it now peaks at about 39, in the profile and the head
+    # sets of the eps scan
     prof, inst, mfile = _complete_files(tmp_path)
     argv = ["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0.25", "--threshold", "0.125"]
-    assert _traced_peak(main, argv) <= 60 * prof.num_edges
+    assert traced_peak(main, argv) <= 60 * prof.num_edges
     printed = json.loads(capsys.readouterr().out)
     matching = load_matching(mfile)
     assert printed["blocking_pairs"] == len(blocking_pairs(prof, matching)) > 0
@@ -256,6 +248,29 @@ def test_cli_verify_rejects_strings_and_booleans(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == f'error: {inst}: expected an integer, got "1"\n'
+
+
+@pytest.mark.parametrize(
+    "instance, pairs, error, message",
+    [
+        ([[0], [0]], [[0, 0]], InvalidProfile, "{inst}: expected a JSON object"),
+        ({"n": 2, "men": [[0], []], "women": [[0], []]}, [[5, 0]], InvalidMatching,
+         "pair (5, 0) is out of range for n=2"),
+    ],
+    ids=["instance-array", "pair-out-of-range"],
+)
+def test_cli_verify_names_a_malformed_input(tmp_path, capsys, instance, pairs, error, message):
+    inst, mfile = tmp_path / "inst.json", tmp_path / "m.json"
+    inst.write_text(json.dumps(instance))
+    mfile.write_text(json.dumps({"pairs": pairs}))
+    message = message.format(inst=inst)
+    with pytest.raises(error) as exc:
+        count_blocking_pairs(load_instance(inst), load_matching(mfile))
+    assert str(exc.value) == message
+    rc = main(["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_matching_file_round_trip(tmp_path):
