@@ -25,7 +25,6 @@ from .errors import (
 )
 from .maximal import (
     MatchingSubroutineSpec,
-    MaximalityReport,
     MmNode,
     MmPhase,
     SubroutineResult,

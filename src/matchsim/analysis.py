@@ -18,13 +18,16 @@ from typing import Sequence
 from .model import BoundCheck, Matching, PreferenceProfile
 from .protocols import PlayerFinal, RunResult
 
-# Claim identifiers, used as keys in reports and as CSV column stems.
-CLAIM_TOTAL_BLOCKING = "thm41"  # blocking pairs <= eps * |E|
-CLAIM_GOOD_MEN_CLEAN = "lemma42"  # no tight blocking pair touches a good man
-CLAIM_LOOSE_BLOCKING = "lemma43"  # loose blocking pairs <= 4 |E| / k
-CLAIM_BAD_MEN_BUDGET = "lemma44"  # tight blocking pairs at bad men <= 4 delta |E|
-CLAIM_BAD_FRACTION = "lemma45"  # per-rung bad fraction among active men <= delta
-CLAIM_BAD_MEN_LOCAL = "lemma47"  # a bad man's tight blocking partners sit on his remaining list
+# The claims a run is checked against, in the order ``verify_run`` checks them: each
+# id keys the report's bounds, and maps to whether it has a ``<id>_pass`` CSV column.
+CLAIMS = {
+    "thm41": True,  # blocking pairs <= eps * |E|
+    "lemma42": True,  # no tight blocking pair touches a good man
+    "lemma43": True,  # loose blocking pairs <= 4 |E| / k
+    "lemma44": True,  # tight blocking pairs at bad men <= 4 delta |E|
+    "lemma45": False,  # per-rung bad fraction among active men <= delta
+    "lemma47": False,  # a bad man's tight blocking partners sit on his remaining list
+}
 
 
 def _rank_in(lst: Sequence[int], partner: int | None) -> int:
@@ -191,8 +194,8 @@ def verify_run(profile: PreferenceProfile, run: RunResult) -> VerificationReport
         good_men=frozenset(good),
         bad_men=frozenset(bad),
     )
-    bounds = report.bounds
-    bounds[CLAIM_TOTAL_BLOCKING] = BoundCheck.of(eps * edges, report.blocking_pairs)
+    # one check per claim, in the table's order
+    checks = [BoundCheck.of(eps * edges, report.blocking_pairs)]
     if params is not None:
         k = params.k
         report.tight_threshold = 2.0 / k
@@ -200,11 +203,14 @@ def verify_run(profile: PreferenceProfile, run: RunResult) -> VerificationReport
         tight = eps_blocking_pairs(profile, run.matching, report.tight_threshold)
         tight_bad = [(m, w) for m, w in tight if m in bad]
         report.tight_blocking_pairs = len(tight)
-        bounds[CLAIM_GOOD_MEN_CLEAN] = BoundCheck.of(0, len(tight) - len(tight_bad))
-        bounds[CLAIM_LOOSE_BLOCKING] = BoundCheck.of(4 * edges / k, report.loose_blocking_pairs)
-        bounds[CLAIM_BAD_MEN_BUDGET] = BoundCheck.of(4 * params.delta * edges, len(tight_bad))
-        bounds[CLAIM_BAD_FRACTION] = BoundCheck.of(0, sum(not r.passed for r in run.outer_records))
         off_list = {m for m, w in tight_bad if w not in run.men[m].remaining}
-        bounds[CLAIM_BAD_MEN_LOCAL] = BoundCheck.of(0, len(off_list))
+        checks += [
+            BoundCheck.of(0, len(tight) - len(tight_bad)),
+            BoundCheck.of(4 * edges / k, report.loose_blocking_pairs),
+            BoundCheck.of(4 * params.delta * edges, len(tight_bad)),
+            BoundCheck.of(0, sum(not r.check.passed for r in run.outer_records)),
+            BoundCheck.of(0, len(off_list)),
+        ]
+    report.bounds.update(zip(CLAIMS, checks))
     return report
 

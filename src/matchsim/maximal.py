@@ -19,8 +19,8 @@ check lives in the phase's steps. Inside a phase, vertices are engine
 processor ids and neighbours are partner indices on the other side, as the
 engine addresses them. The proposal protocol runs a phase as part of its
 own schedule; ``maximal_matching(graph, spec)`` is its standalone twin,
-which runs one phase on an arbitrary bipartite graph of ``PlayerId``s and
-reports the violators ``check_maximal`` finds. Randomized iterations are
+which runs one phase on the bipartite graph of a ``PreferenceProfile``'s lists
+and reports the violators ``check_maximal`` finds. Randomized iterations are
 fast-forwarded by the same ``Engine.repeat`` that drives the protocol's
 schedule.
 """
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
-from .errors import InconsistentState, InvalidMatching
+from .errors import InconsistentState
 from .model import Matching, PlayerId, PreferenceProfile, Side, describe_descriptor, man, parse_descriptor, woman
 
 # the expected factor by which one randomized iteration shrinks the residual
@@ -246,26 +246,18 @@ class MmPhase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
-    maximal: bool
-    violators: frozenset[PlayerId]
-    violation_fraction: float
-
-
-def check_maximal(subgraph: Mapping[PlayerId, Iterable[PlayerId]], matching: Matching) -> MaximalityReport:
-    """A matching is maximal when every vertex is matched or has only matched
-    neighbors. Violators satisfy neither condition."""
-    graph = {v: set(nbrs) for v, nbrs in subgraph.items()}
-    matched: set[PlayerId] = set()
-    for m_idx, w_idx in matching.pairs:
-        mv, wv = man(m_idx), woman(w_idx)
-        if mv not in graph or wv not in graph[mv]:
-            raise InvalidMatching(f"pair ({m_idx}, {w_idx}) is not an edge of the subgraph")
-        matched.update((mv, wv))
-    violators = frozenset(v for v, nbrs in graph.items() if v not in matched and not matched.issuperset(nbrs))
-    fraction = len(violators) / len(graph) if graph else 0.0
-    return MaximalityReport(maximal=not violators, violators=violators, violation_fraction=fraction)
+def check_maximal(graph: PreferenceProfile, matching: Matching) -> frozenset[PlayerId]:
+    """The maximality violators of a matching of ``graph``: each vertex that is
+    unmatched and has an unmatched neighbour. The matching is maximal when there
+    is none; a pair that is not an edge raises ``InvalidMatching``."""
+    matching.validate_for(graph)
+    matched = (matching.man_partner, matching.woman_partner)  # by side
+    return frozenset(
+        PlayerId(side, i)
+        for side, prefs in zip(Side, (graph.men_prefs, graph.women_prefs))
+        for i, lst in enumerate(prefs)
+        if i not in matched[side] and not all(p in matched[1 - side] for p in lst)
+    )
 
 
 @dataclass(frozen=True)
@@ -277,41 +269,28 @@ class SubroutineResult:
     trace: RoundTrace
 
 
-def maximal_matching(
-    graph: Mapping[PlayerId, Iterable[PlayerId]], spec: MatchingSubroutineSpec, seed: int = 0
-) -> SubroutineResult:
+def maximal_matching(graph: PreferenceProfile, spec: MatchingSubroutineSpec, seed: int = 0) -> SubroutineResult:
     """Run one invocation of the subroutine ``spec`` on its own engine.
 
-    ``graph`` maps each vertex to its neighbours on the other side; isolated
-    vertices take no part. ``residual_vertices`` are the violators
+    Each vertex's neighbours are its list in ``graph``, in any order; a vertex
+    with an empty list takes no part. ``residual_vertices`` are the violators
     :func:`check_maximal` finds. A randomized flavor reports them, not
     raises, since callers tolerate its failure probabilistically; the greedy
     must leave none, and :meth:`MmPhase.run` raises ``InconsistentState`` if
     it does. ``iterations`` is the fixed iteration count of a randomized
     flavor, or the number of greedy iterations that sent.
     """
-    live = {v: frozenset(nbrs) for v, nbrs in graph.items() if nbrs}
-    # the engine runs the graph as a profile of sorted lists, n one more than the largest index
-    n = 1 + max((v.index for v in live), default=0)
-    lists: tuple[list, list] = ([[] for _ in range(n)], [[] for _ in range(n)])
-    for v, nbrs in live.items():
-        for u in nbrs:
-            if u.side == v.side or v not in live.get(u, ()):
-                raise InconsistentState(f"edge ({v}, {u}) does not cross sides or is not listed at both ends")
-        lists[v.side][v.index] = sorted(u.index for u in nbrs)
-    engine = Engine(Topology(PreferenceProfile.from_lists(*lists)), seed=seed)
-    ids = {v: v.side * n + v.index for v in live}  # player (side, i) is processor side * n + i
-    phase = MmPhase(spec, {ids[v]: MmNode(u.index for u in nbrs) for v, nbrs in live.items()})
+    n, engine = graph.n, Engine(Topology(graph), seed=seed)
+    # player (side, i) is processor side * n + i: the men's lists, then the women's
+    phase = MmPhase(spec, {v: MmNode(lst) for v, lst in enumerate((*graph.men_prefs, *graph.women_prefs)) if lst})
     iterations = phase.run(engine)
-    partner = {v: phase.nodes[ids[v]].matched for v in live}
-    pairs = set()
-    for v, p in partner.items():
-        if p is not None and v.side is Side.MAN:
-            if partner[woman(p)] != v.index:
-                raise InconsistentState(f"asymmetric match between {v} and {woman(p)}")
-            pairs.add((v.index, p))
+    nodes = phase.nodes
+    pairs = [(m, node.matched) for m, node in nodes.items() if m < n and node.matched is not None]
+    for m, w in pairs:
+        if nodes[n + w].matched != m:
+            raise InconsistentState(f"asymmetric match between {man(m)} and {woman(w)}")
     matching = Matching.of(pairs)
-    violators = check_maximal(live, matching).violators
+    violators = check_maximal(graph, matching)
     return SubroutineResult(
         matching=matching,
         residual_vertices=violators,

@@ -116,9 +116,7 @@ class OuterRecord:
 
     index: int
     active_men: int
-    bad_active_men: int
-    bound: float
-    passed: bool
+    check: BoundCheck  # bad active men against delta * active men
 
 
 @dataclass(frozen=True)
@@ -446,7 +444,7 @@ class QuantileProtocol:
     def _record_outer(self, index: int, active: list[int]) -> None:
         bad = self._settled_bad_men(active)
         check = BoundCheck.of(self.params.delta * len(active), bad)
-        self.outer_records.append(OuterRecord(index, len(active), bad, check.bound, check.passed))
+        self.outer_records.append(OuterRecord(index, len(active), check))
         if not check.passed:
             self._violate(f"rung {index}: {bad} bad men among {len(active)} active exceeds {check.bound:g}")
 

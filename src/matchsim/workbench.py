@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .analysis import VerificationReport, verify_run
+from .analysis import CLAIMS, VerificationReport, verify_run
 from .engine import log_ndjson
 from .errors import DegenerateInstance, InvalidMatching, InvalidProfile, MatchsimError, RoundCapExceeded
 from .model import Matching, PreferenceProfile, as_index, describe_descriptor, parse_descriptor
@@ -276,6 +276,9 @@ def write_message_log(records: Iterable[tuple], path: str | Path) -> None:
 # experiment batches
 # ---------------------------------------------------------------------------
 
+# the claims with a CSV column, each as its ``<id>_pass`` column
+_PASS_COLUMNS = {f"{claim}_pass": claim for claim, in_csv in CLAIMS.items() if in_csv}
+
 CSV_COLUMNS = [
     "algorithm",
     "n",
@@ -291,10 +294,7 @@ CSV_COLUMNS = [
     "two_over_k_blocking",
     "good_men",
     "bad_men",
-    "thm41_pass",
-    "lemma42_pass",
-    "lemma43_pass",
-    "lemma44_pass",
+    *_PASS_COLUMNS,
     "status",
 ]
 
@@ -396,10 +396,7 @@ def _run_seed(config: ExperimentConfig, profile: PreferenceProfile, seed: int, m
         "two_over_k_blocking": report.tight_blocking_pairs if report and report.k is not None else "",
         "good_men": len(report.good_men) if report else "",
         "bad_men": len(report.bad_men) if report else "",
-        "thm41_pass": _bool_cell(report, "thm41"),
-        "lemma42_pass": _bool_cell(report, "lemma42"),
-        "lemma43_pass": _bool_cell(report, "lemma43"),
-        "lemma44_pass": _bool_cell(report, "lemma44"),
+        **{column: _bool_cell(report, claim) for column, claim in _PASS_COLUMNS.items()},
         "status": status,
     }
     failed = status != "ok" or (spec.deterministic and report is not None and not report.all_passed())
@@ -418,7 +415,7 @@ def write_csv(rows: list[dict], fh) -> None:
     writer.writerows(rows)
 
 
-_LONG_METRICS = CSV_COLUMNS[CSV_COLUMNS.index("rounds") : CSV_COLUMNS.index("thm41_pass")]
+_LONG_METRICS = CSV_COLUMNS[CSV_COLUMNS.index("rounds") : CSV_COLUMNS.index(next(iter(_PASS_COLUMNS)))]
 
 
 def to_long_format(rows: list[dict]) -> list[dict]:

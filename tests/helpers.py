@@ -1,5 +1,6 @@
-"""Helpers that only tests read: confidence bounds for randomized claims, an
-instance file's whole text, and a call's traced memory peak."""
+"""Helpers that only tests read: confidence bounds for randomized claims, a
+bipartite graph as a profile, an instance file's whole text, and a call's traced
+memory peak."""
 
 import math
 import tracemalloc
@@ -28,6 +29,21 @@ def rate_within_claim(failures: int, trials: int, claimed: float, z: float = Z_9
     observed failure rate exceeds the claimed rate."""
     lo, _ = binomial_ci(failures, trials, z)
     return lo <= claimed
+
+
+def bipartite(n: int, edges) -> PreferenceProfile:
+    """The graph on n >= 1 men and n women with the given (man, woman) edges, as a
+    profile whose lists hold each vertex's neighbours in ascending order."""
+    men, women = [[] for _ in range(n)], [[] for _ in range(n)]
+    for m, w in sorted(edges):
+        men[m].append(w)
+        women[w].append(m)
+    return PreferenceProfile.from_lists(men, women)
+
+
+def vertex_count(graph: PreferenceProfile) -> int:
+    """The vertices of ``graph`` with at least one neighbour."""
+    return sum(1 for lst in (*graph.men_prefs, *graph.women_prefs) if lst)
 
 
 def instance_to_json(profile: PreferenceProfile) -> str:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binomial_ci, rate_within_claim
+from helpers import binomial_ci, bipartite, rate_within_claim
 from matchsim import (
     AsmParams,
+    BoundCheck,
     GeneratorSpec,
     InvalidMatching,
     Matching,
@@ -28,9 +29,11 @@ from matchsim import (
     gale_shapley_oracle,
     generate,
     man,
+    run_algorithm,
     verify_run,
     woman,
 )
+from matchsim.analysis import CLAIMS
 
 
 def edges(prof):
@@ -168,18 +171,13 @@ def test_classify_good_bad():
 
 
 def test_check_maximal_paths():
-    path = {
-        man(0): {woman(0)},
-        woman(0): {man(0), man(1)},
-        man(1): {woman(0)},
-    }
-    assert check_maximal(path, Matching.of([(0, 0)])).maximal
-    rep = check_maximal(path, Matching.of([]))
-    assert not rep.maximal
-    assert rep.violators == frozenset({man(0), woman(0), man(1)})
-    assert rep.violation_fraction == 1.0
-    perfect = {man(0): {woman(0)}, woman(0): {man(0)}}
-    assert check_maximal(perfect, Matching.of([(0, 0)])).maximal
+    path = bipartite(2, [(0, 0), (1, 0)])  # M0 - W0 - M1, with W1 isolated
+    assert check_maximal(path, Matching.of([(0, 0)])) == frozenset()
+    assert check_maximal(path, Matching.of([])) == frozenset({man(0), woman(0), man(1)})
+    assert check_maximal(bipartite(1, [(0, 0)]), Matching.of([(0, 0)])) == frozenset()
+    # a pair that is not an edge of the graph is refused, not counted
+    with pytest.raises(InvalidMatching, match="not a mutually acceptable edge"):
+        check_maximal(path, Matching.of([(1, 1)]))
 
 
 def test_oracle_single_pair():
@@ -417,6 +415,13 @@ def test_report_serializes_to_json():
     assert parsed["tight_blocking_pairs"] + parsed["loose_blocking_pairs"] == parsed["blocking_pairs"]
 
 
+def test_report_bounds_follow_the_claim_table():
+    # an asm run is checked against every claim, in the table's order; deferred acceptance only against thm41
+    prof = generate(GeneratorSpec.parse("complete", n=8, seed=0))
+    assert list(verify_run(prof, run_algorithm(prof, "asm:0.5")).bounds) == list(CLAIMS)
+    assert list(verify_run(prof, run_algorithm(prof, "gs")).bounds) == ["thm41"]
+
+
 def _listed_report(profile, run):
     """Reference verifier that lists every pair before counting it: the tight pairs
     split by the men's class, the loose pairs as a set difference, and each bad man's
@@ -438,7 +443,7 @@ def _listed_report(profile, run):
         for m, w in tight_bad:
             partners.setdefault(m, set()).add(w)
         local = sum(not ws.issubset(run.men[m].remaining) for m, ws in partners.items())
-        failing = [r for r in run.outer_records if not r.passed]
+        failing = [r for r in run.outer_records if not r.check.passed]
         bound44 = 4 * params.delta * edges
         claims.update(
             lemma42=(0, len(tight_good), not tight_good),
@@ -481,7 +486,7 @@ def _finished_runs(draw):
         partner = draw(st.none() | st.sampled_from(lst)) if lst else None
         men.append(PlayerFinal(partner, frozenset(w for w, keep in zip(lst, kept) if keep), draw(st.booleans())))
     eps = draw(st.none() | st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]))
-    records = [OuterRecord(i, 1, 1, 0.5, passed) for i, passed in enumerate(draw(st.lists(st.booleans(), max_size=3)))]
+    records = [OuterRecord(i, 1, BoundCheck(0.5, 1, passed)) for i, passed in enumerate(draw(st.lists(st.booleans(), max_size=3)))]
     return prof, _finished_run(prof, m, men, eps, records)
 
 
@@ -508,7 +513,7 @@ def test_verify_run_counts_every_claim_it_can_break():
         PlayerFinal(None, frozenset({4}), False),  # bad, tight partners 0..3 off his list
         PlayerFinal(None, frozenset({0}), False),  # bad, last on every list: no tight pair
     ]
-    run = _finished_run(prof, Matching.of([]), men, 1.0, [OuterRecord(0, 5, 4, 0.625, False)])
+    run = _finished_run(prof, Matching.of([]), men, 1.0, [OuterRecord(0, 5, BoundCheck.of(0.625, 4))])
     report = verify_run(prof, run)
     assert (report.blocking_pairs, report.tight_blocking_pairs, report.loose_blocking_pairs) == (25, 16, 9)
     observed = {name: c.observed for name, c in report.bounds.items()}

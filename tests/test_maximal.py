@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rate_within_claim
+from helpers import bipartite, rate_within_claim, vertex_count
 from matchsim import (
     Engine,
+    GeneratorSpec,
     InconsistentState,
+    InvalidProfile,
     Matching,
     MatchingSubroutineSpec,
     MmNode,
@@ -20,33 +22,26 @@ from matchsim import (
     PreferenceProfile,
     Topology,
     check_maximal,
+    generate,
     iterations_for_almost_maximal,
     iterations_for_maximal,
     man,
     maximal_matching,
     woman,
 )
+from matchsim.maximal import DEFAULT_SHRINK_C
 
 DET = MatchingSubroutineSpec("det")
 ONE_ROUND = MatchingSubroutineSpec("rand", 1)  # one randomized matching iteration
 
 
-def bipartite(edges):
-    adj = {}
-    for m_idx, w_idx in edges:
-        adj.setdefault(man(m_idx), set()).add(woman(w_idx))
-        adj.setdefault(woman(w_idx), set()).add(man(m_idx))
-    return adj
-
-
 def random_bipartite(n_side, p, rng):
-    edges = [(m, w) for m in range(n_side) for w in range(n_side) if rng.random() < p]
-    return bipartite(edges)
+    return bipartite(n_side, [(m, w) for m in range(n_side) for w in range(n_side) if rng.random() < p])
 
 
 def test_matching_round_single_edge():
     for seed in range(5):
-        res = maximal_matching(bipartite([(0, 0)]), ONE_ROUND, seed=seed)
+        res = maximal_matching(bipartite(1, [(0, 0)]), ONE_ROUND, seed=seed)
         assert res.matching.sorted_pairs() == [(0, 0)]
         assert res.residual_vertices == frozenset()
 
@@ -54,7 +49,7 @@ def test_matching_round_single_edge():
 def test_matching_round_star_always_matches_one():
     # center keeps one incoming edge; whichever leaf survives, exactly one
     # pair forms and the other leaves drop out isolated
-    star = bipartite([(0, 0), (0, 1), (0, 2)])
+    star = bipartite(3, [(0, 0), (0, 1), (0, 2)])
     for seed in range(40):
         res = maximal_matching(star, ONE_ROUND, seed=seed)
         assert len(res.matching) == 1
@@ -63,20 +58,20 @@ def test_matching_round_star_always_matches_one():
 
 
 def test_matching_round_empty_graph():
-    res = maximal_matching({}, ONE_ROUND, seed=0)
+    res = maximal_matching(bipartite(1, []), ONE_ROUND, seed=0)
     assert len(res.matching) == 0
     assert res.residual_vertices == frozenset()
 
 
 def test_matching_round_uses_four_rounds():
-    res = maximal_matching(bipartite([(0, 0)]), ONE_ROUND, seed=1)
+    res = maximal_matching(bipartite(1, [(0, 0)]), ONE_ROUND, seed=1)
     assert res.trace.phase_breakdown == {"mm": 4}
 
 
 def test_matching_round_path_always_resolves():
     # on the 2-edge path the center is matched every time, so the residual
     # empties regardless of seed; some seed matches the lower-id branch
-    path = bipartite([(0, 0), (1, 0)])  # M0 - W0 - M1
+    path = bipartite(2, [(0, 0), (1, 0)])  # M0 - W0 - M1
     seen_low = None
     for seed in range(64):
         res = maximal_matching(path, ONE_ROUND, seed=seed)
@@ -92,33 +87,32 @@ def test_randomized_runs_to_maximality_with_enough_iterations():
     rng = random.Random(5)
     for trial in range(10):
         g = random_bipartite(12, 0.3, rng)
-        if not g:
+        if not g.num_edges:
             continue
-        s = iterations_for_maximal(len(g), eta=0.01)
+        s = iterations_for_maximal(vertex_count(g), eta=0.01)
         res = maximal_matching(g, MatchingSubroutineSpec("rand", s), seed=trial)
         assert res.maximal
-        rep = check_maximal(g, res.matching)
-        assert rep.maximal and not rep.violators
+        assert not check_maximal(g, res.matching)
 
 
 def test_randomized_result_is_always_a_valid_matching():
     rng = random.Random(11)
     for trial in range(20):
         g = random_bipartite(10, 0.25, rng)
-        if not g:
+        if not g.num_edges:
             continue
         res = maximal_matching(g, MatchingSubroutineSpec("rand", 2), seed=trial)
         for m_idx, w_idx in res.matching.pairs:
-            assert woman(w_idx) in g[man(m_idx)]
+            assert g.is_edge(m_idx, w_idx)
         # violators are exactly the unmatched vertices with unmatched neighbors
-        rep = check_maximal(g, res.matching)
-        assert rep.violators == res.residual_vertices
+        assert check_maximal(g, res.matching) == res.residual_vertices
 
 
 def test_iteration_formula_values():
     assert iterations_for_maximal(256, eta=0.01) == 198
     assert iterations_for_maximal(128, eta=0.05) == 153
     assert iterations_for_almost_maximal(eta=1.0, delta=0.99) == 1
+    assert iterations_for_maximal(0, eta=0.1) == 1  # no vertex still runs one iteration
     # halving the failure budget costs about log 2 / log(1 / c) extra rounds
     base = iterations_for_maximal(128, eta=0.05)
     assert iterations_for_maximal(128, eta=0.025) - base == pytest.approx(
@@ -142,15 +136,68 @@ def test_iterated_rounds_failure_rate_within_budget():
     assert rate_within_claim(fails, trials, 0.01), fails
 
 
+# ---------------------------------------------------------------------------
+# The premise behind the randomized budgets: one iteration leaves, in
+# expectation, at most DEFAULT_SHRINK_C of the live vertices live
+# ---------------------------------------------------------------------------
+
+SHRINK_TRIALS = 200
+
+
+def _mean_survival(graph, trials):
+    """The mean fraction of the vertices with a neighbour that one randomized
+    iteration leaves live, over seeds 0 .. trials - 1."""
+    live = vertex_count(graph)
+    return sum(len(maximal_matching(graph, ONE_ROUND, seed=s).residual_vertices) for s in range(trials)) / (trials * live)
+
+
+def _hoeffding_margin(trials):
+    # a mean of trials outcomes in [0, 1] exceeds its expectation by this much with probability <= 1e-6
+    return math.sqrt(math.log(1e6) / (2 * trials))
+
+
+def _complete(a, b):
+    return bipartite(max(a, b), [(m, w) for m in range(a) for w in range(b)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda m=m: _complete(m, m) for m in (2, 5, 10, 40)),
+        lambda: _complete(2, 80),
+        lambda: bipartite(25, [(i, i) for i in range(25)] + [(i + 1, i) for i in range(24)]),
+        lambda: generate(GeneratorSpec.parse("bounded:8", n=32, seed=0)),
+    ],
+    ids=["K2,2", "K5,5", "K10,10", "K40,40", "K2,80", "path", "bounded8"],
+)
+def test_one_iteration_shrinks_named_shapes_by_the_default_factor(build):
+    assert _mean_survival(build(), SHRINK_TRIALS) + _hoeffding_margin(SHRINK_TRIALS) <= DEFAULT_SHRINK_C
+
+
+@st.composite
+def _small_graphs(draw):
+    """A bipartite graph on up to 10 + 10 vertices with at least one edge."""
+    a, b = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    edges = draw(st.lists(st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)), min_size=1, unique=True))
+    return bipartite(max(a, b), edges)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_small_graphs())
+def test_one_iteration_shrinks_small_graphs_by_the_default_factor(graph):
+    trials = 50
+    assert _mean_survival(graph, trials) + _hoeffding_margin(trials) <= DEFAULT_SHRINK_C
+
+
 def test_almost_maximal_eta_one_single_iteration():
-    g = bipartite([(m, w) for m in range(4) for w in range(4)])
+    g = bipartite(4, [(m, w) for m in range(4) for w in range(4)])
     res = maximal_matching(g, MatchingSubroutineSpec("amm", eta=1.0, delta=0.99), seed=0)
     assert res.iterations == 1
     assert len(res.matching) >= 1
 
 
 def test_almost_maximal_empty_graph():
-    res = maximal_matching({}, MatchingSubroutineSpec("amm", eta=0.5, delta=0.1), seed=0)
+    res = maximal_matching(bipartite(1, []), MatchingSubroutineSpec("amm", eta=0.5, delta=0.1), seed=0)
     assert len(res.matching) == 0
     assert not res.residual_vertices
 
@@ -158,7 +205,7 @@ def test_almost_maximal_empty_graph():
 def test_almost_maximal_k44_leaves_few_residuals():
     # 8 vertices, eta = 0.25: more than 2 residual vertices may happen in at
     # most a delta = 0.1 fraction of runs (99% CI judgement)
-    g = bipartite([(m, w) for m in range(4) for w in range(4)])
+    g = bipartite(4, [(m, w) for m in range(4) for w in range(4)])
     over_budget = 0
     trials = 500
     for seed in range(trials):
@@ -169,21 +216,21 @@ def test_almost_maximal_k44_leaves_few_residuals():
 
 
 def test_deterministic_single_edge():
-    res = maximal_matching(bipartite([(0, 0)]), DET)
+    res = maximal_matching(bipartite(1, [(0, 0)]), DET)
     assert res.matching.sorted_pairs() == [(0, 0)]
     assert res.maximal
 
 
 def test_deterministic_path_lowest_id_pairing():
     # M0 - W0 - M1: W0 points at her lowest-id neighbor M0, mutual with M0
-    res = maximal_matching(bipartite([(0, 0), (1, 0)]), DET)
+    path = bipartite(2, [(0, 0), (1, 0)])
+    res = maximal_matching(path, DET)
     assert res.matching.sorted_pairs() == [(0, 0)]
-    rep = check_maximal(bipartite([(0, 0), (1, 0)]), res.matching)
-    assert rep.maximal
+    assert not check_maximal(path, res.matching)
 
 
 def test_deterministic_perfect_matching_is_immediate():
-    g = bipartite([(i, i) for i in range(6)])
+    g = bipartite(6, [(i, i) for i in range(6)])
     res = maximal_matching(g, DET)
     assert res.matching.sorted_pairs() == [(i, i) for i in range(6)]
     assert res.iterations == 1
@@ -194,11 +241,10 @@ def test_deterministic_always_maximal_on_random_graphs():
     rng = random.Random(23)
     for trial in range(30):
         g = random_bipartite(rng.randint(2, 14), 0.3, rng)
-        if not g:
+        if not g.num_edges:
             continue
         res = maximal_matching(g, DET)
-        rep = check_maximal(g, res.matching)
-        assert rep.maximal, f"trial {trial}"
+        assert not check_maximal(g, res.matching), f"trial {trial}"
 
 
 def test_maximality_check_cannot_be_extended():
@@ -206,13 +252,13 @@ def test_maximality_check_cannot_be_extended():
     rng = random.Random(31)
     for trial in range(10):
         g = random_bipartite(8, 0.4, rng)
-        if not g:
+        if not g.num_edges:
             continue
         res = maximal_matching(g, DET)
-        matched = {man(m) for m, _ in res.matching.pairs} | {woman(w) for _, w in res.matching.pairs}
-        for v, nbrs in g.items():
-            for u in nbrs:
-                assert v in matched or u in matched
+        men, women = res.matching.man_partner, res.matching.woman_partner
+        for m, lst in enumerate(g.men_prefs):
+            for w in lst:
+                assert m in men or w in women
 
 
 def test_subroutine_spec_parsing():
@@ -232,7 +278,7 @@ def test_subroutine_spec_parsing():
 
 
 def test_matching_round_determinism():
-    g = bipartite([(m, w) for m in range(6) for w in range(6) if (m + w) % 2])
+    g = bipartite(6, [(m, w) for m in range(6) for w in range(6) if (m + w) % 2])
     a = maximal_matching(g, ONE_ROUND, seed=5)
     b = maximal_matching(g, ONE_ROUND, seed=5)
     assert a.matching.pairs == b.matching.pairs
@@ -244,23 +290,19 @@ def _graph_and_pairs(draw):
     """A small bipartite graph (isolated vertices included) and a matching of it."""
     a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     edges = [(m, w) for m in range(a) for w in range(b) if draw(st.booleans())]
-    adj = {man(m): set() for m in range(a)}
-    adj.update({woman(w): set() for w in range(b)})
-    for m, w in edges:
-        adj[man(m)].add(woman(w))
-        adj[woman(w)].add(man(m))
+    graph = bipartite(max(a, b, 1), edges)
     pairs, used_m, used_w = [], set(), set()
     for m, w in draw(st.permutations(edges)):
         if m not in used_m and w not in used_w and draw(st.booleans()):
             pairs.append((m, w))
             used_m.add(m)
             used_w.add(w)
-    return adj, edges, pairs, draw(st.integers(0, 2**16))
+    return graph, edges, pairs, draw(st.integers(0, 2**16))
 
 
-def _nx_graph(nx, adj, edges):
+def _nx_graph(nx, graph, edges):
     g = nx.Graph()
-    g.add_nodes_from(adj)
+    g.add_nodes_from([*map(man, range(graph.n)), *map(woman, range(graph.n))])
     g.add_edges_from((man(m), woman(w)) for m, w in edges)
     return g
 
@@ -274,28 +316,28 @@ def _nx_matching(matching):
 def test_maximality_agrees_with_networkx(case):
     # networkx decides maximality on its own, independent of this package
     nx = pytest.importorskip("networkx")
-    adj, edges, pairs, seed = case
-    g = _nx_graph(nx, adj, edges)
+    graph, edges, pairs, seed = case
+    g = _nx_graph(nx, graph, edges)
 
     given_matching = Matching.of(pairs)
-    assert check_maximal(adj, given_matching).maximal == nx.is_maximal_matching(g, _nx_matching(given_matching))
+    assert (not check_maximal(graph, given_matching)) == nx.is_maximal_matching(g, _nx_matching(given_matching))
 
-    greedy = maximal_matching(adj, DET).matching
+    greedy = maximal_matching(graph, DET).matching
     assert nx.is_maximal_matching(g, _nx_matching(greedy))
-    assert check_maximal(adj, greedy).maximal
+    assert not check_maximal(graph, greedy)
 
     for s in (1, 3):
-        res = maximal_matching(adj, MatchingSubroutineSpec("rand", s), seed=seed)
+        res = maximal_matching(graph, MatchingSubroutineSpec("rand", s), seed=seed)
         assert nx.is_matching(g, _nx_matching(res.matching))
         assert res.maximal == nx.is_maximal_matching(g, _nx_matching(res.matching))
-        assert check_maximal(adj, res.matching).maximal == res.maximal
+        assert check_maximal(graph, res.matching) == res.residual_vertices
 
 
 @settings(max_examples=200, deadline=None)
 @given(_graph_and_pairs(), st.integers(1, 4))
 def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
     # dense small graphs have 4-cycles, on which an iteration can match no one
-    adj, _, _, seed = case
+    graph, _, _, seed = case
 
     def run(fast):
         stepped = []
@@ -304,7 +346,7 @@ def test_subroutine_fast_forward_equals_stepping_every_round(case, s):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Engine, "fast_forward", fast)
             mp.setattr(Engine, "run_round", lambda eng, *args: stepped.append(args[1]) or run_round(eng, *args))
-            res = maximal_matching(adj, MatchingSubroutineSpec("rand", s), seed=seed)
+            res = maximal_matching(graph, MatchingSubroutineSpec("rand", s), seed=seed)
         if not fast:
             assert len(stepped) == res.trace.rounds  # no round was skipped
         return res.matching, res.residual_vertices, res.iterations, res.trace.as_dict()
@@ -325,14 +367,11 @@ def _phase_on_path(spec, node_nbrs):
     return Engine(topology, seed=0), phase
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [{man(0): {woman(0)}}, {man(0): {man(1)}, man(1): {man(0)}}],
-    ids=["listed-at-one-end", "man-man"],
-)
-def test_graph_edge_that_is_one_sided_or_within_a_side_is_inconsistent(graph):
-    with pytest.raises(InconsistentState, match="does not cross sides or is not listed at both ends"):
-        maximal_matching(graph, DET)
+def test_graph_edge_listed_at_one_end_is_an_invalid_profile():
+    # the profile's validation is the subroutine's one symmetry check; an edge
+    # within a side cannot be written in a profile at all
+    with pytest.raises(InvalidProfile, match="asymmetric pair: man 0 lists woman 0"):
+        maximal_matching(PreferenceProfile.from_lists([[0]], [[]]), DET)
 
 
 def _sending(sender: int, to: int, kind):

@@ -22,6 +22,8 @@ from matchsim import (
     MatchingSubroutineSpec,
     PreferenceProfile,
     generate,
+    iterations_for_almost_maximal,
+    iterations_for_maximal,
     load_instance,
     load_matching,
     men_degree_ratio,
@@ -100,6 +102,26 @@ def test_generator_spec_validation():
     for text in ("complete:7", "aregular:inf,2", "aregular:nan,2", "aregular:1e308,2", "aregular:2,5"):
         with pytest.raises(ValueError):
             GeneratorSpec.parse(text, n=4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MatchingSubroutineSpec("foo"), "unknown subroutine flavor 'foo'"),
+        (lambda: MatchingSubroutineSpec("amm", eta=0.5, delta=1.0), "amm flavor needs 0 < delta < 1"),
+        (lambda: iterations_for_maximal(8, 0.0), "need eta > 0"),
+        (lambda: iterations_for_almost_maximal(0.0, 0.5), "need 0 < eta <= 1 and 0 < delta < 1"),
+        (lambda: GeneratorSpec("complete", 0, 0), "n must be >= 1"),
+        (lambda: GeneratorSpec("nope", 4, 0), "unknown family 'nope'"),
+        (lambda: GeneratorSpec("bounded", 4, 0, d=0), "bounded family needs degree bound d >= 1"),
+        (lambda: AlgorithmSpec("nope"), "unknown algorithm 'nope'"),
+    ],
+    ids=["flavor", "amm-delta", "maximal-eta", "almost-maximal-eta", "n", "family", "bounded-d", "algorithm"],
+)
+def test_direct_construction_refuses_what_parse_never_passes(build, message):
+    # parse refuses an unknown head or a missing field first, so only direct calls reach these
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_instance_round_trip_is_byte_identical(tmp_path):
