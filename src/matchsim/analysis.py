@@ -190,7 +190,7 @@ def verify_run(profile: PreferenceProfile, run: RunResult) -> VerificationReport
         eps=eps,
         k=params.k if params else None,
         delta=params.delta if params else None,
-        blocking_pairs=len(blocking_pairs(profile, run.matching)),
+        blocking_pairs=count_blocking_pairs(profile, run.matching),
         good_men=frozenset(good),
         bad_men=frozenset(bad),
     )
@@ -203,7 +203,9 @@ def verify_run(profile: PreferenceProfile, run: RunResult) -> VerificationReport
         tight = eps_blocking_pairs(profile, run.matching, report.tight_threshold)
         tight_bad = [(m, w) for m, w in tight if m in bad]
         report.tight_blocking_pairs = len(tight)
-        off_list = {m for m, w in tight_bad if w not in run.men[m].remaining}
+        # each bad man's remaining tuple, read into a set once
+        remaining = {m: set(run.men[m].remaining) for m in {m for m, _ in tight_bad}}
+        off_list = {m for m, w in tight_bad if w not in remaining[m]}
         checks += [
             BoundCheck.of(0, len(tight) - len(tight_bad)),
             BoundCheck.of(4 * edges / k, report.loose_blocking_pairs),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Iterable
 
 from .engine import Engine, MsgKind, ProcessorContext, RoundTrace, Topology
@@ -108,16 +109,16 @@ class MatchingSubroutineSpec:
 class MmNode:
     """Per-vertex state for one invocation of the matching subroutine.
 
-    ``residual`` is the vertex's current view of unmatched neighbors, by
-    index on the other side; it only shrinks, via announcements from
+    ``residual`` is the vertex's current view of unmatched neighbors, an ascending
+    tuple of indices on the other side; it only shrinks, via announcements from
     neighbors that got matched. ``pointing``, ``kept_in`` and ``chosen`` are
     this iteration's out-pointer, kept in-pointer and chosen edge.
     """
 
     __slots__ = ("residual", "matched", "pointing", "kept_in", "chosen")
 
-    def __init__(self, neighbors: Iterable[int]):
-        self.residual: set[int] = set(neighbors)
+    def __init__(self, neighbors: Iterable[int]):  # in ascending order
+        self.residual: tuple[int, ...] = tuple(neighbors)
         self.matched: int | None = None
         self.pointing: int | None = None
         self.kept_in: int | None = None
@@ -186,8 +187,8 @@ class MmPhase:
 
     def receive(self, ctx: ProcessorContext, kind: MsgKind) -> tuple[MmNode, list[int]]:
         """This vertex's node and the senders in its inbox, all of which must be of
-        ``kind``; a vertex without a node is never stepped, and a pointer must come
-        from the residual neighborhood."""
+        ``kind``; a vertex without a node is never stepped, a pointer must come
+        from the residual neighborhood, and an MM_MATCHED sender leaves it."""
         senders = ctx.take(kind)
         node = self.nodes.get(ctx.id)
         if node is None:
@@ -196,20 +197,20 @@ class MmPhase:
             for p in senders:
                 if p not in node.residual:
                     raise InconsistentState(f"pointer from {p} outside residual neighborhood")
+        elif kind is MsgKind.MM_MATCHED and senders:
+            node.residual = tuple(filterfalse(set(senders).__contains__, node.residual))
         return node, senders
 
     def point(self, ctx: ProcessorContext) -> None:
         if self.join is not None and ctx.id not in self.nodes:
             # a vertex outside the phase joins with the ACCEPTs it gets (all in the first round)
             node = self.nodes[ctx.id] = self.join(ctx, ctx.take(MsgKind.ACCEPT))
-            announcers = ()
         else:
-            node, announcers = self.receive(ctx, MsgKind.MM_MATCHED)
-        node.residual.difference_update(announcers)
+            node, _ = self.receive(ctx, MsgKind.MM_MATCHED)
         node.pointing = node.kept_in = node.chosen = None
         if node.live:
             self._live.append(ctx.id)
-            node.pointing = min(node.residual) if self.iterations is None else ctx.rng.choice(sorted(node.residual))
+            node.pointing = node.residual[0] if self.iterations is None else ctx.rng.choice(node.residual)
             ctx.send(node.pointing, MsgKind.MM_POINT)
 
     def keep(self, ctx: ProcessorContext) -> None:
@@ -238,7 +239,7 @@ class MmPhase:
         offered = node.pointing if greedy else node.chosen
         if offered is not None and offered in senders:
             node.matched = offered
-            ctx.send_many(sorted(node.residual), MsgKind.MM_MATCHED)
+            ctx.send_many(node.residual, MsgKind.MM_MATCHED)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def maximal_matching(graph: PreferenceProfile, spec: MatchingSubroutineSpec, see
     """
     n, engine = graph.n, Engine(Topology(graph), seed=seed)
     # player (side, i) is processor side * n + i: the men's lists, then the women's
-    phase = MmPhase(spec, {v: MmNode(lst) for v, lst in enumerate((*graph.men_prefs, *graph.women_prefs)) if lst})
+    phase = MmPhase(spec, {v: MmNode(sorted(lst)) for v, lst in enumerate((*graph.men_prefs, *graph.women_prefs)) if lst})
     iterations = phase.run(engine)
     nodes = phase.nodes
     pairs = [(m, node.matched) for m, node in nodes.items() if m < n and node.matched is not None]

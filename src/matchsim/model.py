@@ -182,9 +182,9 @@ class QuantizedPrefs:
         return list(compress(self.order[lo:hi], self.live[lo + 1 : hi + 1]))
 
     @property
-    def remaining(self) -> frozenset[int]:
-        """The remaining partners as a frozenset, built on each read."""
-        return frozenset(compress(self.order, memoryview(self.live)[1:]))
+    def remaining(self) -> tuple[int, ...]:
+        """The remaining partners as a tuple in rank order, built on each read."""
+        return tuple(compress(self.order, memoryview(self.live)[1:]))
 
     def quantile(self, partner: int) -> int:
         """Quantile index (1-based) of a partner from the original list."""

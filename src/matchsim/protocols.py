@@ -81,15 +81,17 @@ class AsmParams:
 
 
 class ManState:
+    # A is the part of the bucket a man opened his quantile match with (a_entry, the
+    # same tuple when opened) that has not rejected him, in rank order; () when empty
     __slots__ = ("quantized", "p", "A", "active", "removed", "a_entry")
 
     def __init__(self, quantized: QuantizedPrefs):
         self.quantized = quantized
         self.p: int | None = None
-        self.A: set[int] = set()
+        self.A: tuple[int, ...] = ()
         self.active = True
         self.removed = False
-        self.a_entry: frozenset[int] | None = None
+        self.a_entry: tuple[int, ...] | None = None
 
 
 class WomanState:
@@ -101,12 +103,12 @@ class WomanState:
         self.removed = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerFinal:
-    """Post-run snapshot of one player, for verification."""
+    """Post-run snapshot of one player, for verification; ``remaining`` is in rank order."""
 
     partner: int | None
-    remaining: frozenset[int]
+    remaining: tuple[int, ...]
     removed: bool
 
 
@@ -221,8 +223,8 @@ class QuantileProtocol:
             st.quantized.remove_many(rejected)
         except KeyError as exc:
             raise InconsistentState(f"{ctx.self_id} rejected twice: {exc}") from exc
-        if st.A:
-            st.A.difference_update(rejected)
+        if st.A:  # a subset of the remaining list: keeping what remains drops the rejecters
+            st.A = tuple(filter(st.quantized.__contains__, st.A))
         # equals summing the change per rejection: only the last one can leave
         # a man with neither a partner nor anyone left to reject him
         was_good = st.p is not None
@@ -238,7 +240,7 @@ class QuantileProtocol:
         """Checks due when a quantile match ends (run post-settle)."""
         if st.A:
             self._violate(f"man {idx} exits a quantile match with nonempty active set {sorted(st.A)}")
-            st.A = set()
+            st.A = ()
         if st.a_entry is not None:
             matched_inside = st.p is not None and st.p in st.a_entry
             fully_rejected = not any(map(st.quantized.__contains__, st.a_entry))
@@ -259,10 +261,9 @@ class QuantileProtocol:
         if qm_start:
             self._close_quantile_match_for(ctx.index, st)
             if st.active and not st.removed and st.p is None:
-                bucket = st.quantized.best_nonempty_bucket()
+                bucket = tuple(st.quantized.best_nonempty_bucket())
                 if bucket:
-                    st.A = set(bucket)
-                    st.a_entry = frozenset(bucket)
+                    st.A = st.a_entry = bucket
         if st.A:
             ctx.send_many(sorted(st.A), MsgKind.PROPOSE)
             self._proposers.append(ctx.index)
@@ -302,8 +303,7 @@ class QuantileProtocol:
 
     def _step_reject(self, ctx: ProcessorContext, phase: MmPhase) -> None:
         st = self.men[ctx.index] if ctx.side is Side.MAN else self.women[ctx.index]
-        node, announcers = phase.receive(ctx, MsgKind.MM_MATCHED)
-        node.residual.difference_update(announcers)
+        node, _ = phase.receive(ctx, MsgKind.MM_MATCHED)
         partner, residual_here = node.matched, node.live
         # only players with no partner at all leave the game; a matched woman
         # the subroutine failed to upgrade simply keeps her current partner
@@ -331,12 +331,12 @@ class QuantileProtocol:
         elif partner is not None:
             was_good = st.p is not None or not st.quantized
             st.p = partner
-            st.A = set()
+            st.A = ()
             self.good_count += 1 - int(was_good)
             self._unsettled.discard(ctx.index)
         elif removed_now:
             st.removed = True
-            st.A = set()
+            st.A = ()
             self._unsettled.discard(ctx.index)
 
     def _step_flush(self, ctx: ProcessorContext) -> None:

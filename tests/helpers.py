@@ -1,7 +1,8 @@
 """Helpers that only tests read: confidence bounds for randomized claims, a
 bipartite graph as a profile, an instance file's whole text, and a call's traced
-memory peak."""
+memory peak and held bytes."""
 
+import gc
 import math
 import tracemalloc
 
@@ -51,11 +52,17 @@ def instance_to_json(profile: PreferenceProfile) -> str:
     return "".join(_instance_text(profile))
 
 
-def traced_peak(fn, *args) -> int:
-    """The most bytes tracemalloc saw allocated at once during ``fn(*args)``."""
+def traced_peak(fn, *args) -> tuple[int, int]:
+    """The most bytes tracemalloc saw allocated at once during ``fn(*args)``, and the
+    bytes allocated during the call that are still held once it has returned and
+    garbage is collected: its result, and anything it cached."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result  # alive until its bytes are read
+        return peak, held
     finally:
         tracemalloc.stop()

@@ -161,9 +161,9 @@ def test_positive_threshold_blocking_is_subset_of_blocking():
 
 def test_classify_good_bad():
     men = (
-        PlayerFinal(partner=3, remaining=frozenset({3, 4}), removed=False),
-        PlayerFinal(partner=None, remaining=frozenset(), removed=False),
-        PlayerFinal(partner=None, remaining=frozenset({1}), removed=False),
+        PlayerFinal(partner=3, remaining=(3, 4), removed=False),
+        PlayerFinal(partner=None, remaining=(), removed=False),
+        PlayerFinal(partner=None, remaining=(1,), removed=False),
     )
     good, bad = classify_good_bad(men)
     assert good == {0, 1}
@@ -470,7 +470,7 @@ def _finished_run(profile, matching, men, eps, outer_records=()):
     n = profile.n
     return RunResult(
         algorithm="test", matching=matching, trace=RoundTrace(), men=tuple(men),
-        women=tuple(PlayerFinal(None, frozenset(), False) for _ in range(n)),
+        women=tuple(PlayerFinal(None, (), False) for _ in range(n)),
         params=None if eps is None else AsmParams.for_instance(eps, n),
         outer_records=tuple(outer_records), violations=(),
     )
@@ -484,7 +484,7 @@ def _finished_runs(draw):
     for lst in prof.men_prefs:
         kept = draw(st.lists(st.booleans(), min_size=len(lst), max_size=len(lst)))
         partner = draw(st.none() | st.sampled_from(lst)) if lst else None
-        men.append(PlayerFinal(partner, frozenset(w for w, keep in zip(lst, kept) if keep), draw(st.booleans())))
+        men.append(PlayerFinal(partner, tuple(w for w, keep in zip(lst, kept) if keep), draw(st.booleans())))
     eps = draw(st.none() | st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]))
     records = [OuterRecord(i, 1, BoundCheck(0.5, 1, passed)) for i, passed in enumerate(draw(st.lists(st.booleans(), max_size=3)))]
     return prof, _finished_run(prof, m, men, eps, records)
@@ -507,11 +507,11 @@ def test_verify_run_counts_every_claim_it_can_break():
     # at a man's or a woman's last place are loose and the 16 others are tight
     prof = complete_profile([list(range(5))] * 5, [list(range(5))] * 5)
     men = [
-        PlayerFinal(None, frozenset(), False),  # good: exhausted, yet tight with women 0..3
-        PlayerFinal(None, frozenset(range(5)), False),  # bad, every tight partner on his list
-        PlayerFinal(None, frozenset({0}), False),  # bad, tight partners 1..3 off his list
-        PlayerFinal(None, frozenset({4}), False),  # bad, tight partners 0..3 off his list
-        PlayerFinal(None, frozenset({0}), False),  # bad, last on every list: no tight pair
+        PlayerFinal(None, (), False),  # good: exhausted, yet tight with women 0..3
+        PlayerFinal(None, tuple(range(5)), False),  # bad, every tight partner on his list
+        PlayerFinal(None, (0,), False),  # bad, tight partners 1..3 off his list
+        PlayerFinal(None, (4,), False),  # bad, tight partners 0..3 off his list
+        PlayerFinal(None, (0,), False),  # bad, last on every list: no tight pair
     ]
     run = _finished_run(prof, Matching.of([]), men, 1.0, [OuterRecord(0, 5, BoundCheck.of(0.625, 4))])
     report = verify_run(prof, run)

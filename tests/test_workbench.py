@@ -157,7 +157,7 @@ def _complete_files(tmp_path, n=256):
 def test_save_instance_streams_the_file(tmp_path):
     # built as one JSON string from list copies, saving peaked at about 73 bytes per edge
     prof, inst, _ = _complete_files(tmp_path)
-    assert traced_peak(save_instance, prof, inst) <= 8 * prof.num_edges
+    assert traced_peak(save_instance, prof, inst)[0] <= 8 * prof.num_edges
 
 
 def test_cli_verify_holds_no_whole_file_or_pair_list(tmp_path, capsys):
@@ -166,7 +166,7 @@ def test_cli_verify_holds_no_whole_file_or_pair_list(tmp_path, capsys):
     # sets of the eps scan
     prof, inst, mfile = _complete_files(tmp_path)
     argv = ["verify", "--instance", str(inst), "--matching", str(mfile), "--eps", "0.25", "--threshold", "0.125"]
-    assert traced_peak(main, argv) <= 60 * prof.num_edges
+    assert traced_peak(main, argv)[0] <= 60 * prof.num_edges
     printed = json.loads(capsys.readouterr().out)
     matching = load_matching(mfile)
     assert printed["blocking_pairs"] == len(blocking_pairs(prof, matching)) > 0
