@@ -155,28 +155,24 @@ class QuantizedPrefs:
 
     Bucket assignment follows ``q(r) = ceil(r * k / deg)`` for 1-based rank r, which keeps
     bucket sizes within one of ``deg / k`` and leaves some empty when ``deg < k``. Bucket i
-    is the rank slice ``order[(i - 1) * deg // k : i * deg // k]``, so no bucket is stored:
-    a flag byte ``live[r]`` is 1 while the partner of rank r remains (``live[0]`` is a 0 pad
-    that a stranger reads: its ``rank_of[p]`` is 0 or raises LookupError), with their
-    ``count`` and cursors at the first and last remaining positions. Slices are read with
-    ``compress`` over the flags; a cursor whose flag is cleared moves with ``find``/``rfind``.
-    The structure is removal-only; ``rank_of`` (the profile's cached rank row for this list,
-    only read) and ``quantile`` describe the original list.
+    is the rank slice ``order[(i - 1) * deg // k : i * deg // k]``, so no bucket is stored.
+    The only mutable state is a flag byte per rank: ``live[r]`` is 1 while the partner of
+    rank r remains, and ``live[0]`` is a 0 pad that a stranger reads (its ``rank_of[p]`` is
+    0 or raises LookupError). ``compress``, ``find(1)``, ``count(1)`` and a slice clear read
+    and drop partners. The structure is removal-only; ``rank_of`` (the profile's cached rank
+    row for this list, only read) and ``quantile`` describe the original list.
     """
 
-    __slots__ = ("k", "deg", "order", "rank_of", "live", "count", "_first", "_last")
+    __slots__ = ("k", "deg", "order", "rank_of", "live")
 
     def __init__(self, ordered_partners: Sequence[int], k: int, rank_of: Sequence[int] | Mapping[int, int]):
         if k < 1:
             raise ValueError(f"quantile count must be >= 1, got {k}")
         self.k = k
         self.order: tuple[int, ...] = tuple(ordered_partners)
-        self.deg = self.count = deg = len(self.order)
+        self.deg = deg = len(self.order)
         self.rank_of = rank_of
         self.live = bytearray(b"\0" + b"\1" * deg)
-        # the cursors only move inward, O(deg) over a whole run; once count is 0 they
-        # stay where they were, and every flag they bound reads 0
-        self._first, self._last = 0, deg - 1
 
     def _remaining_in(self, lo: int, hi: int) -> list[int]:
         return list(compress(self.order[lo:hi], self.live[lo + 1 : hi + 1]))
@@ -190,12 +186,9 @@ class QuantizedPrefs:
         """Quantile index (1-based) of a partner from the original list."""
         return -(-self.rank_of[partner] * self.k // self.deg)
 
-    def best_nonempty_index(self) -> int | None:
-        return -(-(self._first + 1) * self.k // self.deg) if self.count else None
-
     def best_nonempty_bucket(self) -> list[int]:
-        i = self.best_nonempty_index()
-        return [] if i is None else self._remaining_in(self._first, i * self.deg // self.k)
+        r = self.live.find(1)
+        return [] if r < 0 else self._remaining_in(r - 1, -(-r * self.k // self.deg) * self.deg // self.k)
 
     def remove(self, partner: int) -> None:
         self.remove_many((partner,))
@@ -204,11 +197,10 @@ class QuantizedPrefs:
         """Drop distinct remaining partners. On a KeyError the flags cleared so far
         are set again, so nothing is removed."""
         live, rank_of = self.live, self.rank_of
-        # a partner is an index of the other side, never negative, which a list row
-        # would read from its end
+        # a negative index is never a partner, but a list row would read it from its end
         for i, p in enumerate(partners):
             try:
-                r = rank_of[p]
+                r = rank_of[p] if p >= 0 else 0
             except LookupError:
                 r = 0
             if not live[r]:
@@ -216,25 +208,27 @@ class QuantizedPrefs:
                     live[rank_of[cleared]] = 1
                 raise KeyError(f"partners {list(partners)} include {p}, not remaining")
             live[r] = 0
-        self.count -= len(partners)
-        # a cursor moves only when its own flag was cleared
-        if self.count and not live[self._first + 1]:
-            self._first = live.find(1, self._first + 2) - 1
-        if self.count and not live[self._last + 1]:
-            self._last = live.rfind(1, 0, self._last + 1) - 1
 
-    def at_or_worse(self, quantile_index: int) -> list[int]:
-        """Remaining partners whose quantile index is >= the given one, in rank order."""
-        return self._remaining_in(max((quantile_index - 1) * self.deg // self.k, self._first), self._last + 1)
+    def remove_from(self, quantile_index: int, keep: int | None = None) -> list[int]:
+        """Drop the remaining partners at quantile index >= the given one but ``keep``; return
+        them in rank order. A ``keep`` not among them is a ValueError, and nothing is removed."""
+        lo, deg = (quantile_index - 1) * self.deg // self.k, self.deg
+        dropped = self._remaining_in(lo, deg)
+        if keep is not None:
+            dropped.remove(keep)
+        self.live[lo + 1 :] = bytes(deg - lo)
+        if keep is not None:
+            self.live[self.rank_of[keep]] = 1
+        return dropped
 
     def __contains__(self, partner: int) -> bool:
         try:
-            return self.live[self.rank_of[partner]] == 1
+            return partner >= 0 and self.live[self.rank_of[partner]] == 1
         except LookupError:
             return False
 
     def __len__(self) -> int:
-        return self.count
+        return self.live.count(1)
 
 
 def quantize(prefs_of_player: Sequence[int], k: int, rank_of: Sequence[int] | Mapping[int, int]) -> QuantizedPrefs:

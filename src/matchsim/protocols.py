@@ -319,14 +319,11 @@ class QuantileProtocol:
                             f"woman {ctx.index} partner quantile did not strictly improve",
                             structural=True,
                         )
-                targets = [m for m in st.quantized.at_or_worse(q0) if m != partner]
-                ctx.send_many(targets, MsgKind.REJECT)
-                st.quantized.remove_many(targets)
+                ctx.send_many(st.quantized.remove_from(q0, keep=partner), MsgKind.REJECT)
                 st.p = partner
             elif removed_now:
-                targets = sorted(st.quantized.remaining)
-                ctx.send_many(targets, MsgKind.REJECT)
-                st.quantized.remove_many(targets)
+                # the REJECTs go out in index order
+                ctx.send_many(sorted(st.quantized.remove_from(1)), MsgKind.REJECT)
                 st.removed = True
         elif partner is not None:
             was_good = st.p is not None or not st.quantized

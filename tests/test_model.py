@@ -35,10 +35,17 @@ def quantize(order, k):
     return model.quantize(order, k, dict(zip(order, range(1, len(order) + 1))))
 
 
+def _copy(q):
+    """A quantized list over q's list and rank row with q's flags, for a read that removes."""
+    c = model.quantize(q.order, q.k, q.rank_of)
+    c.live[:] = q.live
+    return c
+
+
 def _buckets(q):
     """The remaining partners of each quantile 1..k, in rank order, read through
-    ``at_or_worse`` and ``quantile``."""
-    return [[p for p in q.at_or_worse(i) if q.quantile(p) == i] for i in range(1, q.k + 1)]
+    ``remove_from`` on a copy of q and ``quantile``."""
+    return [[p for p in _copy(q).remove_from(i) if q.quantile(p) == i] for i in range(1, q.k + 1)]
 
 
 def test_quantize_exact_division():
@@ -63,8 +70,9 @@ def test_quantize_fewer_partners_than_buckets():
 
 def test_quantize_empty_list():
     q = quantize([], 4)
-    assert q.best_nonempty_index() is None
+    assert q.best_nonempty_bucket() == []
     assert not q.remaining
+    assert q.remove_from(1) == [] and len(q) == 0
 
 
 def test_quantize_rejects_bad_k():
@@ -111,10 +119,11 @@ def test_quantize_removal_only():
     assert q.best_nonempty_bucket() == [5]
     with pytest.raises(KeyError):
         q.remove(6)
-    assert q.at_or_worse(2) == [7, 8]
-    assert q.best_nonempty_index() == 1
     q.remove(5)
-    assert q.best_nonempty_index() == 2
+    # the best bucket is now quantile 2's; dropping it from quantile 2 on empties the list
+    assert q.best_nonempty_bucket() == [7, 8] and q.quantile(7) == 2
+    assert q.remove_from(2) == [7, 8]
+    assert q.best_nonempty_bucket() == [] and len(q) == 0 and not q.remaining
 
 
 class _ReferenceQuantized:
@@ -159,27 +168,27 @@ def _quantize_case(draw):
     else:
         deg, k = draw(st.integers(1, 24)), draw(st.integers(1, 12))
     order = draw(st.permutations([100 + i for i in range(deg)]))
-    batches = (
-        draw(st.lists(st.lists(st.sampled_from(order), max_size=4), max_size=3 * deg))
-        if deg
-        else []
-    )
-    return order, k, batches
+    # each step removes a batch, then maybe clears from a quantile index, keeping one
+    # partner or none (a batch is empty on an empty list)
+    partners = st.sampled_from(order) if deg else st.nothing()
+    batch = st.lists(partners, max_size=4) if deg else st.just([])
+    clear = st.none() | st.tuples(st.integers(1, k), st.none() | partners)
+    steps = draw(st.lists(st.tuples(batch, clear), max_size=max(3 * deg, 2)))
+    return order, k, steps
 
 
 @settings(max_examples=300, deadline=None)
 @given(_quantize_case())
 def test_quantize_matches_reference_under_removals(case):
-    order, k, batches = case
+    order, k, steps = case
     q = quantize(tuple(order), k)
     ref = _ReferenceQuantized(order, k)
 
     def agree():
         best = ref.best_nonempty_index()
-        assert q.best_nonempty_index() == best
         assert q.best_nonempty_bucket() == ([] if best is None else ref.buckets[best - 1])
         for i in range(1, k + 1):
-            assert q.at_or_worse(i) == ref.at_or_worse(i)
+            assert _copy(q).remove_from(i) == ref.at_or_worse(i)
         for p in order:
             assert q.quantile(p) == ref.quantile_of[p]
             assert (p in q) == (p in ref.buckets[ref.quantile_of[p] - 1])
@@ -188,7 +197,7 @@ def test_quantize_matches_reference_under_removals(case):
         assert q.remaining == tuple(p for b in ref.buckets for p in b)  # in rank order
 
     agree()
-    for batch in batches:
+    for batch, clear in steps:
         try:
             ref.remove_many(batch)
         except KeyError:
@@ -196,6 +205,18 @@ def test_quantize_matches_reference_under_removals(case):
                 q.remove_many(batch)
         else:
             q.remove_many(batch)
+        agree()
+        if clear is None:
+            continue
+        i, keep = clear
+        dropped = [p for p in ref.at_or_worse(i) if p != keep]
+        if keep is None or keep in ref.at_or_worse(i):
+            assert q.remove_from(i, keep) == dropped
+            ref.remove_many(dropped)
+        else:
+            # a keep already removed or in a better quantile: nothing changes
+            with pytest.raises(ValueError):
+                q.remove_from(i, keep)
         agree()
     for p in order:
         if p not in q.remaining:
@@ -274,7 +295,7 @@ def test_rank_rows_read_ranks_and_strangers_as_zero(prof, k, data):
             assert all(_rank(row, p) == 0 for p in [*range(n), n, n + 5] if p not in lst)
             # p in q, remove_many and remaining agree with a set of the remaining partners
             q, left = model.quantize(lst, k, row), set(lst)
-            batches = data.draw(st.lists(st.lists(st.integers(0, n + 1), max_size=3), max_size=4))
+            batches = data.draw(st.lists(st.lists(st.integers(-2, n + 1), max_size=3), max_size=4))
             for batch in batches:
                 if len(set(batch)) == len(batch) and left.issuperset(batch):
                     q.remove_many(batch)
@@ -282,7 +303,7 @@ def test_rank_rows_read_ranks_and_strangers_as_zero(prof, k, data):
                 else:
                     with pytest.raises(KeyError):
                         q.remove_many(batch)
-                assert [p in q for p in range(n + 2)] == [p in left for p in range(n + 2)]
+                assert [p in q for p in range(-2, n + 2)] == [p in left for p in range(-2, n + 2)]
                 assert len(q) == len(left) and q.remaining == tuple(p for p in lst if p in left)
 
 

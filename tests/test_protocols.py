@@ -619,6 +619,37 @@ def test_accept_for_an_unsent_proposal_raises_inconsistent_state():
         proto.eng.run_round(phase.point, "mm", actors=())
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "current, partner, error, message",
+    [
+        (3, 3, InconsistentState, "woman 0 re-matched to her current partner"),
+        # the same quantile, then a worse one; structural, so raised when logged too
+        (3, 4, InvariantViolation, "woman 0 partner quantile did not strictly improve"),
+        (3, 9, InvariantViolation, "woman 0 partner quantile did not strictly improve"),
+    ],
+)
+def test_reject_round_refuses_a_partner_that_is_no_upgrade(strict, current, partner, error, message):
+    # no tier-1 run re-matches a woman to a man no better than her partner, so one
+    # reject round is stepped by hand: woman 0 of complete n=16 holds the man she
+    # ranks ``current`` and the subroutine matched her to the one she ranks ``partner``
+    # (1-based; k = 8, so ranks 2r - 1 and 2r share quantile r)
+    from matchsim.maximal import MmNode, MmPhase
+    from matchsim.protocols import QuantileProtocol
+
+    prof = generate(GeneratorSpec.parse("complete", n=16, seed=1))
+    proto = QuantileProtocol(prof, MatchingSubroutineSpec("det"), params=AsmParams.for_instance(1.0, 16), strict=strict)
+    state, order = proto.women[0], proto.women[0].quantized.order
+    state.p = order[current - 1]
+    node = MmNode([order[partner - 1]])
+    node.matched = order[partner - 1]
+    phase = MmPhase(proto.mm_spec, {16: node})
+    with pytest.raises(error, match=message):
+        proto.eng.run_round(lambda c: proto._step_reject(c, phase), "reject", actors=[16])
+    assert state.p == order[current - 1] and state.quantized.remaining == order
+    assert proto.violations == []
+
+
 def two_component_profile(perm_b):
     """Two complete 4x4 islands; the second island's men use ``perm_b``."""
     men, women = [], []
