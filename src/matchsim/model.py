@@ -210,8 +210,10 @@ class QuantizedPrefs:
             live[r] = 0
 
     def remove_from(self, quantile_index: int, keep: int | None = None) -> list[int]:
-        """Drop the remaining partners at quantile index >= the given one but ``keep``; return
-        them in rank order. A ``keep`` not among them is a ValueError, and nothing is removed."""
+        """Drop the remaining partners at quantile index >= the given one (1..k) but ``keep``; return
+        them in rank order. Another index, or a ``keep`` not among them, is a ValueError, and nothing is removed."""
+        if not 1 <= quantile_index <= self.k:
+            raise ValueError(f"quantile index {quantile_index} is outside 1..{self.k}")
         lo, deg = (quantile_index - 1) * self.deg // self.k, self.deg
         dropped = self._remaining_in(lo, deg)
         if keep is not None:

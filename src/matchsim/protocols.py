@@ -142,11 +142,12 @@ class QuantileProtocol:
 
     * ``params`` None (serial): per-player singleton quantiles iterated to
       quiescence, which reduces the machinery to classical deferred acceptance.
-    * ``flat_quantile_matches`` set (flat): that many quantile matches with
-      every man eligible throughout; players the subroutine leaves unmatched
-      in an accepted graph are removed from play.
-    * otherwise (ladder): the full doubly nested loop; men whose remaining
-      list has at least 2^i entries participate in rung i.
+    * ``flat_quantile_matches`` set (flat): that many quantile matches, run as
+      rung 0 with no record; players the subroutine leaves unmatched in an
+      accepted graph are removed from play.
+    * otherwise (ladder): the full doubly nested loop; men with at least 2^i
+      partners left when rung i opens take part in it, and one pass at its end
+      records its active and bad men, with the REJECTs in flight settled.
 
     With ``strict`` set, invariant failures are raised; otherwise they are
     logged in ``violations``. The schedule's totals (proposal rounds,
@@ -190,7 +191,6 @@ class QuantileProtocol:
 
         self.good_count = sum(1 for st in self.men if not st.quantized)
         self._last_good_count = self.good_count
-        self._frozen_active: list[int] = list(range(profile.n))
         # kept where the state changes, so no quiet check or actor list scans every
         # man: the men neither removed, matched nor out of partners; the men who
         # sent PROPOSE in the last propose round (every man with a nonempty A is
@@ -390,8 +390,6 @@ class QuantileProtocol:
     def _proposal_round(self, qm_start: bool, outer_index: int | None) -> None:
         self.totals["proposal_rounds"] += 1
         self._propose_round(qm_start, outer_index)
-        if outer_index is not None:
-            self._frozen_active = [i for i, st in enumerate(self.men) if st.active]
         if qm_start:
             self._after_qm_boundary()
         self._match_and_reject()
@@ -407,9 +405,9 @@ class QuantileProtocol:
         )
         self.totals["proposal_rounds"] += skipped
 
-    def _quantile_matches(self, count: int, rung: int | None) -> int:
+    def _quantile_matches(self, count: int, rung: int) -> int:
         """Run ``count`` quantile matches, the first opening ``rung`` of the
-        ladder (None in flat mode); return how many were skipped."""
+        ladder (a flat run is rung 0); return how many were skipped."""
         k = self.params.k
         skipped = self.eng.repeat(
             count,
@@ -417,7 +415,7 @@ class QuantileProtocol:
             lambda j: self._quantile_match(outer_index=(rung if j == 0 else None)),
             # a rung's first propose round sets the active flags; before it,
             # every man counts
-            lambda j: not self._any_assignable(ignore_active=(j == 0 and rung is not None)),
+            lambda j: not self._any_assignable(ignore_active=(j == 0)),
         )
         self.totals["quantile_matches"] += skipped
         self.totals["proposal_rounds"] += k * skipped
@@ -425,25 +423,23 @@ class QuantileProtocol:
 
     # -- bad-man accounting at ladder rung boundaries ----------------------
 
-    def _settled_bad_men(self, candidates: Iterable[int]) -> int:
-        """Count bad men among candidates as of the settled state, i.e. with
-        in-flight rejections applied. Read-only instrumentation."""
-        # only men receive REJECT, and a man's engine id is his index
+    def _record_outer(self, index: int, opened: bool) -> None:
+        """Count the rung's active men, and the bad ones among them as of the settled
+        state, i.e. with the REJECTs still in flight applied. Read-only instrumentation."""
+        # only men receive REJECT, and a man's engine id is his index; a woman
+        # rejects a man at most once a round, so an inbox holds distinct senders
         pending = self.eng.peek_pending(MsgKind.REJECT)
-        bad = 0
-        for m_idx in candidates:
-            st = self.men[m_idx]
-            gone = set(pending.get(m_idx, ()))
-            if (st.p is None or st.p in gone) and len(st.quantized) > len(gone):
-                bad += 1
-        return bad
-
-    def _record_outer(self, index: int, active: list[int]) -> None:
-        bad = self._settled_bad_men(active)
-        check = BoundCheck.of(self.params.delta * len(active), bad)
-        self.outer_records.append(OuterRecord(index, len(active), check))
+        active = bad = 0
+        for m, st in enumerate(self.men):
+            # the opening round set the flags; a rung skipped whole changed no state
+            if st.active if opened else len(st.quantized) >= 1 << index:
+                gone = pending.get(m, ())
+                active += 1
+                bad += (st.p is None or st.p in gone) and len(st.quantized) > len(gone)
+        check = BoundCheck.of(self.params.delta * active, bad)
+        self.outer_records.append(OuterRecord(index, active, check))
         if not check.passed:
-            self._violate(f"rung {index}: {bad} bad men among {len(active)} active exceeds {check.bound:g}")
+            self._violate(f"rung {index}: {bad} bad men among {active} active exceeds {check.bound:g}")
 
     # ------------------------------------------------------------------
     # top-level schedules
@@ -451,10 +447,7 @@ class QuantileProtocol:
     def _run_ladder(self) -> None:
         p = self.params
         for i in range(p.outer_iterations):
-            if self._quantile_matches(p.inner_iterations, i) == p.inner_iterations:
-                # the whole rung was skipped, so no propose round froze its active men
-                self._frozen_active = [m for m, st in enumerate(self.men) if len(st.quantized) >= (1 << i)]
-            self._record_outer(i, self._frozen_active)
+            self._record_outer(i, opened=self._quantile_matches(p.inner_iterations, i) < p.inner_iterations)
 
     def _run_serial(self) -> None:
         while self._propose_round(qm_start=True, outer_index=None):
@@ -494,7 +487,7 @@ class QuantileProtocol:
             if self.params is None:
                 self._run_serial()
             elif self.flat_quantile_matches is not None:
-                self._quantile_matches(self.flat_quantile_matches, rung=None)
+                self._quantile_matches(self.flat_quantile_matches, rung=0)
             else:
                 self._run_ladder()
             self._flush()

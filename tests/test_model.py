@@ -126,6 +126,18 @@ def test_quantize_removal_only():
     assert q.best_nonempty_bucket() == [] and len(q) == 0 and not q.remaining
 
 
+@pytest.mark.parametrize("index", [0, -1, 4, 5])
+def test_remove_from_refuses_a_quantile_index_outside_one_to_k(index):
+    # below 1 the start rank would wrap or drop the wrong partners, and past k + 1 the
+    # clear's length goes negative; each is refused before any flag changes
+    q = quantize([0, 1, 2, 3, 4, 5], 3)
+    q.remove(1)
+    live = bytes(q.live)
+    with pytest.raises(ValueError, match=f"quantile index {index} is outside 1..3"):
+        q.remove_from(index)
+    assert bytes(q.live) == live and q.remaining == (0, 2, 3, 4, 5)
+
+
 class _ReferenceQuantized:
     """Naive list-of-buckets model of QuantizedPrefs, for the property test."""
 

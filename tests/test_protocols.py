@@ -2,6 +2,7 @@
 runtime invariants, determinism, and locality."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from helpers import traced_peak
 from matchsim import (
     AlgorithmSpec,
     AsmParams,
+    BoundCheck,
     MatchingSubroutineSpec,
     Matching,
     MsgKind,
@@ -648,6 +650,166 @@ def test_reject_round_refuses_a_partner_that_is_no_upgrade(strict, current, part
         proto.eng.run_round(lambda c: proto._step_reject(c, phase), "reject", actors=[16])
     assert state.p == order[current - 1] and state.quantized.remaining == order
     assert proto.violations == []
+
+
+def _one_woman_accept_round(strict, proposer_rank, edit):
+    """Woman 0 of complete n=16 gets PROPOSE from the man she ranks ``proposer_rank``
+    (1-based) after ``edit(state, order)``, and one accept round steps her."""
+    from matchsim.maximal import MmPhase
+    from matchsim.protocols import QuantileProtocol
+
+    prof = generate(GeneratorSpec.parse("complete", n=16, seed=1))
+    proto = QuantileProtocol(prof, MatchingSubroutineSpec("det"), params=AsmParams.for_instance(1.0, 16), strict=strict)
+    state, order = proto.women[0], proto.women[0].quantized.order
+    edit(state, order)
+    proposer = order[proposer_rank - 1]
+    proto.eng.run_round(lambda c: c.send(0, MsgKind.PROPOSE), "stray", actors=[proposer])
+    phase = MmPhase(proto.mm_spec, join=proto._join_man)
+    return proto, proposer, lambda: proto.eng.run_round(lambda c: proto._step_accept(c, phase), "accept", actors=())
+
+
+def test_accept_round_refuses_a_proposal_from_a_pruned_man():
+    # no tier-1 run has a man propose to a woman who already dropped him, so she drops
+    # him by hand first
+    proto, proposer, step = _one_woman_accept_round(True, 5, lambda state, order: state.quantized.remove(order[4]))
+    with pytest.raises(InconsistentState, match=f"W0 got a proposal from pruned M{proposer}$"):
+        step()
+
+
+def test_accept_round_refuses_a_proposal_to_a_removed_woman():
+    def remove(state, order):
+        state.removed = True
+
+    _, _, step = _one_woman_accept_round(True, 5, remove)
+    with pytest.raises(InconsistentState, match="removed W0 received a proposal"):
+        step()
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("proposer_rank, best", [(2, 1), (3, 2)])
+def test_accept_round_refuses_proposers_no_better_than_her_partner(strict, proposer_rank, best):
+    # she holds the man she ranks first (quantile 1 of k = 8, with his rank-2 peer); a
+    # proposer from the same quantile or a worse one is no upgrade. Structural, so raised
+    # when logged too
+    def hold_the_first(state, order):
+        state.p = order[0]
+
+    proto, _, step = _one_woman_accept_round(strict, proposer_rank, hold_the_first)
+    with pytest.raises(InvariantViolation, match=f"woman 0 saw best proposing quantile {best}, no better than her partner's"):
+        step()
+    assert proto.violations == []
+
+
+def test_a_woman_who_gets_accept_in_the_first_point_round_raises():
+    # ACCEPT goes from women to men, so a woman who receives one cannot join the
+    # subroutine as a man; M3 sends it by hand
+    from matchsim.maximal import MmPhase
+
+    proto, _ = _after_one_proposal_round()
+    proto._flush()
+    phase = MmPhase(proto.mm_spec, join=proto._join_man)
+    proto.eng.run_round(lambda c: c.send(0, MsgKind.ACCEPT), "stray", actors=[3])
+    with pytest.raises(InconsistentState, match="W0 received ACCEPT"):
+        proto.eng.run_round(phase.point, "mm", actors=())
+
+
+def test_a_flat_run_is_rung_0_with_no_record():
+    # the flat schedule opens as the ladder's rung 0, whose opening round marks a man
+    # inactive only when his list is empty; it keeps no rung record
+    from matchsim.protocols import QuantileProtocol
+
+    profile = PreferenceProfile.from_lists([[0, 1], [], [1, 0]], [[2, 0], [0, 2], []])
+    proto = QuantileProtocol(profile, MatchingSubroutineSpec("det"), params=AsmParams.for_instance(1.0, 3),
+                             flat_quantile_matches=4)
+    res = proto.run()
+    assert res.outer_records == () and res.violations == ()
+    assert [st.active for st in proto.men] == [True, False, True]
+    assert sorted(res.matching.pairs) == [(0, 0), (2, 1)]
+
+
+def _truncated_ladder(profile, mm, k, inner, seed, strict):
+    """A ladder whose rungs run ``inner`` quantile matches of k proposal rounds each, so
+    they end with men still bad and, for k <= 2, with REJECTs still in flight."""
+    from matchsim.protocols import QuantileProtocol
+
+    params = dataclasses.replace(AsmParams.for_instance(1.0, profile.n), inner_iterations=inner, k=k)
+    return QuantileProtocol(profile, MatchingSubroutineSpec.parse(mm), params=params, seed=seed, strict=strict)
+
+
+def test_rung_records_read_the_rejects_in_flight(monkeypatch):
+    # each record is recounted from snapshots of every man's (partner, list length),
+    # taken where every man is settled: right after each rung's opening propose round,
+    # which steps every man, and after the trailing flush. No engine mail is read
+    from matchsim.protocols import QuantileProtocol
+
+    snapshots = []  # (the rung whose opening round ran, or inf at the flush; the men's state)
+    at_rung_end = []  # the men's state as each rung ends, before its REJECTs land
+    propose_round, record_outer, flush = (
+        QuantileProtocol._propose_round, QuantileProtocol._record_outer, QuantileProtocol._flush
+    )
+
+    def men(proto):
+        return [(st.p, len(st.quantized)) for st in proto.men]
+
+    def snapped_propose_round(proto, qm_start, outer_index):
+        sent = propose_round(proto, qm_start, outer_index)
+        if outer_index is not None:
+            snapshots.append((outer_index, men(proto)))
+        return sent
+
+    def snapped_record_outer(proto, index, opened):
+        at_rung_end.append(men(proto))
+        record_outer(proto, index, opened)
+
+    def snapped_flush(proto):
+        flush(proto)
+        snapshots.append((math.inf, men(proto)))
+
+    monkeypatch.setattr(QuantileProtocol, "_propose_round", snapped_propose_round)
+    monkeypatch.setattr(QuantileProtocol, "_record_outer", snapped_record_outer)
+    monkeypatch.setattr(QuantileProtocol, "_flush", snapped_flush)
+
+    def bad(state, active):
+        return sum(1 for m in active if state[m][0] is None and state[m][1] > 0)
+
+    checked = bad_rungs = unsettled_at_end = 0
+    cases = itertools.product(
+        ["complete", "random:0.3", "random:0.6", "bounded:3", "bounded:6"], (9, 16, 30), (0, 1), (1, 2), (1, 2, 3)
+    )
+    for family, n, seed, k, inner in cases:
+        profile = generate(GeneratorSpec.parse(family, n=n, seed=seed))
+        for mm in ("det", "rand:3"):
+            snapshots.clear()
+            at_rung_end.clear()
+            proto = _truncated_ladder(profile, mm, k, inner, seed, strict=False)
+            res = proto.run()
+            assert [r.index for r in res.outer_records] == list(range(proto.params.outer_iterations))
+            for record, end in zip(res.outer_records, at_rung_end):
+                i = record.index
+                after = next(state for rung, state in snapshots if rung > i)
+                # a rung skipped whole changed no state, so the next snapshot has its lists
+                opened = next((state for rung, state in snapshots if rung == i), after)
+                active = [m for m, (_, length) in enumerate(opened) if length >= 1 << i]
+                settled = bad(after, active)
+                assert record.active_men == len(active)
+                assert record.check == BoundCheck.of(proto.params.delta * len(active), settled)
+                checked += 1
+                bad_rungs += settled > 0
+                unsettled_at_end += bad(end, active) != settled
+    # the sweep reaches rungs with bad men, and rungs whose REJECTs in flight change the count
+    assert checked and bad_rungs and unsettled_at_end
+
+
+def test_strict_truncated_ladder_raises_from_its_rung_record():
+    # with one quantile match of two proposal rounds per rung, rung 0 ends with more bad
+    # men than its bound; strict, the record raises, and logged, the run finishes with
+    # the same message among its violations
+    profile = generate(GeneratorSpec.parse("random:0.3", n=16, seed=0))
+    with pytest.raises(InvariantViolation, match="^rung 0: 3 bad men among 16 active exceeds 2$") as raised:
+        _truncated_ladder(profile, "det", k=2, inner=1, seed=0, strict=True).run()
+    res = _truncated_ladder(profile, "det", k=2, inner=1, seed=0, strict=False).run()
+    assert str(raised.value) in res.violations
+    assert not res.outer_records[0].check.passed
 
 
 def two_component_profile(perm_b):
