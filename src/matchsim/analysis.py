@@ -12,7 +12,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Sequence
 
 from .model import BoundCheck, Matching, PreferenceProfile
@@ -35,24 +34,19 @@ def _rank_in(lst: Sequence[int], partner: int | None) -> int:
     return len(lst) + 1 if partner is None else lst.index(partner) + 1
 
 
-def _partner_ranks(profile: PreferenceProfile, matching: Matching):
-    """Per-player rank of the assigned partner, with unmatched at deg + 1, read from
-    the lists once the matching is checked against the profile; no rank table is
-    built."""
-    matching.validate_for(profile)
-    ids = range(profile.n)
-    man_cur = map(_rank_in, profile.men_prefs, map(matching.man_partner.get, ids))
-    woman_cur = map(_rank_in, profile.women_prefs, map(matching.woman_partner.get, ids))
-    return man_cur, woman_cur
+# A short list's head, read like a flag row: ``head[m]`` is ``m in head``.
+class _ShortHead(frozenset):
+    __slots__ = ()
+    __getitem__ = frozenset.__contains__
 
 
 def _heads(profile: PreferenceProfile, matching: Matching, eps: float | None):
-    """Each man's list head, lazily, and a set of each woman's head, where a head
-    ``lst[:cur - c]`` holds the partners a player gains at least c = ``ceil(eps * deg)``
-    ranks on over their assigned partner (c = 1 with no eps). Both endpoints of an edge
-    gain c when each lies in the other's head; a gap is an integer, so this is
-    ``gap >= eps * deg``. A woman's head that is her whole list is ``range(n)``, with no
-    allocation: the profile is valid, so every man scanned against her is on her list."""
+    """Each man's list head, lazily, and each woman's head read by man index: a head
+    ``lst[:cur - c]`` holds the partners a player gains at least c = ``ceil(eps * deg)`` ranks
+    on over their assigned partner (c = 1 with no eps). An edge gains c on both sides when
+    ``heads[w][m]`` and w is in m's head; a gap is an integer, so this is ``gap >= eps * deg``.
+    A whole-list head is one shared all-ones row (every man scanned against her is on her
+    list), a list of n/4 partners or more gets a ``bytearray`` of n flags, a shorter one a set."""
     if eps is None:
         head_len = lambda lst, cur: cur - 1
     elif not math.isfinite(eps):
@@ -60,10 +54,24 @@ def _heads(profile: PreferenceProfile, matching: Matching, eps: float | None):
     else:
         eps = min(max(eps, -1.0), 2.0)  # every gap lies in [1 - deg, deg], so the pairs are the same
         head_len = lambda lst, cur: max(0, cur - math.ceil(eps * len(lst)))
-    man_cur, woman_cur = _partner_ranks(profile, matching)
-    women, everyone = profile.women_prefs, range(profile.n)
-    heads = [everyone if h >= len(lst) else set(lst[:h]) for lst, h in zip(women, map(head_len, women, woman_cur))]
-    men = ((m_idx, lst[: head_len(lst, cur)]) for m_idx, lst, cur in zip(count(), profile.men_prefs, man_cur))
+    matching.validate_for(profile)
+    n, ids, women = profile.n, range(profile.n), profile.women_prefs
+    man_cur = map(_rank_in, profile.men_prefs, map(matching.man_partner.get, ids))
+    woman_cur = map(_rank_in, women, map(matching.woman_partner.get, ids))
+    everyone = b"\1" * n
+
+    def head(lst, h):
+        if h >= len(lst):
+            return everyone
+        if 4 * len(lst) < n:  # the rank rows' rule
+            return _ShortHead(lst[:h])
+        row = bytearray(n)
+        for m_idx in lst[:h]:  # a subscript store: faster than a C-level map of row.__setitem__
+            row[m_idx] = 1
+        return row
+
+    heads = list(map(head, women, map(head_len, women, woman_cur)))
+    men = ((m_idx, lst[: head_len(lst, cur)]) for m_idx, lst, cur in zip(ids, profile.men_prefs, man_cur))
     return men, heads
 
 
@@ -71,20 +79,20 @@ def blocking_pairs(profile: PreferenceProfile, matching: Matching) -> list[tuple
     """All edges (m, w) outside the matching that both endpoints prefer to their
     assigned partners, men in order and each man's in his list order."""
     men, heads = _heads(profile, matching, None)
-    return [(m_idx, w_idx) for m_idx, head in men for w_idx in head if m_idx in heads[w_idx]]
+    return [(m_idx, w_idx) for m_idx, head in men for w_idx in head if heads[w_idx][m_idx]]
 
 
 def eps_blocking_pairs(profile: PreferenceProfile, matching: Matching, eps: float) -> list[tuple[int, int]]:
     """All edges on which both endpoints improve on their assigned partner by at least
     an eps-fraction of their own list length, in :func:`blocking_pairs`' order."""
     men, heads = _heads(profile, matching, eps)
-    return [(m_idx, w_idx) for m_idx, head in men for w_idx in head if m_idx in heads[w_idx]]
+    return [(m_idx, w_idx) for m_idx, head in men for w_idx in head if heads[w_idx][m_idx]]
 
 
 def count_blocking_pairs(profile: PreferenceProfile, matching: Matching, eps: float | None = None) -> int:
     """The number of blocking pairs, or of eps-blocking pairs with an eps, not listed."""
     men, heads = _heads(profile, matching, eps)
-    return sum(m_idx in heads[w_idx] for m_idx, head in men for w_idx in head)
+    return sum(heads[w_idx][m_idx] for m_idx, head in men for w_idx in head)
 
 
 def classify_good_bad(men: Sequence[PlayerFinal]) -> tuple[set[int], set[int]]:
@@ -164,7 +172,6 @@ class VerificationReport:
                 },
             },
             indent=2,
-            sort_keys=False,
         )
 
 

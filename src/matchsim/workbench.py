@@ -14,6 +14,7 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -195,6 +196,15 @@ class _SharedInts(dict):
         return value
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's UTF-8 text, read in 1 MiB pieces, so its whole bytes never exist."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return "".join(iter(partial(fh.read, 1 << 20), ""))
+    except UnicodeDecodeError:  # a piece's error counts its position from the piece's start
+        return Path(path).read_text(encoding="utf-8")  # raises, counting from the file's
+
+
 def _read_json(path: str | Path, error: type[MatchsimError]):
     """The text of a file whose numbers must all be integers, and what it parses to;
     ``error``, naming the file, on any other number, on an integer longer than
@@ -204,7 +214,7 @@ def _read_json(path: str | Path, error: type[MatchsimError]):
         raise ValueError(f"expected an integer, got {token}")
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)
         return text, json.loads(text, parse_float=no_floats, parse_int=_SharedInts().__getitem__)
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
@@ -247,12 +257,9 @@ def load_instance(path: str | Path) -> PreferenceProfile:
         raise InvalidProfile(f"{path}: {exc}") from exc
 
 
-def matching_to_json(matching: Matching) -> str:
-    return json.dumps({"pairs": [list(p) for p in matching.sorted_pairs()]}, separators=(",", ":")) + "\n"
-
-
 def save_matching(matching: Matching, path: str | Path) -> None:
-    Path(path).write_text(matching_to_json(matching), encoding="utf-8")
+    pairs = [list(p) for p in matching.sorted_pairs()]
+    Path(path).write_text(json.dumps({"pairs": pairs}, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def load_matching(path: str | Path) -> Matching:

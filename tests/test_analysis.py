@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binomial_ci, bipartite, rate_within_claim
+from helpers import binomial_ci, bipartite, rate_within_claim, traced_peak
 from matchsim import (
     AsmParams,
     BoundCheck,
@@ -33,7 +33,7 @@ from matchsim import (
     verify_run,
     woman,
 )
-from matchsim.analysis import CLAIMS
+from matchsim.analysis import CLAIMS, _heads
 
 
 def edges(prof):
@@ -342,6 +342,58 @@ def test_eps_blocking_rejects_non_finite_threshold(eps):
         eps_blocking_pairs(prof, m, eps)
     with pytest.raises(ValueError, match="finite"):
         count_blocking_pairs(prof, m, eps)
+
+
+def _isolating(prof, m, w):
+    """``prof`` with every edge of man m and of woman w removed, so both are isolated."""
+    men = [() if i == m else tuple(x for x in lst if x != w) for i, lst in enumerate(prof.men_prefs)]
+    women = [() if j == w else tuple(x for x in lst if x != m) for j, lst in enumerate(prof.women_prefs)]
+    return PreferenceProfile(prof.n, tuple(men), tuple(women))
+
+
+def test_scans_equal_the_definition_on_every_kind_of_head():
+    # n 8-16, where a woman's head is a set (a list under n/4), a flag row (a longer
+    # list's partial head) or the shared all-ones row (her whole list), and some players
+    # are isolated; test_blocking_scans_equal_the_definition stops at n 6, where few
+    # lists are short
+    rng = random.Random(30)
+    kinds = set()
+    for family, n, seed in itertools.product(("bounded:3", "random:0.3", "complete"), (8, 12, 16), range(3)):
+        prof = generate(GeneratorSpec.parse(family, n=n, seed=seed))
+        if seed:
+            prof = _isolating(prof, rng.randrange(n), rng.randrange(n))
+        for m in (random_matching(rng, prof), random_matching(rng, prof), Matching.of([])):
+            gains = list(_definition_gains(prof, m))
+            degrees = {len(lst) for lst in prof.men_prefs + prof.women_prefs} - {0}
+            thresholds = [0.0, 1.0, *(2 / k for k in range(1, 13)), *(a / d for d in degrees for a in range(-d, d + 2))]
+            for eps in (None, *thresholds):
+                if eps is None:
+                    expected = [(i, j) for i, j, gi, gj in gains if gi > 0 and gj > 0]
+                    assert blocking_pairs(prof, m) == expected
+                else:
+                    expected = [
+                        (i, j) for i, j, gi, gj in gains
+                        if gi >= eps * len(prof.men_prefs[i]) and gj >= eps * len(prof.women_prefs[j])
+                    ]
+                    assert eps_blocking_pairs(prof, m, eps) == expected
+                assert count_blocking_pairs(prof, m, eps) == len(expected)
+                kinds.update(type(head).__name__ for head in _heads(prof, m, eps)[1])
+    assert kinds == {"bytes", "bytearray", "_ShortHead"}
+
+
+def test_long_heads_are_flag_rows():
+    # every other pair of the stable matching leaves half the women unmatched: on
+    # complete n=512 at eps 0.125 their heads hold about 7/8 of the men, 8.67 MiB traced
+    # as sets and about 0.3 MiB as rows of n flags; bounded:8 n=4096 has no list of
+    # n/4 partners, keeps its sets and stays near 0.66 MiB
+    cases = ((GeneratorSpec("complete", 512, seed=0), 2**20), (GeneratorSpec("bounded", 4096, seed=0, d=8), 1.5 * 2**20))
+    for spec, bound in cases:
+        prof = generate(spec)
+        m = Matching.of(gale_shapley_oracle(prof).sorted_pairs()[::2])
+        for eps in (0.125, None):
+            assert traced_peak(count_blocking_pairs, prof, m, eps)[0] <= bound
+            assert count_blocking_pairs(prof, m, eps) == len(
+                blocking_pairs(prof, m) if eps is None else eps_blocking_pairs(prof, m, eps))
 
 
 def test_counting_builds_no_pair_list():

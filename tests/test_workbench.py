@@ -201,6 +201,44 @@ def test_loaded_profile_shares_equal_entries(tmp_path):
     assert len(first) == 301
 
 
+def _whole_read(path):
+    """The text and parsed object of one whole-file ``read_text``, the piece reader's reference."""
+    text = path.read_text(encoding="utf-8")
+    return text, json.loads(text)
+
+
+def test_files_read_in_pieces_load_as_a_whole_read_does(tmp_path):
+    # the reader takes the text in 1 MiB pieces: a multi-byte character where a
+    # piece ends, in characters or in bytes, and a CRLF file must read as a whole read does
+    prof = generate(GeneratorSpec.parse("complete", n=300, seed=2))
+    head = instance_to_json(prof)[:-2] + ',"x":"'
+    pad = 2**20 - len(head) - 40
+    wide = head + "a" * pad + "\u00e9\u20ac\U0001f600" * 40 + "b" * 100 + '"}\n'
+    assert len(wide) > 2**20 + 100 and len(wide.encode()) > 2**20 + 100
+    crlf = json.dumps(json.loads(instance_to_json(prof)), indent=1).replace("\n", "\r\n")
+    assert len(crlf) > 2**20
+    for name, text in (("wide", wide), ("crlf", crlf)):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode())
+        assert workbench._read_json(path, InvalidProfile) == _whole_read(path)
+        assert load_instance(path) == prof
+
+
+def test_a_bad_byte_past_the_first_piece_is_placed_from_the_file_start(tmp_path):
+    # a piece's decode error counts from the piece's start; the message counts from the file's
+    path = tmp_path / "bad.json"
+    data = bytearray(b'{"n":1,"men":[[0]],"women":[[0]],"x":"' + b"a" * 3_100_000 + b'"}')
+    data[3_000_045] = 0xFF
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    assert "position 3000045" in str(whole.value)
+    for load, error in ((load_instance, InvalidProfile), (load_matching, InvalidMatching)):
+        with pytest.raises(error) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text: {whole.value}"
+
+
 def test_verify_scans_on_a_loaded_profile_build_no_rank_table(tmp_path):
     prof = _loaded(tmp_path, "random:0.5", 40, seed=3)
     pairs = sorted((m, lst[0]) for m, lst in enumerate(prof.men_prefs) if lst)
